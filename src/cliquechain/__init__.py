@@ -29,7 +29,6 @@ from .clique import (
     ProblemInstance,
     SolverCursor,
     TooLarge,
-    bk_advance,
     brute_force_max_clique,
     gen_random_graph,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "TooLarge",
     "advance_solvers",
     "append_block",
-    "bk_advance",
     "brute_force_max_clique",
     "bubka_strategy_step",
     "check_saturation_and_replace",

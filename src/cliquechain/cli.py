@@ -235,15 +235,17 @@ def _cmd_verify_chain(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    """Cross-check the pausable search against the brute-force oracle."""
+    """Cross-check the pausable search against the brute-force oracle,
+    in visit orders drawn from a second stream so the graphs stay fixed."""
     rng = np.random.Generator(np.random.PCG64(args.seed or 0))
+    order_rng = np.random.Generator(np.random.PCG64([args.seed or 0, 1]))
     failures = 0
     for i in range(args.graphs):
         n = int(rng.integers(4, args.max_n + 1))
         p = float(rng.uniform(0.2, 0.8))
         graph = gen_random_graph(n, p, int(rng.integers(0, 2 ** 31)))
         expect = brute_force_max_clique(graph)
-        cursor = SolverCursor(graph)
+        cursor = SolverCursor(graph, order=order_rng.permutation(n).tolist())
         best = 0
         while not cursor.exhausted:
             found = cursor.advance(graph, 10 ** 9, best)

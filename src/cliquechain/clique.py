@@ -1,15 +1,18 @@
 """Random graph instances and the resumable maximum-clique search.
 
-The search is Bron-Kerbosch with greedy pivoting, driven through an explicit
-frame stack so a solver can spend a fixed step budget, pause, and resume
-later without losing its place.  One step is one frame expansion, i.e. one
-node of the recursion tree.  Adjacency is kept as per-vertex bitmasks, which
-keeps the inner loop to a handful of integer operations.
+The search is Bron-Kerbosch with the Tomita pivot, driven through an
+explicit frame stack so a solver can spend a fixed step budget, pause, and
+resume later without losing its place.  One step is one frame expansion,
+i.e. one node of the recursion tree.  Following BBMC, each cursor first
+relabels its graph into its own visit order, so every vertex set is a
+bitmask in which the lowest bit is the earliest vertex to visit (see
+``SolverCursor``); the tree, and so every trace, is that of the
+unrelabelled search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,30 +163,42 @@ class ProblemInstance:
 # Resumable Bron-Kerbosch
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Frame:
-    """One node of the recursion tree: clique-so-far plus candidate sets."""
+def _relabel(masks: tuple[int, ...], order: list[int]) -> list[int]:
+    """Adjacency masks renumbered so that bit ``i`` is vertex ``order[i]``.
 
-    r: tuple[int, ...]
-    p: int
-    x: int
-    expanded: bool = False
-    ext: list[int] = field(default_factory=list)
-    i: int = 0
+    Vectorised: a per-bit loop would cost as much as a short-lived cursor's
+    whole search.
+    """
+    n = len(masks)
+    width = (n + 7) // 8
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
+    adj = np.unpackbits(rows, axis=1, count=n, bitorder="little")
+    o = np.asarray(order)
+    out = np.packbits(adj.take(o, 0).take(o, 1), axis=1,
+                      bitorder="little").tobytes()
+    return [int.from_bytes(out[i:i + width], "little")
+            for i in range(0, n * width, width)]
 
 
 class SolverCursor:
     """Pausable Bron-Kerbosch enumeration over one graph.
 
-    The cursor owns an explicit stack of (R, P, X) frames.  Expanding a
-    frame costs one step: the pivot is chosen among P | X to maximize
-    |P & N(pivot)| (ties to the earliest vertex in the cursor's visit
-    order), and the children P \\ N(pivot) are scheduled in visit order.
-    Any expanded frame whose clique beats the caller's threshold is
-    reported immediately, maximal or not.
-
     ``order`` permutes the exploration so independently seeded solvers walk
     the same tree in different directions; the default is vertex order.
+    The cursor searches a copy of the graph relabelled into that order:
+    bit ``i`` stands for ``order[i]``, the vertex of rank ``i``, so the
+    lowest set bit of a set is its earliest vertex in visit order.
+
+    Each stack frame is a list ``[r, p, x, ext]``: clique so far (ranks),
+    candidate and excluded sets, and the children left to visit, with
+    ``ext = -1`` until expanded.  Expanding costs one step: the pivot is
+    the first vertex of P | X, scanning from the lowest bit, with the most
+    neighbours in P, and ``ext`` becomes P \\ N(pivot), visited lowest bit
+    first.  Pivot ties and children thus go in visit order, as in the plain
+    search on the graph's own labels, so the tree and every trace are the
+    same.  Any expanded frame whose clique beats the caller's threshold is
+    reported at once, maximal or not, mapped back through ``order``.
     """
 
     def __init__(self, graph: Graph, problem_epoch: int = 0,
@@ -194,16 +209,16 @@ class SolverCursor:
         if sorted(order) != list(range(n)):
             raise InvalidParams("order must be a permutation of the vertices")
         self.problem_epoch = problem_epoch
-        self._rank = [0] * n
-        for rank, v in enumerate(order):
-            self._rank[v] = rank
-        self._graph_key = (graph.n, graph.seed, graph.edge_prob)
-        self._stack: list[_Frame] = [_Frame(r=(), p=(1 << n) - 1, x=0)]
+        self._graph_masks = graph.neighbor_masks
+        self._order = tuple(order)
+        self._masks = _relabel(graph.neighbor_masks, order)
+        self._stack: list[list] = [[(), (1 << n) - 1, 0, -1]]
         self.steps_consumed = 0
         self.exhausted = False
 
     def matches(self, graph: Graph) -> bool:
-        return self._graph_key == (graph.n, graph.seed, graph.edge_prob)
+        masks = graph.neighbor_masks
+        return masks is self._graph_masks or masks == self._graph_masks
 
     def advance(self, graph: Graph, step_budget: int,
                 threshold: int) -> CliqueSolution | None:
@@ -217,65 +232,48 @@ class SolverCursor:
         if not self.matches(graph):
             raise CursorGraphMismatch(
                 "cursor was created for a different graph")
-        masks = graph.neighbor_masks
-        rank = self._rank
+        masks = self._masks
         stack = self._stack
         budget = step_budget
         found = None
         while budget > 0 and stack:
             fr = stack[-1]
-            if not fr.expanded:
-                self.steps_consumed += 1
+            r, p, x, ext = fr
+            if ext < 0:
                 budget -= 1
-                fr.expanded = True
-                if fr.p:
-                    pivot = self._pick_pivot(fr.p, fr.x, masks, rank)
-                    ext_mask = fr.p & ~masks[pivot]
-                    fr.ext = sorted(_bits(ext_mask), key=rank.__getitem__)
-                if len(fr.r) > threshold:
+                ext = 0
+                if p:
+                    best_count = -1
+                    cand = p | x
+                    while cand:
+                        low = cand & -cand
+                        cand ^= low
+                        count = (p & masks[low.bit_length() - 1]).bit_count()
+                        if count > best_count:
+                            best_count, pivot = count, low
+                    ext = p & ~masks[pivot.bit_length() - 1]
+                fr[3] = ext
+                if len(r) > threshold:
+                    order = self._order
                     found = CliqueSolution(
                         problem_epoch=self.problem_epoch,
-                        vertices=tuple(sorted(fr.r)),
-                        score=len(fr.r))
+                        vertices=tuple(sorted(order[i] for i in r)),
+                        score=len(r))
                     break
-                continue
-            if fr.i < len(fr.ext):
-                v = fr.ext[fr.i]
-                fr.i += 1
-                vbit = 1 << v
-                stack.append(_Frame(r=fr.r + (v,),
-                                    p=fr.p & masks[v],
-                                    x=fr.x & masks[v]))
-                fr.p &= ~vbit
-                fr.x |= vbit
+            elif ext:
+                low = ext & -ext
+                v = low.bit_length() - 1
+                mv = masks[v]
+                fr[1] = p ^ low
+                fr[2] = x | low
+                fr[3] = ext ^ low
+                stack.append([r + (v,), p & mv, x & mv, -1])
             else:
                 stack.pop()
+        self.steps_consumed += step_budget - budget
         if not stack:
             self.exhausted = True
         return found
-
-    @staticmethod
-    def _pick_pivot(p: int, x: int, masks, rank) -> int:
-        best_v = -1
-        best_count = -1
-        best_rank = -1
-        cand = p | x
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            count = (p & masks[v]).bit_count()
-            if count > best_count or (count == best_count
-                                      and rank[v] < best_rank):
-                best_v, best_count, best_rank = v, count, rank[v]
-        return best_v
-
-
-def bk_advance(cursor: SolverCursor, graph: Graph, step_budget: int,
-               threshold: int) -> tuple[SolverCursor, CliqueSolution | None]:
-    """Functional wrapper over SolverCursor.advance."""
-    solution = cursor.advance(graph, step_budget, threshold)
-    return cursor, solution
 
 
 def brute_force_max_clique(graph: Graph) -> int:

@@ -17,7 +17,6 @@ from scipy.stats import spearmanr
 from cliquechain.cli import main
 from cliquechain.clique import (
     SolverCursor,
-    bk_advance,
     brute_force_max_clique,
     gen_random_graph,
 )
@@ -53,7 +52,7 @@ def _exhaust_best(graph) -> int:
     cursor = SolverCursor(graph)
     best = 0
     while not cursor.exhausted:
-        cursor, found = bk_advance(cursor, graph, 10 ** 9, best)
+        found = cursor.advance(graph, 10 ** 9, best)
         if found is not None:
             best = found.score
     return best

@@ -3,6 +3,7 @@ brute-force oracle and hand-built graphs."""
 
 import math
 
+import numpy as np
 import pytest
 
 from cliquechain.clique import (
@@ -11,7 +12,7 @@ from cliquechain.clique import (
     InvalidParams,
     SolverCursor,
     TooLarge,
-    bk_advance,
+    _relabel,
     brute_force_max_clique,
     gen_random_graph,
     graph_to_edge_list,
@@ -40,7 +41,7 @@ def exhaust(graph, order=None, chunk=10 ** 9):
     cursor = SolverCursor(graph, order=order)
     best = 0
     while not cursor.exhausted:
-        cursor, found = bk_advance(cursor, graph, chunk, best)
+        found = cursor.advance(graph, chunk, best)
         if found is not None:
             best = found.score
     return best, cursor
@@ -114,7 +115,7 @@ def test_brute_force_size_guard():
 def test_search_reports_immediately_on_k5():
     g = complete_graph(5)
     cursor = SolverCursor(g)
-    cursor, found = bk_advance(cursor, g, 10 ** 6, 0)
+    found = cursor.advance(g, 10 ** 6, 0)
     assert found is not None and found.score >= 1
     assert cursor.steps_consumed <= 3
 
@@ -122,7 +123,7 @@ def test_search_reports_immediately_on_k5():
 def test_search_finds_nothing_above_c5_optimum():
     g = cycle_graph(5)
     cursor = SolverCursor(g)
-    cursor, found = bk_advance(cursor, g, 10 ** 6, 2)
+    found = cursor.advance(g, 10 ** 6, 2)
     assert found is None
     assert cursor.exhausted
 
@@ -130,11 +131,11 @@ def test_search_finds_nothing_above_c5_optimum():
 def test_petersen_threshold_behavior():
     g = Graph.from_edges(10, PETERSEN_EDGES)
     cursor = SolverCursor(g)
-    _, found = bk_advance(cursor, g, 10 ** 6, 1)
+    found = cursor.advance(g, 10 ** 6, 1)
     assert found is not None and found.score == 2
 
     cursor2 = SolverCursor(g)
-    _, found2 = bk_advance(cursor2, g, 10 ** 6, 2)
+    found2 = cursor2.advance(g, 10 ** 6, 2)
     assert found2 is None and cursor2.exhausted
 
 
@@ -159,7 +160,7 @@ def test_reported_cliques_are_cliques():
     cursor = SolverCursor(g)
     best = 0
     while not cursor.exhausted:
-        cursor, found = bk_advance(cursor, g, 10 ** 9, best)
+        found = cursor.advance(g, 10 ** 9, best)
         if found is not None:
             assert is_clique(g, found.vertices)
             assert found.score > best
@@ -169,7 +170,7 @@ def test_reported_cliques_are_cliques():
 def test_zero_budget_is_a_noop():
     g = gen_random_graph(10, 0.5, 4)
     cursor = SolverCursor(g)
-    cursor, found = bk_advance(cursor, g, 0, 0)
+    found = cursor.advance(g, 0, 0)
     assert found is None and cursor.steps_consumed == 0
 
 
@@ -178,7 +179,35 @@ def test_cursor_rejects_wrong_graph():
     other = gen_random_graph(10, 0.5, 5)
     cursor = SolverCursor(g)
     with pytest.raises(CursorGraphMismatch):
-        bk_advance(cursor, other, 10, 0)
+        cursor.advance(other, 10, 0)
+
+
+def test_cursor_rejects_other_handcrafted_graph():
+    # Hand-built graphs all carry (n, -1, 0.0), so only the adjacency
+    # tells K5 from C5.
+    cursor = SolverCursor(complete_graph(5))
+    with pytest.raises(CursorGraphMismatch):
+        cursor.advance(cycle_graph(5), 10, 0)
+
+
+def test_cursor_accepts_an_equal_graph():
+    g = gen_random_graph(10, 0.5, 4)
+    cursor = SolverCursor(g)
+    assert cursor.matches(gen_random_graph(10, 0.5, 4))
+
+
+def test_relabel_matches_per_pair_reference():
+    # Bit j of relabelled row i is the edge (order[i], order[j]); sizes
+    # straddle the byte and 64-bit word boundaries of the packed rows.
+    rng = np.random.Generator(np.random.PCG64(3))
+    for n in (1, 2, 8, 9, 63, 64, 65, 70):
+        g = gen_random_graph(n, 0.5, n)
+        order = [int(v) for v in rng.permutation(n)]
+        rows = _relabel(g.neighbor_masks, order)
+        for i in range(n):
+            expect = sum(1 << j for j in range(n)
+                         if g.has_edge(order[i], order[j]))
+            assert rows[i] == expect, (n, i)
 
 
 def _collect_reports(graph, threshold, budgets):
@@ -189,7 +218,7 @@ def _collect_reports(graph, threshold, budgets):
     while not cursor.exhausted:
         budget = budgets[i % len(budgets)] if budgets else 10 ** 9
         i += 1
-        cursor, found = bk_advance(cursor, graph, budget, threshold)
+        found = cursor.advance(graph, budget, threshold)
         if found is not None:
             reports.append(found.vertices)
     return reports, cursor.steps_consumed
@@ -209,7 +238,7 @@ def test_resume_never_rereports():
     cursor = SolverCursor(g)
     seen = []
     while not cursor.exhausted:
-        cursor, found = bk_advance(cursor, g, 1, 0)
+        found = cursor.advance(g, 1, 0)
         if found is not None:
             seen.append(found.vertices)
     assert len(seen) == len(set(seen))
