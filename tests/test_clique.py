@@ -202,7 +202,7 @@ def test_relabel_matches_per_pair_reference():
     rng = np.random.Generator(np.random.PCG64(3))
     for n in (1, 2, 8, 9, 63, 64, 65, 70):
         g = gen_random_graph(n, 0.5, n)
-        order = [int(v) for v in rng.permutation(n)]
+        order = rng.permutation(n).tolist()
         rows = _relabel(g.neighbor_masks, order)
         for i in range(n):
             expect = sum(1 << j for j in range(n)

@@ -48,7 +48,7 @@ def _order(kind, n, seed):
     if kind == "reversed":
         return list(range(n - 1, -1, -1))
     rng = np.random.Generator(np.random.PCG64(seed))
-    return [int(v) for v in rng.permutation(n)]
+    return rng.permutation(n).tolist()
 
 
 def _trace(graph, order, budgets, threshold):
@@ -85,11 +85,6 @@ def _digest(n):
               for label, graph, order, budgets, threshold in _cases(n)]
     blob = json.dumps(traces, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def test_case_grid_has_at_least_forty_cases():
-    count = sum(1 for n in GRAPHS for _ in _cases(n))
-    assert count >= 40
 
 
 @pytest.mark.parametrize("n", sorted(GRAPHS))
