@@ -1,7 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 2 for configuration problems, 3 when a recorded
-run fails re-validation (including selftest failures).
+Exit codes:
+
+* 0: success.
+* 2: bad arguments, or a config file that is missing, does not parse, or
+  sets a value the simulator rejects (NaN and inf included).
+* 3: a records or graphs file that is missing, malformed or fails
+  re-validation, a failed selftest, or a run stopped by a ValueError
+  (such as a difficulty driven down to zero).
+* 1: anything else; that is a bug and comes with a traceback.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .experiments import (
 from .io import (
     ReplayError,
     RunManifest,
-    ensure_dir,
+    format_value,
     parse_config,
     read_records,
     render_config,
@@ -50,179 +57,145 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _load_config(args) -> SimConfig:
-    cfg = parse_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed).resolve()
-    return cfg
+def _write_records(args, stem: str, records) -> str:
+    """Write records as ``<stem>.<format>`` under the output directory and
+    return that name."""
+    name = f"{stem}.{args.format}"
+    path = os.path.join(args.out_dir, name)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    write_records(records, path, fmt=args.format)
+    return name
 
 
-def _manifest(args, cfg: SimConfig, outputs: dict, started: str,
-              ) -> RunManifest:
-    return RunManifest(version=__version__,
-                       command=" ".join(sys.argv) if sys.argv else "",
-                       seed=cfg.seed, config_text=render_config(cfg),
-                       outputs=outputs, started_utc=started,
-                       finished_utc=_utcnow())
-
-
-def _write_summary_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_summary(args, payload: dict, header: str = "", rows=()) -> None:
+    """Write ``summary.json`` and, given a header, ``summary.csv`` with
+    floats at 17 significant digits."""
+    if header:
+        lines = [header] + [",".join(map(format_value, row)) for row in rows]
+        with open(os.path.join(args.out_dir, "summary.csv"), "w",
+                  encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    with open(os.path.join(args.out_dir, "summary.json"), "w",
+              encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _cmd_simulate(args) -> int:
-    started = _utcnow()
-    cfg = _load_config(args)
+def _columns(records, *fields) -> dict:
+    return {f: [getattr(r, f) for r in records] for f in fields}
+
+
+def _simulate(args, cfg: SimConfig) -> tuple[dict, str]:
     result = simulate(cfg)
-    ensure_dir(args.out_dir)
-    records_name = f"records.{args.format}"
-    write_records(result.records, os.path.join(args.out_dir, records_name),
-                  fmt=args.format)
+    records = _write_records(args, "records", result.records)
     write_graphs(result.graphs, os.path.join(args.out_dir, "graphs.edges"))
-    outputs = {"records": records_name, "graphs": "graphs.edges"}
-    write_manifest(_manifest(args, cfg, outputs, started),
-                   os.path.join(args.out_dir, "manifest.json"))
     last = result.records[-1]
-    print(f"{len(result.records)} blocks "
-          f"({last.cum_classical} classical, {last.cum_solution} solution), "
-          f"{len(result.replacement_heights)} problem replacements, "
-          f"final d_b={last.d_b:.6g} d_r={last.d_r:.6g}")
-    print(f"wrote {args.out_dir}/{records_name}")
-    return 0
+    return ({"records": records, "graphs": "graphs.edges"},
+            f"{len(result.records)} blocks "
+            f"({last.cum_classical} classical, {last.cum_solution} solution), "
+            f"{len(result.replacement_heights)} problem replacements, "
+            f"final d_b={last.d_b:.6g} d_r={last.d_r:.6g}\n"
+            f"wrote {args.out_dir}/{records}")
 
 
-def _cmd_growth(args) -> int:
-    started = _utcnow()
-    cfg = _load_config(args)
-    traj = run_block_growth_experiment(cfg)
-    ensure_dir(args.out_dir)
-    records_name = f"records.{args.format}"
-    write_records(traj.records, os.path.join(args.out_dir, records_name),
-                  fmt=args.format)
-    result = {"height": [r.height for r in traj.records],
-              "cum_classical": list(traj.cum_classical),
-              "cum_solution": list(traj.cum_solution),
-              "diagonal": list(traj.diagonal),
-              "replacement_heights": list(traj.replacement_heights)}
-    _write_summary_json(os.path.join(args.out_dir, "summary.json"), result)
-    outputs = {"records": records_name, "summary": "summary.json"}
-    write_manifest(_manifest(args, cfg, outputs, started),
-                   os.path.join(args.out_dir, "manifest.json"))
-    print(f"block growth over {len(traj.records)} blocks, "
-          f"replacements at {list(traj.replacement_heights)}")
-    return 0
+def _growth(args, cfg: SimConfig) -> tuple[dict, str]:
+    result = run_block_growth_experiment(cfg)
+    recs = result.records
+    records = _write_records(args, "records", recs)
+    _write_summary(args, {
+        **_columns(recs, "height", "cum_classical", "cum_solution"),
+        "diagonal": [r.height + 1 for r in recs],
+        "replacement_heights": result.replacement_heights})
+    return ({"records": records, "summary": "summary.json"},
+            f"block growth over {len(recs)} blocks, "
+            f"replacements at {result.replacement_heights}")
 
 
-def _cmd_difficulty(args) -> int:
-    started = _utcnow()
-    cfg = _load_config(args)
-    traj = run_difficulty_trajectories(cfg)
-    ensure_dir(args.out_dir)
-    records_name = f"records.{args.format}"
-    write_records(traj.records, os.path.join(args.out_dir, records_name),
-                  fmt=args.format)
-    result = {"height": [r.height for r in traj.records],
-              "d_b": list(traj.d_b), "d_r": list(traj.d_r),
-              "replacement_heights": list(traj.replacement_heights)}
-    _write_summary_json(os.path.join(args.out_dir, "summary.json"), result)
-    outputs = {"records": records_name, "summary": "summary.json"}
-    write_manifest(_manifest(args, cfg, outputs, started),
-                   os.path.join(args.out_dir, "manifest.json"))
-    ratio = traj.d_r[-1] / traj.d_b[-1]
-    print(f"{cfg.policy} difficulty trajectories over "
-          f"{len(traj.records)} blocks, final d_r/d_b = {ratio:.6g}")
-    return 0
+def _difficulty(args, cfg: SimConfig) -> tuple[dict, str]:
+    result = run_difficulty_trajectories(cfg)
+    recs = result.records
+    records = _write_records(args, "records", recs)
+    _write_summary(args, {**_columns(recs, "height", "d_b", "d_r"),
+                          "replacement_heights": result.replacement_heights})
+    return ({"records": records, "summary": "summary.json"},
+            f"{cfg.policy} difficulty trajectories over {len(recs)} blocks, "
+            f"final d_r/d_b = {recs[-1].d_r / recs[-1].d_b:.6g}")
 
 
-def _cmd_eta_sweep(args) -> int:
-    started = _utcnow()
-    cfg = _load_config(args)
+def _eta_sweep(args, cfg: SimConfig) -> tuple[dict, str]:
     etas = (tuple(float(v) for v in args.etas.split(","))
             if args.etas else DEFAULT_ETA_GRID)
     sweep = run_eta_sweep(cfg, eta_values=etas, instances=args.instances,
                           workers=args.workers)
-    ensure_dir(args.out_dir)
-    runs_dir = os.path.join(args.out_dir, "runs")
-    ensure_dir(runs_dir)
-    outputs = {}
-    for cell in sweep.cells:
-        name = (f"runs/{cell.protocol}_eta{cell.eta_index:02d}"
-                f"_inst{cell.instance:02d}.{args.format}")
-        write_records(list(cell.records), os.path.join(args.out_dir, name),
-                      fmt=args.format)
-        outputs[f"{cell.protocol}/{cell.eta_index}/{cell.instance}"] = name
-
+    outputs = {
+        f"{c.protocol}/{c.eta_index}/{c.instance}": _write_records(
+            args, f"runs/{c.protocol}_eta{c.eta_index:02d}"
+                  f"_inst{c.instance:02d}", c.records)
+        for c in sweep.cells}
     v1_mean, v1_sd = sweep.mean_sd("v1")
     v2_mean, v2_sd = sweep.mean_sd("v2")
-    lines = ["eta,v1_mean,v1_sd,v2_mean,v2_sd"]
-    for i, eta in enumerate(sweep.eta_values):
-        lines.append(",".join(format(v, ".17g") for v in
-                              (eta, v1_mean[i], v1_sd[i], v2_mean[i],
-                               v2_sd[i])))
-    with open(os.path.join(args.out_dir, "summary.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _write_summary_json(
-        os.path.join(args.out_dir, "summary.json"),
+    _write_summary(
+        args,
         {"eta_values": list(sweep.eta_values),
          "instances": sweep.instances,
          "chain_height": sweep.chain_height,
          "v1_mean": list(v1_mean), "v1_sd": list(v1_sd),
          "v2_mean": list(v2_mean), "v2_sd": list(v2_sd),
-         "v2_mean_line": sweep.v2_mean_line})
+         "v2_mean_line": sweep.v2_mean_line},
+        "eta,v1_mean,v1_sd,v2_mean,v2_sd",
+        zip(sweep.eta_values, v1_mean, v1_sd, v2_mean, v2_sd))
     outputs["summary"] = "summary.csv"
-    write_manifest(_manifest(args, cfg, outputs, started),
-                   os.path.join(args.out_dir, "manifest.json"))
-    print(f"eta sweep over {len(sweep.eta_values)} values x "
-          f"{sweep.instances} instances, v2 mean fraction "
-          f"{sweep.v2_mean_line:.4f}")
-    return 0
+    return (outputs,
+            f"eta sweep over {len(sweep.eta_values)} values x "
+            f"{sweep.instances} instances, v2 mean fraction "
+            f"{sweep.v2_mean_line:.4f}")
 
 
-def _cmd_bubka(args) -> int:
-    started = _utcnow()
-    cfg = _load_config(args)
+def _bubka(args, cfg: SimConfig) -> tuple[dict, str]:
     targets = (tuple(int(v) for v in args.hoard_targets.split(","))
                if args.hoard_targets else DEFAULT_BUBKA_TARGETS)
     result = run_bubka_experiment(cfg, hoard_targets=targets,
                                   num_seeds=args.seeds, workers=args.workers)
-    ensure_dir(args.out_dir)
-    runs_dir = os.path.join(args.out_dir, "runs")
-    ensure_dir(runs_dir)
-    outputs = {}
-    for cell in result.cells:
-        label = cell.protocol.replace("=", "")
-        name = f"runs/{label}_seed{cell.instance:02d}.{args.format}"
-        write_records(list(cell.records), os.path.join(args.out_dir, name),
-                      fmt=args.format)
-        outputs[f"{cell.protocol}/{cell.instance}"] = name
-
-    lines = ["hoard_target,win_fraction,max_consecutive"]
-    for row in result.rows:
-        lines.append(f"{row.hoard_target},"
-                     f"{format(row.win_fraction, '.17g')},"
-                     f"{format(row.max_consecutive, '.17g')}")
-    with open(os.path.join(args.out_dir, "summary.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _write_summary_json(
-        os.path.join(args.out_dir, "summary.json"),
-        {"rows": [{"hoard_target": row.hoard_target,
-                   "win_fraction": row.win_fraction,
-                   "max_consecutive": row.max_consecutive}
-                  for row in result.rows],
-         "honest_win_fraction": result.honest_win_fraction,
-         "attacker_id": result.attacker_id})
+    outputs = {
+        f"{c.protocol}/{c.instance}": _write_records(
+            args, f"runs/{c.protocol.replace('=', '')}_seed{c.instance:02d}",
+            c.records)
+        for c in result.cells}
+    columns = ("hoard_target", "win_fraction", "max_consecutive")
+    rows = [[getattr(row, f) for f in columns] for row in result.rows]
+    _write_summary(args, {"rows": [dict(zip(columns, r)) for r in rows],
+                          "honest_win_fraction": result.honest_win_fraction,
+                          "attacker_id": result.attacker_id},
+                   ",".join(columns), rows)
     outputs["summary"] = "summary.csv"
-    write_manifest(_manifest(args, cfg, outputs, started),
-                   os.path.join(args.out_dir, "manifest.json"))
-    for row in result.rows:
-        print(f"hoard_target={row.hoard_target}: "
-              f"win_fraction={row.win_fraction:.4f}, "
-              f"max_consecutive={row.max_consecutive:.2f}")
-    print(f"honest baseline win_fraction={result.honest_win_fraction:.4f}")
+    lines = [f"hoard_target={row.hoard_target}: "
+             f"win_fraction={row.win_fraction:.4f}, "
+             f"max_consecutive={row.max_consecutive:.2f}"
+             for row in result.rows]
+    lines.append("honest baseline win_fraction="
+                 f"{result.honest_win_fraction:.4f}")
+    return outputs, "\n".join(lines)
+
+
+_RUNS = {"simulate": _simulate, "growth": _growth,
+         "difficulty": _difficulty, "eta-sweep": _eta_sweep,
+         "bubka": _bubka}
+
+
+def _cmd_run(args) -> int:
+    """Load the config, run the command, then write its manifest."""
+    started = _utcnow()
+    cfg = parse_config(args.config)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed).resolve()
+    outputs, message = _RUNS[args.command](args, cfg)
+    manifest = RunManifest(version=__version__,
+                           command=" ".join(sys.argv) if sys.argv else "",
+                           seed=cfg.seed, config_text=render_config(cfg),
+                           outputs=outputs, started_utc=started,
+                           finished_utc=_utcnow())
+    write_manifest(manifest, os.path.join(args.out_dir, "manifest.json"))
+    print(message)
     return 0
 
 
@@ -281,15 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("simulate", help="run one chain and write records")
     _add_run_options(sub)
-    sub.set_defaults(func=_cmd_simulate)
+    sub.set_defaults(func=_cmd_run)
 
     sub = subs.add_parser("growth", help="cumulative block-growth experiment")
     _add_run_options(sub)
-    sub.set_defaults(func=_cmd_growth)
+    sub.set_defaults(func=_cmd_run)
 
     sub = subs.add_parser("difficulty", help="difficulty trajectory experiment")
     _add_run_options(sub)
-    sub.set_defaults(func=_cmd_difficulty)
+    sub.set_defaults(func=_cmd_run)
 
     sub = subs.add_parser("eta-sweep",
                           help="solution fraction vs eta, both protocols")
@@ -301,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="independent chains per cell (default: 10)")
     sub.add_argument("--workers", type=int, default=1,
                      help="worker processes (default: 1)")
-    sub.set_defaults(func=_cmd_eta_sweep)
+    sub.set_defaults(func=_cmd_run)
 
     sub = subs.add_parser("bubka", help="hoard-and-release attacker sweep")
     _add_run_options(sub)
@@ -311,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seeded runs per target (default: 20)")
     sub.add_argument("--workers", type=int, default=1,
                      help="worker processes (default: 1)")
-    sub.set_defaults(func=_cmd_bubka)
+    sub.set_defaults(func=_cmd_run)
 
     sub = subs.add_parser("verify-chain",
                           help="re-validate a records file against its "

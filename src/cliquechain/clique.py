@@ -86,9 +86,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.neighbor_masks[u] >> v & 1)
 
-    def neighbors(self, v: int) -> list[int]:
-        return _bits(self.neighbor_masks[v])
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for u in range(self.n):
@@ -348,30 +345,40 @@ def read_graphs(path, check_regeneration: bool = True) -> list[Graph]:
 
     When a section carries a non-negative seed it is re-drawn from
     (n, edge_prob, seed) and must match the listed edges bit for bit;
-    a mismatch means the file does not belong to its manifest.
+    a mismatch means the file does not belong to its manifest.  Every
+    problem with the file raises ValueError naming it.
     """
-    with open(path, encoding="utf-8") as fh:
-        tokens = fh.read().split("\n")
-    lines = [ln.strip() for ln in tokens if ln.strip()]
-    graphs = []
-    i = 0
-    while i < len(lines):
-        head = lines[i].split()
-        if len(head) != 4:
-            raise ValueError(f"bad edge-list header: {lines[i]!r}")
-        n, m, seed = int(head[0]), int(head[1]), int(head[2])
-        edge_prob = float(head[3])
-        i += 1
-        edges = []
-        for _ in range(m):
-            u, v = lines[i].split()
-            edges.append((int(u), int(v)))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            tokens = fh.read().split("\n")
+        lines = [ln.strip() for ln in tokens if ln.strip()]
+        graphs = []
+        i = 0
+        while i < len(lines):
+            head = lines[i].split()
+            if len(head) != 4:
+                raise ValueError(f"bad edge-list header: {lines[i]!r}")
+            n, m, seed = int(head[0]), int(head[1]), int(head[2])
+            edge_prob = float(head[3])
             i += 1
-        graph = Graph.from_edges(n, edges, seed=seed, edge_prob=edge_prob)
-        if check_regeneration and seed >= 0:
-            regen = gen_random_graph(n, edge_prob, seed)
-            if regen.neighbor_masks != graph.neighbor_masks:
-                raise ValueError(
-                    f"edge list for seed {seed} does not match regeneration")
-        graphs.append(graph)
+            if i + m > len(lines):
+                raise ValueError(f"section {len(graphs)} lists "
+                                 f"{len(lines) - i} of its {m} edges")
+            edges = []
+            for _ in range(m):
+                u, v = lines[i].split()
+                edges.append((int(u), int(v)))
+                i += 1
+            graph = Graph.from_edges(n, edges, seed=seed,
+                                     edge_prob=edge_prob)
+            if check_regeneration and seed >= 0:
+                regen = gen_random_graph(n, edge_prob, seed)
+                if regen.neighbor_masks != graph.neighbor_masks:
+                    raise ValueError(f"edge list for seed {seed} does not "
+                                     "match regeneration")
+            graphs.append(graph)
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return graphs

@@ -100,8 +100,7 @@ class DifficultyState:
     """Current difficulties plus the counters the policies run on.
 
     States are immutable; the on_block transitions return updated copies.
-    ``history`` holds (height, d_b, d_r) snapshots taken whenever either
-    difficulty changed, and ``updates`` the individual changes.
+    ``updates`` holds every applied change, in order.
     """
 
     d_b: float
@@ -114,7 +113,6 @@ class DifficultyState:
     solution_epoch_start_time: float = 0.0
     consecutive_classical: int = 0
     blocks_seen: int = 0
-    history: tuple[tuple[int, float, float], ...] = ()
     updates: tuple[DifficultyUpdate, ...] = ()
 
     def __post_init__(self):
@@ -150,9 +148,7 @@ def on_block_v1(state: DifficultyState, params: PolicyParamsV1,
     )
     return replace(state, d_b=new_db, d_r=new_dr,
                    total_count_in_epoch=0, epoch_start_time=block_time,
-                   blocks_seen=seen,
-                   history=state.history + ((height, new_db, new_dr),),
-                   updates=updates)
+                   blocks_seen=seen, updates=updates)
 
 
 def on_block_v2(state: DifficultyState, params: PolicyParamsV2,
@@ -192,36 +188,29 @@ def on_block_v2(state: DifficultyState, params: PolicyParamsV2,
                                          "drought"),)
             d_r = new_dr
             streak = 0
-        new_state = replace(state, d_b=d_b, d_r=d_r,
-                            classical_count_in_epoch=classical,
-                            classical_epoch_start_time=classical_start,
-                            consecutive_classical=streak,
-                            blocks_seen=seen, updates=updates)
-    else:
-        solution = state.solution_count_in_epoch + 1
-        solution_start = state.solution_epoch_start_time
-        if solution == params.solution_epoch:
-            elapsed = block.sim_time - solution_start
-            f_r = _retarget_factor(params.solution_epoch,
-                                   params.solution_target_time, elapsed, x)
-            new_dr = d_r * f_r
-            updates += (DifficultyUpdate(height, "d_r", d_r, new_dr,
-                                         "retarget"),)
-            d_r = new_dr
-            solution = 0
-            solution_start = block.sim_time
-        new_state = replace(state, d_r=d_r,
-                            solution_count_in_epoch=solution,
-                            solution_epoch_start_time=solution_start,
-                            consecutive_classical=0,
-                            blocks_seen=seen, updates=updates)
+        return replace(state, d_b=d_b, d_r=d_r,
+                       classical_count_in_epoch=classical,
+                       classical_epoch_start_time=classical_start,
+                       consecutive_classical=streak,
+                       blocks_seen=seen, updates=updates)
 
-    if len(updates) != len(state.updates):
-        new_state = replace(
-            new_state,
-            history=state.history + ((height, new_state.d_b,
-                                      new_state.d_r),))
-    return new_state
+    solution = state.solution_count_in_epoch + 1
+    solution_start = state.solution_epoch_start_time
+    if solution == params.solution_epoch:
+        elapsed = block.sim_time - solution_start
+        f_r = _retarget_factor(params.solution_epoch,
+                               params.solution_target_time, elapsed, x)
+        new_dr = d_r * f_r
+        updates += (DifficultyUpdate(height, "d_r", d_r, new_dr,
+                                     "retarget"),)
+        d_r = new_dr
+        solution = 0
+        solution_start = block.sim_time
+    return replace(state, d_r=d_r,
+                   solution_count_in_epoch=solution,
+                   solution_epoch_start_time=solution_start,
+                   consecutive_classical=0,
+                   blocks_seen=seen, updates=updates)
 
 
 def on_block_bitcoin(state: DifficultyState, epoch_length: int,
@@ -244,9 +233,7 @@ def on_block_bitcoin(state: DifficultyState, epoch_length: int,
     height = seen - 1
     return replace(state, d_b=new_db,
                    total_count_in_epoch=0, epoch_start_time=block_time,
-                   blocks_seen=seen,
-                   history=state.history + ((height, new_db, state.d_r),),
-                   updates=state.updates + (
+                   blocks_seen=seen, updates=state.updates + (
                        DifficultyUpdate(height, "d_b", state.d_b, new_db,
                                         "retarget"),))
 

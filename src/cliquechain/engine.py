@@ -65,6 +65,9 @@ class MinerSpec:
     hoard_target: int | None = None
 
     def __post_init__(self):
+        for name in ("hashrate", "solver_steps_per_second"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.hashrate <= 0:
             raise ConfigError("hashrate must be positive")
         if self.strategy in (Strategy.SOLVER, Strategy.BUBKA):
@@ -133,6 +136,12 @@ class SimConfig:
 
     def resolve(self) -> "SimConfig":
         """Fill defaults and validate; raises ConfigError."""
+        for name in ("eta", "target_time", "t2_classical", "t2_solution",
+                     "max_update_factor", "initial_db", "initial_dr",
+                     "graph_p"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
         if self.policy not in ("bitcoin", "v1", "v2"):
             raise ConfigError(f"unknown policy {self.policy!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
@@ -457,11 +466,6 @@ def simulate(config: SimConfig) -> SimResult:
     return SimResult(config=cfg, records=records, chain=chain, graphs=graphs,
                      replacement_heights=replacement_heights,
                      final_state=state, miners=miners)
-
-
-def run_simulation(config: SimConfig) -> list[SimRecord]:
-    """Run the event loop and return the per-block records."""
-    return simulate(config).records
 
 
 def _policy_from_config(cfg: SimConfig) -> DifficultyPolicy:

@@ -9,7 +9,7 @@ index, so parallel and serial execution produce the same output.
 
 from __future__ import annotations
 
-import math
+import os
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
 
@@ -20,6 +20,7 @@ from .engine import (
     MinerSpec,
     SimConfig,
     SimRecord,
+    SimResult,
     Strategy,
     derive_seed,
     simulate,
@@ -56,52 +57,26 @@ def max_consecutive_wins(records: list[SimRecord], miner_id: int) -> int:
 # Single-run trajectory experiments
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TrajectoryResult:
-    """Per-height series extracted from one run."""
+def run_block_growth_experiment(config: SimConfig) -> SimResult:
+    """Run the independent policy with problem replacement active.
 
-    config: SimConfig
-    records: list[SimRecord]
-    d_b: tuple[float, ...]
-    d_r: tuple[float, ...]
-    cum_classical: tuple[int, ...]
-    cum_solution: tuple[int, ...]
-    replacement_heights: tuple[int, ...]
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        """All-classical reference line: block count equals height + 1."""
-        return tuple(r.height + 1 for r in self.records)
-
-
-def _trajectory_from_run(config: SimConfig) -> TrajectoryResult:
-    result = simulate(config)
-    recs = result.records
-    return TrajectoryResult(
-        config=result.config, records=recs,
-        d_b=tuple(r.d_b for r in recs),
-        d_r=tuple(r.d_r for r in recs),
-        cum_classical=tuple(r.cum_classical for r in recs),
-        cum_solution=tuple(r.cum_solution for r in recs),
-        replacement_heights=tuple(result.replacement_heights))
-
-
-def run_block_growth_experiment(config: SimConfig) -> TrajectoryResult:
-    """Cumulative classical/solution block counts under the independent
-    policy, with problem replacement active."""
+    The growth curves are the ``cum_classical`` and ``cum_solution``
+    columns of the returned records.
+    """
     if config.policy != "v2":
         raise ConfigError("block-growth experiment runs the v2 policy")
     if config.saturation_window < 1:
         raise ConfigError("block-growth experiment needs problem "
                           "replacement (saturation_window >= 1)")
-    return _trajectory_from_run(config)
+    return simulate(config)
 
 
-def run_difficulty_trajectories(config: SimConfig) -> TrajectoryResult:
-    """d_b / d_r trajectories for either retargeting policy."""
+def run_difficulty_trajectories(config: SimConfig) -> SimResult:
+    """Run either retargeting policy; the trajectories are the ``d_b`` and
+    ``d_r`` columns of the returned records."""
     if config.policy not in ("v1", "v2"):
         raise ConfigError("difficulty trajectories need policy v1 or v2")
-    return _trajectory_from_run(config)
+    return simulate(config)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +146,8 @@ def _run_sweep_cell(cell: tuple[str, int, int, SimConfig]) -> SweepCell:
 
 
 def _run_cells(cells, workers: int):
+    # More processes than cores or cells only add start-up cost.
+    workers = min(workers, os.cpu_count() or 1, len(cells))
     if workers <= 1:
         return [_run_sweep_cell(c) for c in cells]
     with Pool(workers) as pool:

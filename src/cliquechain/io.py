@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass
 
 from .clique import INITIAL_BEST_SCORE, Graph
@@ -156,8 +155,12 @@ def parse_config_text(text: str) -> SimConfig:
 
 
 def parse_config(path) -> SimConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
+    return parse_config_text(text)
 
 
 def render_config(config: SimConfig) -> str:
@@ -184,7 +187,7 @@ def render_config(config: SimConfig) -> str:
 # Record serialization
 # ---------------------------------------------------------------------------
 
-def _format_value(value) -> str:
+def format_value(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
@@ -193,7 +196,7 @@ def _format_value(value) -> str:
 def records_to_csv(records: list[SimRecord]) -> str:
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(",".join(_format_value(getattr(r, f))
+        lines.append(",".join(format_value(getattr(r, f))
                               for f in RECORD_FIELDS))
     return "\n".join(lines) + "\n"
 
@@ -233,22 +236,30 @@ def _record_from_fields(fields: dict) -> SimRecord:
 def read_records(path) -> list[SimRecord]:
     """Read records back from either serialization (sniffed, not by
     extension)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    except OSError as exc:
+        raise ReplayError(f"{path}: {exc.strerror}") from None
     if not lines:
         raise ReplayError(f"{path}: empty record file")
-    records = []
-    if lines[0].startswith("{"):
-        for ln in lines:
-            records.append(_record_from_fields(json.loads(ln)))
-        return records
-    if lines[0] != CSV_HEADER:
+    jsonl = lines[0].startswith("{")
+    if not jsonl and lines[0] != CSV_HEADER:
         raise ReplayError(f"{path}: unexpected header {lines[0]!r}")
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(RECORD_FIELDS):
-            raise ReplayError(f"{path}: bad row {ln!r}")
-        records.append(_record_from_fields(dict(zip(RECORD_FIELDS, parts))))
+    records = []
+    for ln in lines if jsonl else lines[1:]:
+        try:
+            if jsonl:
+                fields = json.loads(ln)
+            else:
+                parts = ln.split(",")
+                if len(parts) != len(RECORD_FIELDS):
+                    raise ReplayError(f"{path}: bad row {ln!r}")
+                fields = dict(zip(RECORD_FIELDS, parts))
+            records.append(_record_from_fields(fields))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ReplayError(f"{path}: bad record {ln!r} "
+                              f"({type(exc).__name__}: {exc})") from None
     return records
 
 
@@ -340,7 +351,3 @@ def verify_record_stream(records: list[SimRecord],
             raise ReplayError(f"{where}: cumulative counters inconsistent")
         prev_time = r.sim_time
         prev_epoch = r.problem_epoch
-
-
-def ensure_dir(path) -> None:
-    os.makedirs(path, exist_ok=True)

@@ -191,16 +191,18 @@ def test_v2_drought_monotonicity(report):
 def test_block_growth_shape(report):
     cfg = parse_config(str(CONFIG_DIR / "growth.cfg"))
     t0 = time.perf_counter()
-    traj = run_block_growth_experiment(cfg)
+    result = run_block_growth_experiment(cfg)
     elapsed = time.perf_counter() - t0
 
-    n = len(traj.records)
-    on_diagonal = all(traj.cum_classical[h] + traj.cum_solution[h] == h + 1
+    n = len(result.records)
+    cum_classical = [r.cum_classical for r in result.records]
+    cum_solution = [r.cum_solution for r in result.records]
+    on_diagonal = all(cum_classical[h] + cum_solution[h] == h + 1
                       for h in range(n))
-    first_sol = next(h for h in range(n) if traj.cum_solution[h] > 0)
-    below = all(traj.cum_classical[h] < h + 1 for h in range(first_sol, n))
-    reps = list(traj.replacement_heights)
-    resumes = all(any(traj.cum_solution[h] > traj.cum_solution[rh]
+    first_sol = next(h for h in range(n) if cum_solution[h] > 0)
+    below = all(cum_classical[h] < h + 1 for h in range(first_sol, n))
+    reps = list(result.replacement_heights)
+    resumes = all(any(cum_solution[h] > cum_solution[rh]
                       for h in range(rh + 1, n)) for rh in reps)
     ok = (on_diagonal and below and len(reps) >= 2 and resumes
           and elapsed < 60.0)

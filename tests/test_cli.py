@@ -5,6 +5,8 @@ import glob
 import json
 import os
 
+import pytest
+
 from cliquechain.cli import main
 from cliquechain.io import parse_config, read_manifest
 
@@ -105,6 +107,64 @@ def test_config_problems_exit_2(tmp_path):
     assert main(["simulate", unknown, "--out-dir", str(tmp_path / "o2")]) == 2
     malformed = write_cfg(tmp_path, "just some words\n", "malformed.cfg")
     assert main(["growth", malformed, "--out-dir", str(tmp_path / "o3")]) == 2
+
+
+@pytest.mark.parametrize("line", [
+    "policy = bitcoin\ntarget_time = nan",
+    "policy = v2\ninitial_db = nan",
+    "policy = v2\ninitial_db = inf",
+    "policy = v1\ninitial_dr = inf",
+    "policy = v2\nmax_update_factor = inf",
+    "policy = v2\nminer = strategy=solver solver_steps_per_second=nan",
+    "policy = v2\nminer = strategy=classical hashrate=inf",
+])
+def test_non_finite_config_numbers_exit_2(tmp_path, line):
+    cfg = write_cfg(tmp_path, f"seed = 1\nmax_blocks = 20\n{line}\n")
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+
+
+def test_missing_input_files_get_a_message(tmp_path, capsys):
+    missing = str(tmp_path / "absent")
+    assert main(["simulate", missing, "--out-dir", str(tmp_path / "o")]) == 2
+    assert "absent" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, V2_SMALL)
+    out = str(tmp_path / "out")
+    assert main(["simulate", cfg, "--out-dir", out]) == 0
+    graphs = os.path.join(out, "graphs.edges")
+    assert main(["verify-chain", missing, graphs]) == 3
+    assert "absent" in capsys.readouterr().err
+
+
+def test_truncated_graph_file_exits_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, V2_SMALL)
+    out = str(tmp_path / "out")
+    assert main(["simulate", cfg, "--out-dir", out]) == 0
+    graphs = os.path.join(out, "graphs.edges")
+    lines = open(graphs).read().splitlines()
+    with open(graphs, "w") as fh:
+        fh.write("\n".join(lines[:len(lines) // 2]) + "\n")
+    capsys.readouterr()
+    assert main(["verify-chain", os.path.join(out, "records.csv"),
+                 graphs]) == 3
+    assert "graphs.edges" in capsys.readouterr().err
+
+
+def test_jsonl_record_without_kind_exits_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, V2_SMALL)
+    out = str(tmp_path / "out")
+    assert main(["simulate", cfg, "--out-dir", out,
+                 "--format", "jsonl"]) == 0
+    records = os.path.join(out, "records.jsonl")
+    lines = open(records).read().splitlines()
+    row = json.loads(lines[7])
+    del row["kind"]
+    lines[7] = json.dumps(row)
+    with open(records, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify-chain", records,
+                 os.path.join(out, "graphs.edges")]) == 3
+    assert "records.jsonl" in capsys.readouterr().err
 
 
 def test_growth_summary_shape(tmp_path):

@@ -147,7 +147,8 @@ def test_v1_update_audit_trail():
     state = run_v1([0.05, 0.10, 0.15, 0.20])
     assert [(u.height, u.name, u.rule) for u in state.updates] == [
         (3, "d_b", "retarget"), (3, "d_r", "retarget")]
-    assert state.history == ((3, 200.0, 1.0),)
+    assert {u.name: u.new for u in state.updates if u.height == 3} == {
+        "d_b": 200.0, "d_r": 1.0}
 
 
 # ---------------------------------------------------------------------------

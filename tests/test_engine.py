@@ -23,7 +23,6 @@ from cliquechain.engine import (
     bubka_strategy_step,
     default_miners,
     derive_seed,
-    run_simulation,
     sample_block_winner,
     simulate,
 )
@@ -105,7 +104,7 @@ def test_wins_scale_with_hashrate():
                     miners=(classical_spec(0, 1000.0),
                             classical_spec(1, 2000.0),
                             classical_spec(2, 3000.0)))
-    records = run_simulation(cfg)
+    records = simulate(cfg).records
     counts = np.bincount([r.miner_id for r in records], minlength=3)
     expected = np.array([1 / 6, 2 / 6, 3 / 6]) * len(records)
     result = stats.chisquare(counts, f_exp=expected)
@@ -267,15 +266,15 @@ def test_derive_seed_is_pure_and_spreads():
 
 def test_same_seed_reproduces_runs_exactly():
     cfg = SimConfig(policy="v2", seed=5, max_blocks=120)
-    assert run_simulation(cfg) == run_simulation(cfg)
-    other = run_simulation(SimConfig(policy="v2", seed=6, max_blocks=120))
+    assert simulate(cfg).records == simulate(cfg).records
+    other = simulate(SimConfig(policy="v2", seed=6, max_blocks=120)).records
     assert [r.sim_time for r in other] != [
-        r.sim_time for r in run_simulation(cfg)]
+        r.sim_time for r in simulate(cfg).records]
 
 
 def test_zero_solver_baseline_run_is_all_classical():
     cfg = SimConfig(policy="bitcoin", seed=9, max_blocks=100)
-    records = run_simulation(cfg)
+    records = simulate(cfg).records
     assert len(records) == 100
     assert all(r.kind == "classical" for r in records)
     assert records[-1].cum_solution == 0
@@ -283,7 +282,7 @@ def test_zero_solver_baseline_run_is_all_classical():
 
 
 def test_every_block_is_counted_once():
-    records = run_simulation(SimConfig(policy="v2", seed=8, max_blocks=200))
+    records = simulate(SimConfig(policy="v2", seed=8, max_blocks=200)).records
     kinds = {"classical", "solution"}
     for i, r in enumerate(records):
         assert r.height == i
@@ -326,7 +325,7 @@ def test_proven_optimum_replaces_before_the_window():
 
 
 def test_solution_blocks_strictly_raise_best_score():
-    records = run_simulation(SimConfig(policy="v2", seed=8, max_blocks=300))
+    records = simulate(SimConfig(policy="v2", seed=8, max_blocks=300)).records
     best = {}
     for r in records:
         prev = best.get(r.problem_epoch, 1)

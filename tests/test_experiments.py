@@ -10,6 +10,7 @@ from cliquechain.engine import (
     SimRecord,
     Strategy,
     derive_seed,
+    simulate,
 )
 from cliquechain.experiments import (
     max_consecutive_wins,
@@ -58,10 +59,11 @@ def test_summary_statistics_on_synthetic_records():
 def test_block_growth_without_solvers_tracks_the_diagonal():
     cfg = SimConfig(policy="v2", seed=21, max_blocks=120,
                     miners=classical_team(10))
-    traj = run_block_growth_experiment(cfg)
-    assert traj.cum_solution == (0,) * 120
-    assert traj.cum_classical == traj.diagonal
-    assert traj.replacement_heights == (49, 99)
+    result = run_block_growth_experiment(cfg)
+    assert [r.cum_solution for r in result.records] == [0] * 120
+    assert ([r.cum_classical for r in result.records]
+            == [r.height + 1 for r in result.records])
+    assert result.replacement_heights == [49, 99]
 
 
 def test_block_growth_requires_the_independent_policy():
@@ -74,9 +76,10 @@ def test_block_growth_requires_the_independent_policy():
 
 def test_difficulty_trajectories_match_records():
     cfg = SimConfig(policy="v1", seed=6, max_blocks=100)
-    traj = run_difficulty_trajectories(cfg)
-    assert traj.d_b == tuple(r.d_b for r in traj.records)
-    assert traj.d_r == tuple(r.d_r for r in traj.records)
+    records = run_difficulty_trajectories(cfg).records
+    plain = simulate(cfg).records
+    assert [r.d_b for r in records] == [r.d_b for r in plain]
+    assert [r.d_r for r in records] == [r.d_r for r in plain]
     with pytest.raises(ConfigError):
         run_difficulty_trajectories(SimConfig(policy="bitcoin", seed=1))
 
@@ -118,6 +121,43 @@ def test_eta_sweep_is_reproducible_and_parallel_safe():
     parallel = run_eta_sweep(SWEEP_BASE, SWEEP_ETAS, instances=2, workers=2)
     assert serial == again
     assert serial == parallel
+
+
+class RecordingPool:
+    """Stand-in for ``multiprocessing.Pool`` that maps in this process."""
+
+    requested = []
+
+    def __init__(self, processes):
+        self.requested.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize("workers,cpus,expect", [
+    (64, 3, [3]),          # capped at the core count
+    (64, 16, [4]),         # capped at the four cells
+    (2, 16, [2]),
+    (8, 1, []),            # one core: no pool at all
+    (1, 16, []),
+])
+def test_sweep_workers_are_capped(monkeypatch, workers, cpus, expect):
+    from cliquechain import experiments
+
+    monkeypatch.setattr(experiments, "Pool", RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingPool, "requested", [])
+    base = SimConfig(policy="v2", seed=100, max_blocks=10, graph_n=12)
+    res = run_eta_sweep(base, SWEEP_ETAS, instances=1, workers=workers)
+    assert RecordingPool.requested == expect
+    assert res == run_eta_sweep(base, SWEEP_ETAS, instances=1)
 
 
 def test_eta_sweep_summary_math():
