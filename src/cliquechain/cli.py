@@ -127,11 +127,11 @@ def _eta_sweep(args, cfg: SimConfig) -> tuple[dict, str]:
             if args.etas else DEFAULT_ETA_GRID)
     sweep = run_eta_sweep(cfg, eta_values=etas, instances=args.instances,
                           workers=args.workers)
-    outputs = {
-        f"{c.protocol}/{c.eta_index}/{c.instance}": _write_records(
-            args, f"runs/{c.protocol}_eta{c.eta_index:02d}"
-                  f"_inst{c.instance:02d}", c.records)
-        for c in sweep.cells}
+    outputs = {}
+    for c in sweep.cells:
+        stem = f"runs/{c.protocol}_eta{c.eta_index:02d}_inst{c.instance:02d}"
+        outputs[f"{c.protocol}/{c.eta_index}/{c.instance}"] = _write_records(
+            args, stem, c.records)
     v1_mean, v1_sd = sweep.mean_sd("v1")
     v2_mean, v2_sd = sweep.mean_sd("v2")
     _write_summary(
@@ -156,11 +156,11 @@ def _bubka(args, cfg: SimConfig) -> tuple[dict, str]:
                if args.hoard_targets else DEFAULT_BUBKA_TARGETS)
     result = run_bubka_experiment(cfg, hoard_targets=targets,
                                   num_seeds=args.seeds, workers=args.workers)
-    outputs = {
-        f"{c.protocol}/{c.instance}": _write_records(
-            args, f"runs/{c.protocol.replace('=', '')}_seed{c.instance:02d}",
-            c.records)
-        for c in result.cells}
+    outputs = {}
+    for c in result.cells:
+        stem = f"runs/{c.protocol.replace('=', '')}_seed{c.instance:02d}"
+        outputs[f"{c.protocol}/{c.instance}"] = _write_records(
+            args, stem, c.records)
     columns = ("hoard_target", "win_fraction", "max_consecutive")
     rows = [[getattr(row, f) for f in columns] for row in result.rows]
     _write_summary(args, {"rows": [dict(zip(columns, r)) for r in rows],

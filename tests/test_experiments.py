@@ -123,41 +123,35 @@ def test_eta_sweep_is_reproducible_and_parallel_safe():
     assert serial == parallel
 
 
-class RecordingPool:
-    """Stand-in for ``multiprocessing.Pool`` that maps in this process."""
-
-    requested = []
-
-    def __init__(self, processes):
-        self.requested.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return [fn(item) for item in items]
-
-
 @pytest.mark.parametrize("workers,cpus,expect", [
     (64, 3, [3]),          # capped at the core count
-    (64, 16, [4]),         # capped at the four cells
-    (2, 16, [2]),
+    (64, 16, [8]),         # capped at the eight cells
     (8, 1, []),            # one core: no pool at all
-    (1, 16, []),
 ])
 def test_sweep_workers_are_capped(monkeypatch, workers, cpus, expect):
     from cliquechain import experiments
 
-    monkeypatch.setattr(experiments, "Pool", RecordingPool)
+    requested = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(experiments, "Pool", SerialPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(RecordingPool, "requested", [])
     base = SimConfig(policy="v2", seed=100, max_blocks=10, graph_n=12)
-    res = run_eta_sweep(base, SWEEP_ETAS, instances=1, workers=workers)
-    assert RecordingPool.requested == expect
-    assert res == run_eta_sweep(base, SWEEP_ETAS, instances=1)
+    res = run_eta_sweep(base, SWEEP_ETAS, instances=2, workers=workers)
+    assert requested == expect
+    assert res == run_eta_sweep(base, SWEEP_ETAS, instances=2)
 
 
 def test_eta_sweep_summary_math():
