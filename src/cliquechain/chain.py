@@ -106,7 +106,7 @@ def verify_solution_block(block: Block, graph: Graph,
 
 
 def append_block(chain: Chain, block: Block, graph: Graph,
-                 state: "DifficultyState") -> Chain:
+                 state: "DifficultyState") -> None:
     """Validate ``block`` against the chain tip and append it.
 
     The difficulty check is exact: the block must have been mined at the
@@ -144,4 +144,3 @@ def append_block(chain: Chain, block: Block, graph: Graph,
         chain.best_score_per_epoch[block.problem_epoch] = sol.score
 
     chain.blocks.append(block)
-    return chain

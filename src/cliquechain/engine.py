@@ -44,6 +44,11 @@ DEFAULT_SOLVER_STEPS_PER_SECOND = 100.0
 DEFAULT_ETA = 1.0 / 200.0
 
 
+# The float-valued SimConfig fields, which are also config-file keys.
+FLOAT_FIELDS = ("eta", "target_time", "t2_classical", "t2_solution",
+                "max_update_factor", "initial_db", "initial_dr", "graph_p")
+
+
 class ConfigError(Exception):
     """Simulation configuration is structurally or semantically invalid."""
 
@@ -136,9 +141,7 @@ class SimConfig:
 
     def resolve(self) -> "SimConfig":
         """Fill defaults and validate; raises ConfigError."""
-        for name in ("eta", "target_time", "t2_classical", "t2_solution",
-                     "max_update_factor", "initial_db", "initial_dr",
-                     "graph_p"):
+        for name in FLOAT_FIELDS:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite")
@@ -272,7 +275,7 @@ def sample_block_winner(miners: list[MinerState], d_b: float, d_r: float,
 
 
 def advance_solvers(miners: list[MinerState], dt: float,
-                    problem: ProblemInstance) -> list[MinerState]:
+                    problem: ProblemInstance) -> None:
     """Advance every solving miner by floor(steps_per_second * dt + carry)
     enumeration steps, preserving the fractional carry.
 
@@ -306,10 +309,9 @@ def advance_solvers(miners: list[MinerState], dt: float,
                     st.releasing = True
             else:
                 st.held_solution = found
-    return miners
 
 
-def bubka_strategy_step(attacker: MinerState, chain_best: int) -> MinerState:
+def bubka_strategy_step(attacker: MinerState, chain_best: int) -> None:
     """Prune the attacker's hoard against the published best and update its
     release flag.
 
@@ -323,7 +325,6 @@ def bubka_strategy_step(attacker: MinerState, chain_best: int) -> MinerState:
         st.releasing = True
     if not st.hoard:
         st.releasing = False
-    return st
 
 
 def check_saturation_and_replace(problem: ProblemInstance, chain: Chain,

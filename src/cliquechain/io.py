@@ -23,6 +23,7 @@ from .clique import INITIAL_BEST_SCORE, Graph
 from .engine import (
     DEFAULT_HASHRATE,
     DEFAULT_SOLVER_STEPS_PER_SECOND,
+    FLOAT_FIELDS,
     ConfigError,
     MinerSpec,
     SimConfig,
@@ -37,8 +38,6 @@ CSV_HEADER = ",".join(RECORD_FIELDS)
 
 _INT_KEYS = ("seed", "n1", "n2_classical", "n2_solution", "graph_n",
              "max_blocks", "saturation_window")
-_FLOAT_KEYS = ("eta", "target_time", "t2_classical", "t2_solution",
-               "max_update_factor", "initial_db", "initial_dr", "graph_p")
 _MINER_ATTRS = ("strategy", "hashrate", "solver_steps_per_second",
                 "hoard_target", "count")
 
@@ -67,7 +66,7 @@ def _parse_scalar(key: str, raw: str):
     try:
         if key in _INT_KEYS:
             return int(raw)
-        if key in _FLOAT_KEYS:
+        if key in FLOAT_FIELDS:
             return float(raw)
     except ValueError:
         raise ParseError(f"bad value for {key}: {raw!r}") from None
@@ -128,7 +127,7 @@ def parse_config_text(text: str) -> SimConfig:
         if key in ("miner", "miners"):
             miner_entries.append(_parse_miner_entry(value, lineno))
             continue
-        if key not in ("policy",) + _INT_KEYS + _FLOAT_KEYS:
+        if key not in ("policy",) + _INT_KEYS + FLOAT_FIELDS:
             raise UnknownKey(f"line {lineno}: unknown key {key!r}")
         if key in scalars:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
@@ -169,7 +168,7 @@ def render_config(config: SimConfig) -> str:
     lines = [f"policy = {cfg.policy}"]
     for key in _INT_KEYS:
         lines.append(f"{key} = {getattr(cfg, key)}")
-    for key in _FLOAT_KEYS:
+    for key in FLOAT_FIELDS:
         lines.append(f"{key} = {format(getattr(cfg, key), '.17g')}")
     for spec in cfg.miners:
         parts = [f"strategy={spec.strategy.value}",
