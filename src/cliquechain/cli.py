@@ -123,9 +123,7 @@ def _difficulty(args, cfg: SimConfig) -> tuple[dict, str]:
 
 
 def _eta_sweep(args, cfg: SimConfig) -> tuple[dict, str]:
-    etas = (tuple(float(v) for v in args.etas.split(","))
-            if args.etas else DEFAULT_ETA_GRID)
-    sweep = run_eta_sweep(cfg, eta_values=etas, instances=args.instances,
+    sweep = run_eta_sweep(cfg, eta_values=args.etas, instances=args.instances,
                           workers=args.workers)
     outputs = {}
     for c in sweep.cells:
@@ -152,9 +150,7 @@ def _eta_sweep(args, cfg: SimConfig) -> tuple[dict, str]:
 
 
 def _bubka(args, cfg: SimConfig) -> tuple[dict, str]:
-    targets = (tuple(int(v) for v in args.hoard_targets.split(","))
-               if args.hoard_targets else DEFAULT_BUBKA_TARGETS)
-    result = run_bubka_experiment(cfg, hoard_targets=targets,
+    result = run_bubka_experiment(cfg, hoard_targets=args.hoard_targets,
                                   num_seeds=args.seeds, workers=args.workers)
     outputs = {}
     for c in result.cells:
@@ -234,6 +230,14 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
+def _comma_list(convert):
+    """An argparse ``type`` that reads a comma-separated list of values."""
+    def parse(text: str) -> tuple:
+        return tuple(convert(v) for v in text.split(","))
+    parse.__name__ = f"comma-separated {convert.__name__}"
+    return parse
+
+
 def _add_run_options(sub, with_format: bool = True) -> None:
     sub.add_argument("config", help="flat key=value config file")
     sub.add_argument("--seed", type=int, default=None,
@@ -267,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("eta-sweep",
                           help="solution fraction vs eta, both protocols")
     _add_run_options(sub)
-    sub.add_argument("--etas", default=None,
+    sub.add_argument("--etas", type=_comma_list(float),
+                     default=DEFAULT_ETA_GRID,
                      help="comma-separated eta values "
                           "(default: 10 log-spaced from 1 to 0.001)")
     sub.add_argument("--instances", type=int, default=10,
@@ -278,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("bubka", help="hoard-and-release attacker sweep")
     _add_run_options(sub)
-    sub.add_argument("--hoard-targets", default=None,
+    sub.add_argument("--hoard-targets", type=_comma_list(int),
+                     default=DEFAULT_BUBKA_TARGETS,
                      help="comma-separated hoard targets (default: 1,2,5)")
     sub.add_argument("--seeds", type=int, default=DEFAULT_BUBKA_SEEDS,
                      help="seeded runs per target (default: 20)")

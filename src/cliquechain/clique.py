@@ -340,7 +340,7 @@ def write_graphs(graphs, path) -> None:
             fh.write(graph_to_edge_list(graph))
 
 
-def read_graphs(path, check_regeneration: bool = True) -> list[Graph]:
+def read_graphs(path) -> list[Graph]:
     """Parse edge-list sections back into graphs.
 
     When a section carries a non-negative seed it is re-drawn from
@@ -371,7 +371,7 @@ def read_graphs(path, check_regeneration: bool = True) -> list[Graph]:
                 i += 1
             graph = Graph.from_edges(n, edges, seed=seed,
                                      edge_prob=edge_prob)
-            if check_regeneration and seed >= 0:
+            if seed >= 0:
                 regen = gen_random_graph(n, edge_prob, seed)
                 if regen.neighbor_masks != graph.neighbor_masks:
                     raise ValueError(f"edge list for seed {seed} does not "

@@ -28,13 +28,7 @@ from .clique import (
     SolverCursor,
     gen_random_graph,
 )
-from .difficulty import (
-    DEFAULT_MAX_UPDATE_FACTOR,
-    DifficultyPolicy,
-    DifficultyState,
-    PolicyParamsV1,
-    PolicyParamsV2,
-)
+from .difficulty import DifficultyPolicy, DifficultyState
 
 DEFAULT_HASHRATE = 1000.0
 # Full enumeration of a default 60-vertex instance takes ~4800 steps, so at
@@ -42,6 +36,7 @@ DEFAULT_HASHRATE = 1000.0
 # the default 0.1 s target.
 DEFAULT_SOLVER_STEPS_PER_SECOND = 100.0
 DEFAULT_ETA = 1.0 / 200.0
+DEFAULT_MAX_UPDATE_FACTOR = 4.0
 
 
 # The float-valued SimConfig fields, which are also config-file keys.
@@ -218,13 +213,11 @@ class SimRecord:
 class SimResult:
     """Everything a run produced, for writers and experiments."""
 
-    config: SimConfig
     records: list[SimRecord]
     chain: Chain
     graphs: list[Graph]
     replacement_heights: list[int]
     final_state: DifficultyState
-    miners: list[MinerState]
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +379,8 @@ def _maybe_prove_optimum(problem: ProblemInstance,
 def simulate(config: SimConfig) -> SimResult:
     """Run the full event loop and return records plus final state."""
     cfg = config.resolve()
-    policy = _policy_from_config(cfg)
-    state = policy.initial_state(cfg.initial_db, cfg.initial_dr)
+    policy = DifficultyPolicy(cfg)
+    state = DifficultyState(d_b=cfg.initial_db, d_r=cfg.initial_dr)
     mining_rng = _stream_rng(cfg.seed, _MINING_STREAM)
     problem_rng = _stream_rng(cfg.seed, _PROBLEM_STREAM)
 
@@ -464,26 +457,6 @@ def simulate(config: SimConfig) -> SimResult:
             if policy.uses_solutions:
                 _reseed_solvers(miners, problem, cfg.seed)
 
-    return SimResult(config=cfg, records=records, chain=chain, graphs=graphs,
+    return SimResult(records=records, chain=chain, graphs=graphs,
                      replacement_heights=replacement_heights,
-                     final_state=state, miners=miners)
-
-
-def _policy_from_config(cfg: SimConfig) -> DifficultyPolicy:
-    if cfg.policy == "v1":
-        return DifficultyPolicy(
-            "v1", v1=PolicyParamsV1(
-                eta=cfg.eta, epoch_length=cfg.n1,
-                target_block_time=cfg.target_time,
-                max_update_factor=cfg.max_update_factor))
-    if cfg.policy == "v2":
-        return DifficultyPolicy(
-            "v2", v2=PolicyParamsV2(
-                classical_epoch=cfg.n2_classical,
-                solution_epoch=cfg.n2_solution,
-                classical_target_time=cfg.t2_classical,
-                solution_target_time=cfg.t2_solution,
-                max_update_factor=cfg.max_update_factor))
-    return DifficultyPolicy("bitcoin", epoch_length=cfg.n1,
-                            target_time=cfg.target_time,
-                            max_update_factor=cfg.max_update_factor)
+                     final_state=state)

@@ -3,13 +3,15 @@
 Every run in a sweep gets its seed from a pure function of the master seed
 and the cell index, so sweeps are reproducible, cells are independent, and
 the two protocols in a comparison share identical random numbers per cell.
-Cells can be farmed out to worker processes; results are merged by cell
-index, so parallel and serial execution produce the same output.
+Cells can be farmed out to worker processes; results come back in the
+order the cells were built, so parallel and serial execution produce the
+same output.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
 
@@ -35,17 +37,17 @@ DEFAULT_BUBKA_SEEDS = 20
 # Record statistics
 # ---------------------------------------------------------------------------
 
-def solution_fraction(records: list[SimRecord]) -> float:
+def solution_fraction(records: Sequence[SimRecord]) -> float:
     """Fraction of blocks that published a solution."""
     return records[-1].cum_solution / len(records)
 
 
-def win_fraction(records: list[SimRecord], miner_id: int) -> float:
+def win_fraction(records: Sequence[SimRecord], miner_id: int) -> float:
     wins = sum(1 for r in records if r.miner_id == miner_id)
     return wins / len(records)
 
 
-def max_consecutive_wins(records: list[SimRecord], miner_id: int) -> int:
+def max_consecutive_wins(records: Sequence[SimRecord], miner_id: int) -> int:
     best = run = 0
     for r in records:
         run = run + 1 if r.miner_id == miner_id else 0
@@ -177,17 +179,14 @@ def run_eta_sweep(base_config: SimConfig,
                                                  eta, seed)))
     outputs = _run_cells(cells, workers)
 
-    by_key = {(c.protocol, c.eta_index, c.instance): c for c in outputs}
-    v1 = tuple(tuple(by_key[("v1", i, j)].fraction for j in range(instances))
-               for i in range(len(eta_values)))
-    v2 = tuple(tuple(by_key[("v2", i, j)].fraction for j in range(instances))
-               for i in range(len(eta_values)))
-    ordered = tuple(sorted(outputs,
-                           key=lambda c: (c.protocol, c.eta_index,
-                                          c.instance)))
+    fractions = [c.fraction for c in outputs]
+    rows = tuple(tuple(fractions[k:k + instances])
+                 for k in range(0, len(fractions), instances))
     return EtaSweepResult(eta_values=eta_values, instances=instances,
                           chain_height=base_config.max_blocks,
-                          v1_fractions=v1, v2_fractions=v2, cells=ordered)
+                          v1_fractions=rows[:len(eta_values)],
+                          v2_fractions=rows[len(eta_values):],
+                          cells=tuple(outputs))
 
 
 # ---------------------------------------------------------------------------
@@ -266,25 +265,20 @@ def run_bubka_experiment(base_config: SimConfig,
                       replace(honest_cfg, seed=seed)))
 
     outputs = _run_cells(cells, workers)
-    by_key = {(c.protocol, c.instance): c for c in outputs}
 
     rows = []
     for t, target in enumerate(hoard_targets):
-        fracs = []
-        runs = []
-        for s in range(num_seeds):
-            recs = list(by_key[(f"target={int(target)}", s)].records)
-            fracs.append(win_fraction(recs, attacker.id))
-            runs.append(max_consecutive_wins(recs, attacker.id))
+        runs = outputs[t * num_seeds:(t + 1) * num_seeds]
+        fracs = tuple(win_fraction(c.records, attacker.id) for c in runs)
+        streaks = tuple(max_consecutive_wins(c.records, attacker.id)
+                        for c in runs)
         rows.append(BubkaRow(hoard_target=int(target),
                              win_fraction=float(np.mean(fracs)),
-                             max_consecutive=float(np.mean(runs)),
-                             win_fractions=tuple(fracs),
-                             max_consecutives=tuple(runs)))
-    honest = tuple(
-        win_fraction(list(by_key[("honest", s)].records), attacker.id)
-        for s in range(num_seeds))
-    ordered = tuple(sorted(outputs,
-                           key=lambda c: (c.eta_index, c.instance)))
+                             max_consecutive=float(np.mean(streaks)),
+                             win_fractions=fracs,
+                             max_consecutives=streaks))
+    honest = tuple(win_fraction(c.records, attacker.id)
+                   for c in outputs[len(hoard_targets) * num_seeds:])
     return BubkaResult(rows=tuple(rows), honest_win_fractions=honest,
-                       attacker_id=attacker.id, seeds=seeds, cells=ordered)
+                       attacker_id=attacker.id, seeds=seeds,
+                       cells=tuple(outputs))

@@ -16,8 +16,8 @@ from cliquechain.chain import (
     verify_solution_block,
 )
 from cliquechain.clique import CliqueSolution, Graph, gen_random_graph
-from cliquechain.difficulty import DifficultyState
-from cliquechain.engine import SimConfig, _policy_from_config, simulate
+from cliquechain.difficulty import DifficultyPolicy, DifficultyState
+from cliquechain.engine import SimConfig, simulate
 
 D_B = 100.0
 D_R = 0.5
@@ -189,8 +189,8 @@ def test_best_score_floor_is_one():
 def test_simulated_chain_replays_cleanly():
     cfg = SimConfig(policy="v2", seed=3, max_blocks=150).resolve()
     res = simulate(cfg)
-    policy = _policy_from_config(cfg)
-    state = policy.initial_state(cfg.initial_db, cfg.initial_dr)
+    policy = DifficultyPolicy(cfg)
+    state = DifficultyState(d_b=cfg.initial_db, d_r=cfg.initial_dr)
     fresh = Chain()
     for block in res.chain.blocks:
         if block.problem_epoch > fresh.active_epoch:

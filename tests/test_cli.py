@@ -123,6 +123,22 @@ def test_non_finite_config_numbers_exit_2(tmp_path, line):
     assert main(["simulate", cfg, "--out-dir", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command,option,value", [
+    ("eta-sweep", "--etas", "0.5,x"),
+    ("bubka", "--hoard-targets", "1,y"),
+])
+def test_bad_list_arguments_exit_2_and_write_nothing(tmp_path, capsys,
+                                                     command, option, value):
+    cfg = write_cfg(tmp_path, SWEEP_SMALL if command == "eta-sweep"
+                    else BUBKA_SMALL)
+    out = str(tmp_path / "o")
+    with pytest.raises(SystemExit) as exc:
+        main([command, cfg, option, value, "--out-dir", out])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_missing_input_files_get_a_message(tmp_path, capsys):
     missing = str(tmp_path / "absent")
     assert main(["simulate", missing, "--out-dir", str(tmp_path / "o")]) == 2

@@ -10,13 +10,12 @@ from cliquechain.difficulty import (
     DifficultyPolicy,
     DifficultyState,
     NonPositiveFactor,
-    PolicyParamsV1,
-    PolicyParamsV2,
     clamp_factor,
     on_block_bitcoin,
     on_block_v1,
     on_block_v2,
 )
+from cliquechain.engine import SimConfig
 
 DUMMY_SOLUTION = CliqueSolution(problem_epoch=0, vertices=(0,), score=1)
 
@@ -61,31 +60,17 @@ def test_state_requires_positive_difficulties():
         DifficultyState(d_b=1.0, d_r=-5.0)
 
 
-def test_param_validation():
-    with pytest.raises(ValueError):
-        PolicyParamsV1(eta=1.5, epoch_length=4, target_block_time=0.1)
-    with pytest.raises(ValueError):
-        PolicyParamsV1(eta=0.5, epoch_length=0, target_block_time=0.1)
-    with pytest.raises(ValueError):
-        PolicyParamsV2(classical_epoch=10, solution_epoch=5,
-                       classical_target_time=0.1, solution_target_time=0.0)
-    with pytest.raises(ValueError):
-        PolicyParamsV2(classical_epoch=10, solution_epoch=5,
-                       classical_target_time=0.1, solution_target_time=0.1,
-                       max_update_factor=1.0)
-
-
 # ---------------------------------------------------------------------------
 # Coupled policy (v1)
 # ---------------------------------------------------------------------------
 
-V1 = PolicyParamsV1(eta=0.005, epoch_length=4, target_block_time=0.1)
+V1 = SimConfig(policy="v1", seed=0, eta=0.005, n1=4, target_time=0.1)
 
 
 def run_v1(times, d_b=100.0, d_r=0.5, start=0.0):
     state = DifficultyState(d_b=d_b, d_r=d_r, epoch_start_time=start)
     for t in times:
-        state = on_block_v1(state, V1, t)
+        state = on_block_v1(state, V1, blk(BlockKind.CLASSICAL, t))
     return state
 
 
@@ -132,11 +117,12 @@ def test_v1_ratio_relaxes_toward_eta():
     # Hold block production exactly on target (0.25s spacing is exact in
     # binary, so d_b never moves); d_r walks multiplicatively from 50 down
     # to eta * d_b = 0.5, clamped to a quarter per epoch.
-    params = PolicyParamsV1(eta=0.005, epoch_length=4, target_block_time=0.25)
+    params = SimConfig(policy="v1", seed=0, eta=0.005, n1=4, target_time=0.25)
     state = DifficultyState(d_b=100.0, d_r=50.0)
     trajectory = []
     for i in range(24):
-        state = on_block_v1(state, params, 0.25 * (i + 1))
+        state = on_block_v1(state, params, blk(BlockKind.CLASSICAL,
+                                               0.25 * (i + 1)))
         if state.total_count_in_epoch == 0:
             trajectory.append(state.d_r)
     assert state.d_b == 100.0
@@ -155,8 +141,8 @@ def test_v1_update_audit_trail():
 # Independent policy (v2)
 # ---------------------------------------------------------------------------
 
-V2 = PolicyParamsV2(classical_epoch=10, solution_epoch=5,
-                    classical_target_time=0.1, solution_target_time=0.1)
+V2 = SimConfig(policy="v2", seed=0, n2_classical=10, n2_solution=5,
+               t2_classical=0.1, t2_solution=0.1)
 
 
 def test_v2_drought_quarters_reduced_difficulty():
@@ -224,10 +210,13 @@ def test_v2_drought_and_retarget_fire_together():
 # Baseline policy
 # ---------------------------------------------------------------------------
 
+BTC = SimConfig(policy="bitcoin", seed=0, n1=10, target_time=0.1)
+
+
 def run_bitcoin(times, d_b=1000.0):
     state = DifficultyState(d_b=d_b, d_r=5.0)
     for t in times:
-        state = on_block_bitcoin(state, 10, 0.1, t)
+        state = on_block_bitcoin(state, BTC, blk(BlockKind.CLASSICAL, t))
     return state
 
 
@@ -260,31 +249,20 @@ def test_bitcoin_clamped_epochs_compound_exactly():
 # Policy wrapper
 # ---------------------------------------------------------------------------
 
-def test_policy_wrapper_validation():
-    with pytest.raises(ValueError):
-        DifficultyPolicy("v3")
-    with pytest.raises(ValueError):
-        DifficultyPolicy("v1")
-    with pytest.raises(ValueError):
-        DifficultyPolicy("v2")
-    with pytest.raises(ValueError):
-        DifficultyPolicy("bitcoin", epoch_length=10)
-
-
 def test_policy_wrapper_dispatch_matches_free_functions():
     state = DifficultyState(d_b=100.0, d_r=0.5)
     block = blk(BlockKind.CLASSICAL, 0.07)
 
-    p1 = DifficultyPolicy("v1", v1=V1)
-    assert p1.on_block(state, block) == on_block_v1(state, V1, 0.07)
+    p1 = DifficultyPolicy(V1)
+    assert p1.on_block(state, block) == on_block_v1(state, V1, block)
     assert p1.uses_solutions
 
-    p2 = DifficultyPolicy("v2", v2=V2)
+    p2 = DifficultyPolicy(V2)
     assert p2.on_block(state, block) == on_block_v2(state, V2, block)
     assert p2.uses_solutions
 
-    pb = DifficultyPolicy("bitcoin", epoch_length=10, target_time=0.1)
-    assert pb.on_block(state, block) == on_block_bitcoin(state, 10, 0.1, 0.07)
+    pb = DifficultyPolicy(BTC)
+    assert pb.on_block(state, block) == on_block_bitcoin(state, BTC, block)
     assert not pb.uses_solutions
 
 
@@ -304,9 +282,9 @@ def test_random_walks_respect_clamp_and_positivity():
         for i in range(400):
             kind = BlockKind.SOLUTION if kinds[i] else BlockKind.CLASSICAL
             block = blk(kind, float(times[i]), height=i)
-            v1_state = on_block_v1(v1_state, V1, block.sim_time)
+            v1_state = on_block_v1(v1_state, V1, block)
             v2_state = on_block_v2(v2_state, V2, block)
-            btc_state = on_block_bitcoin(btc_state, 10, 0.1, block.sim_time)
+            btc_state = on_block_bitcoin(btc_state, BTC, block)
         for state in (v1_state, v2_state, btc_state):
             assert state.d_b > 0 and state.d_r > 0
             for u in state.updates:

@@ -233,6 +233,12 @@ def test_resolve_rejects_bad_configs():
     with pytest.raises(ConfigError):
         SimConfig(policy="v2", seed=1, eta=1.5).resolve()
     with pytest.raises(ConfigError):
+        SimConfig(policy="v1", seed=1, n1=0).resolve()
+    with pytest.raises(ConfigError):
+        SimConfig(policy="v2", seed=1, t2_solution=0.0).resolve()
+    with pytest.raises(ConfigError):
+        SimConfig(policy="v2", seed=1, max_update_factor=1.0).resolve()
+    with pytest.raises(ConfigError):
         SimConfig(policy="v2", seed=1, graph_p=1.0).resolve()
     with pytest.raises(ConfigError):
         SimConfig(policy="v2", seed=1, initial_dr=-3.0).resolve()
