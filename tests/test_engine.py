@@ -192,6 +192,33 @@ def test_attacker_hoard_ascends_and_flips_release():
     assert scores[-1] == brute_force_max_clique(graph)
 
 
+def test_honest_solver_holds_only_its_later_find():
+    # On this graph one interval yields two finds, scoring 2 then 3.
+    graph = gen_random_graph(8, 0.5, 0)
+    problem = ProblemInstance(graph=graph, epoch=0)
+    honest = make_solver(graph, speed=1e6)
+    attacker = make_solver(graph, speed=1e6, strategy="bubka", target=2)
+    advance_solvers([honest, attacker], 1.0, problem)
+    assert [s.score for s in attacker.hoard] == [2, 3]
+    assert honest.held_solution == attacker.hoard[-1]
+
+
+def test_honest_solver_publishes_its_later_find_and_attacker_both():
+    # A lone miner fast enough to exhaust the first 8-vertex graph in the
+    # interval before block 1; there too the finds score 2 then 3.
+    published = {}
+    for strategy, target in ((Strategy.SOLVER, None), (Strategy.BUBKA, 2)):
+        spec = MinerSpec(id=0, hashrate=1000.0, strategy=strategy,
+                         solver_steps_per_second=1e6, hoard_target=target)
+        cfg = SimConfig(policy="v2", seed=0, graph_n=8, max_blocks=4,
+                        miners=(spec,))
+        published[strategy] = [(b.height, b.solution.score)
+                               for b in simulate(cfg).chain.blocks
+                               if b.solution and b.problem_epoch == 0]
+    assert published == {Strategy.SOLVER: [(1, 3)],
+                         Strategy.BUBKA: [(1, 2), (2, 3)]}
+
+
 def test_bubka_prune_and_release_lifecycle():
     st = MinerState(spec=bubka_spec(0, target=3))
     st.hoard = [sol(3), sol(4)]
