@@ -140,20 +140,16 @@ class ProblemInstance:
 
     ``best_score`` tracks the best published score; ``optimum`` is filled
     once the enumeration provably finished (every solver cursor exhausted).
-    The two height fields drive the stagnation check: a problem is replaced
-    once the best score has not moved for a full saturation window.
+    ``last_improvement_height`` starts at the height that swapped the
+    problem in (-1 for the first one) and moves with every publish; the
+    problem is replaced once it lags a full saturation window behind.
     """
 
     graph: Graph
     epoch: int
     best_score: int = INITIAL_BEST_SCORE
     optimum: int | None = None
-    activated_height: int = -1
     last_improvement_height: int = -1
-
-    def __post_init__(self):
-        if self.last_improvement_height < self.activated_height:
-            self.last_improvement_height = self.activated_height
 
 
 # ---------------------------------------------------------------------------

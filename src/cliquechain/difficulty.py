@@ -65,19 +65,19 @@ class DifficultyState:
     """Current difficulties plus the counters the policies run on.
 
     States are immutable; the on_block transitions return updated copies.
-    ``updates`` holds every applied change, in order.
+    ``epoch_count`` and ``epoch_start_time`` run the d_b epoch: every block
+    counts under bitcoin and v1, classical blocks only under v2.  The
+    ``solution_*`` pair runs v2's d_r epoch.  ``updates`` holds every
+    applied change, in order.
     """
 
     d_b: float
     d_r: float
-    classical_count_in_epoch: int = 0
-    solution_count_in_epoch: int = 0
-    total_count_in_epoch: int = 0
+    epoch_count: int = 0
     epoch_start_time: float = 0.0
-    classical_epoch_start_time: float = 0.0
+    solution_count_in_epoch: int = 0
     solution_epoch_start_time: float = 0.0
     consecutive_classical: int = 0
-    blocks_seen: int = 0
     updates: tuple[DifficultyUpdate, ...] = ()
 
     def __post_init__(self):
@@ -85,6 +85,21 @@ class DifficultyState:
             raise ValueError("difficulties must stay positive")
 
 
+def _db_epoch(state: DifficultyState, block: Block, n: int,
+              target_time: float, x: float) -> DifficultyState:
+    """Count ``block`` toward the d_b epoch of ``n`` blocks; the epoch's
+    last block retargets d_b on the epoch's wall-clock span against
+    ``target_time``."""
+    count = state.epoch_count + 1
+    if count < n:
+        return replace(state, epoch_count=count)
+    elapsed = block.sim_time - state.epoch_start_time
+    new_db = state.d_b * _retarget_factor(n, target_time, elapsed, x)
+    return replace(state, d_b=new_db,
+                   epoch_count=0, epoch_start_time=block.sim_time,
+                   updates=state.updates + (
+                       DifficultyUpdate(block.height, "d_b", state.d_b,
+                                        new_db, "retarget"),))
 
 
 def on_block_bitcoin(state: DifficultyState, cfg: SimConfig,
@@ -94,21 +109,8 @@ def on_block_bitcoin(state: DifficultyState, cfg: SimConfig,
     Every block counts toward the ``n1``-block epoch, which retargets d_b
     on its wall-clock span against ``target_time``; d_r is never touched.
     """
-    total = state.total_count_in_epoch + 1
-    seen = state.blocks_seen + 1
-    if total < cfg.n1:
-        return replace(state, total_count_in_epoch=total, blocks_seen=seen)
-
-    elapsed = block.sim_time - state.epoch_start_time
-    f_b = _retarget_factor(cfg.n1, cfg.target_time, elapsed,
-                           cfg.max_update_factor)
-    new_db = state.d_b * f_b
-    height = seen - 1
-    return replace(state, d_b=new_db,
-                   total_count_in_epoch=0, epoch_start_time=block.sim_time,
-                   blocks_seen=seen, updates=state.updates + (
-                       DifficultyUpdate(height, "d_b", state.d_b, new_db,
-                                        "retarget"),))
+    return _db_epoch(state, block, cfg.n1, cfg.target_time,
+                     cfg.max_update_factor)
 
 
 def on_block_v1(state: DifficultyState, cfg: SimConfig,
@@ -120,12 +122,12 @@ def on_block_v1(state: DifficultyState, cfg: SimConfig,
     eta * d_b_new.  Solution and classical blocks count alike.
     """
     new = on_block_bitcoin(state, cfg, block)
-    if new.total_count_in_epoch:
+    if new.epoch_count:
         return new
     f_r = clamp_factor(cfg.eta * new.d_b / state.d_r, cfg.max_update_factor)
     new_dr = state.d_r * f_r
     return replace(new, d_r=new_dr, updates=new.updates + (
-        DifficultyUpdate(new.blocks_seen - 1, "d_r", state.d_r, new_dr,
+        DifficultyUpdate(block.height, "d_r", state.d_r, new_dr,
                          "retarget"),))
 
 
@@ -143,44 +145,26 @@ def on_block_v2(state: DifficultyState, cfg: SimConfig,
     count.
     """
     x = cfg.max_update_factor
-    seen = state.blocks_seen + 1
-    height = seen - 1
-    d_b, d_r = state.d_b, state.d_r
-    updates = state.updates
-
+    d_r = state.d_r
     if block.kind is BlockKind.CLASSICAL:
-        classical = state.classical_count_in_epoch + 1
+        new = _db_epoch(state, block, cfg.n2_classical, cfg.t2_classical, x)
         streak = state.consecutive_classical + 1
-        classical_start = state.classical_epoch_start_time
-        if classical == cfg.n2_classical:
-            elapsed = block.sim_time - classical_start
-            f_b = _retarget_factor(cfg.n2_classical, cfg.t2_classical,
-                                   elapsed, x)
-            new_db = d_b * f_b
-            updates += (DifficultyUpdate(height, "d_b", d_b, new_db,
-                                         "retarget"),)
-            d_b = new_db
-            classical = 0
-            classical_start = block.sim_time
-        if streak == cfg.n2_classical:
-            new_dr = d_r / x
-            updates += (DifficultyUpdate(height, "d_r", d_r, new_dr,
-                                         "drought"),)
-            d_r = new_dr
-            streak = 0
-        return replace(state, d_b=d_b, d_r=d_r,
-                       classical_count_in_epoch=classical,
-                       classical_epoch_start_time=classical_start,
-                       consecutive_classical=streak,
-                       blocks_seen=seen, updates=updates)
+        if streak < cfg.n2_classical:
+            return replace(new, consecutive_classical=streak)
+        new_dr = d_r / x
+        return replace(new, d_r=new_dr, consecutive_classical=0,
+                       updates=new.updates + (
+                           DifficultyUpdate(block.height, "d_r", d_r, new_dr,
+                                            "drought"),))
 
     solution = state.solution_count_in_epoch + 1
     solution_start = state.solution_epoch_start_time
+    updates = state.updates
     if solution == cfg.n2_solution:
         elapsed = block.sim_time - solution_start
         f_r = _retarget_factor(cfg.n2_solution, cfg.t2_solution, elapsed, x)
         new_dr = d_r * f_r
-        updates += (DifficultyUpdate(height, "d_r", d_r, new_dr,
+        updates += (DifficultyUpdate(block.height, "d_r", d_r, new_dr,
                                      "retarget"),)
         d_r = new_dr
         solution = 0
@@ -188,8 +172,7 @@ def on_block_v2(state: DifficultyState, cfg: SimConfig,
     return replace(state, d_r=d_r,
                    solution_count_in_epoch=solution,
                    solution_epoch_start_time=solution_start,
-                   consecutive_classical=0,
-                   blocks_seen=seen, updates=updates)
+                   consecutive_classical=0, updates=updates)
 
 
 _RULES = {"bitcoin": on_block_bitcoin, "v1": on_block_v1, "v2": on_block_v2}

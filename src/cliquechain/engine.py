@@ -87,24 +87,22 @@ class MinerState:
     """Mutable per-miner simulation state.
 
     ``carry`` is the fractional solver step left over from the previous
-    round.  An attacker's ``hoard`` is kept ascending by score and pruned
-    whenever the published best overtakes an entry; ``releasing`` flips on
-    once the hoard reaches its target and stays on until it drains.
+    round.  ``hoard`` holds the miner's unpublished finds, ascending by
+    score, and is pruned whenever the published best overtakes an entry.
+    An honest solver keeps only its latest find there; an attacker keeps
+    every find, and its ``releasing`` flips on once the hoard reaches its
+    target and stays on until it drains.
     """
 
     spec: MinerSpec
     cursor: SolverCursor | None = None
-    held_solution: CliqueSolution | None = None
     hoard: list[CliqueSolution] = field(default_factory=list)
     carry: float = 0.0
     releasing: bool = False
 
     def mines_reduced(self) -> bool:
-        if self.spec.strategy is Strategy.SOLVER:
-            return self.held_solution is not None
-        if self.spec.strategy is Strategy.BUBKA:
-            return self.releasing and bool(self.hoard)
-        return False
+        return bool(self.hoard) and (self.releasing or
+                                     self.spec.strategy is Strategy.SOLVER)
 
 
 @dataclass(frozen=True)
@@ -272,10 +270,11 @@ def advance_solvers(miners: list[MinerState], dt: float,
     """Advance every solving miner by floor(steps_per_second * dt + carry)
     enumeration steps, preserving the fractional carry.
 
-    A solver banks each improvement it finds: honest solvers replace their
-    held solution, attackers push onto the hoard.  The report threshold is
-    the published best or the miner's own best find, whichever is higher,
-    so successive finds within one interval keep improving.
+    A solver banks each improvement it finds in its hoard: an honest
+    solver's find replaces the one it held, an attacker's is appended.  The
+    report threshold is the published best or the miner's own best find,
+    whichever is higher, so successive finds within one interval keep
+    improving.
     """
     if dt < 0:
         raise ValueError("dt must be non-negative")
@@ -287,8 +286,6 @@ def advance_solvers(miners: list[MinerState], dt: float,
         st.carry = total - budget
         while budget > 0 and not st.cursor.exhausted:
             threshold = problem.best_score
-            if st.held_solution is not None:
-                threshold = max(threshold, st.held_solution.score)
             if st.hoard:
                 threshold = max(threshold, st.hoard[-1].score)
             before = st.cursor.steps_consumed
@@ -301,23 +298,23 @@ def advance_solvers(miners: list[MinerState], dt: float,
                 if len(st.hoard) >= st.spec.hoard_target:
                     st.releasing = True
             else:
-                st.held_solution = found
+                st.hoard[:] = [found]
 
 
-def bubka_strategy_step(attacker: MinerState, chain_best: int) -> None:
-    """Prune the attacker's hoard against the published best and update its
-    release flag.
+def bubka_strategy_step(st: MinerState, chain_best: int) -> None:
+    """Prune a miner's hoard against the published best and, for an
+    attacker, update its release flag.
 
     Entries that no longer beat the published best are worthless and are
     dropped.  Release mode starts when the hoard reaches its target and
     persists until the hoard drains, even if pruning shrinks it midway.
     """
-    st = attacker
     st.hoard = [sol for sol in st.hoard if sol.score > chain_best]
-    if len(st.hoard) >= st.spec.hoard_target:
-        st.releasing = True
-    if not st.hoard:
-        st.releasing = False
+    if st.spec.strategy is Strategy.BUBKA:
+        if len(st.hoard) >= st.spec.hoard_target:
+            st.releasing = True
+        if not st.hoard:
+            st.releasing = False
 
 
 def check_saturation_and_replace(problem: ProblemInstance, chain: Chain,
@@ -343,7 +340,7 @@ def check_saturation_and_replace(problem: ProblemInstance, chain: Chain,
     graph = gen_random_graph(config.graph_n, config.graph_p, seed)
     return ProblemInstance(graph=graph, epoch=problem.epoch + 1,
                            best_score=INITIAL_BEST_SCORE,
-                           activated_height=height)
+                           last_improvement_height=height)
 
 
 def _reseed_solvers(miners: list[MinerState], problem: ProblemInstance,
@@ -353,7 +350,6 @@ def _reseed_solvers(miners: list[MinerState], problem: ProblemInstance,
             order = _solver_order(master_seed, st.spec.id, problem.epoch,
                                   problem.graph.n)
             st.cursor = SolverCursor(problem.graph, problem.epoch, order)
-            st.held_solution = None
             st.hoard.clear()
             st.releasing = False
 
@@ -367,13 +363,8 @@ def _maybe_prove_optimum(problem: ProblemInstance,
     solverish = [st for st in miners if st.cursor is not None]
     if not solverish or not all(st.cursor.exhausted for st in solverish):
         return
-    best = problem.best_score
-    for st in solverish:
-        if st.held_solution is not None:
-            best = max(best, st.held_solution.score)
-        if st.hoard:
-            best = max(best, st.hoard[-1].score)
-    problem.optimum = best
+    problem.optimum = max([problem.best_score] + [
+        st.hoard[-1].score for st in solverish if st.hoard])
 
 
 def simulate(config: SimConfig) -> SimResult:
@@ -396,7 +387,6 @@ def simulate(config: SimConfig) -> SimResult:
     records: list[SimRecord] = []
     graphs = [problem.graph]
     replacement_heights: list[int] = []
-    cum_classical = 0
     cum_solution = 0
     now = 0.0
 
@@ -411,14 +401,8 @@ def simulate(config: SimConfig) -> SimResult:
             advance_solvers(miners, dt, problem)
             _maybe_prove_optimum(problem, miners)
 
-        winner = miners[miner_id]
-        solution = None
-        if kind is BlockKind.SOLUTION:
-            if winner.spec.strategy is Strategy.BUBKA:
-                solution = winner.hoard.pop(0)
-            else:
-                solution = winner.held_solution
-                winner.held_solution = None
+        solution = (miners[miner_id].hoard.pop(0)
+                    if kind is BlockKind.SOLUTION else None)
 
         height = len(chain.blocks)
         block = Block(height=height, kind=kind, miner_id=miner_id,
@@ -433,20 +417,14 @@ def simulate(config: SimConfig) -> SimResult:
             problem.best_score = solution.score
             problem.last_improvement_height = height
             for st in miners:
-                if (st.held_solution is not None
-                        and st.held_solution.score <= solution.score):
-                    st.held_solution = None
-                if st.spec.strategy is Strategy.BUBKA:
-                    bubka_strategy_step(st, solution.score)
-        else:
-            cum_classical += 1
+                bubka_strategy_step(st, solution.score)
 
         state = policy.on_block(state, block)
         records.append(SimRecord(
             height=height, sim_time=now, kind=kind.value, miner_id=miner_id,
             d_b=state.d_b, d_r=state.d_r, best_score=problem.best_score,
-            problem_epoch=problem.epoch, cum_classical=cum_classical,
-            cum_solution=cum_solution))
+            problem_epoch=problem.epoch,
+            cum_classical=height + 1 - cum_solution, cum_solution=cum_solution))
 
         fresh = check_saturation_and_replace(problem, chain, cfg, problem_rng)
         if fresh is not None:

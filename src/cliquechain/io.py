@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 
 from .clique import INITIAL_BEST_SCORE, Graph
@@ -31,9 +32,11 @@ from .engine import (
     Strategy,
 )
 
-RECORD_FIELDS = ("height", "sim_time", "kind", "miner_id", "d_b", "d_r",
-                 "best_score", "problem_epoch", "cum_classical",
-                 "cum_solution")
+# The record schema is SimRecord's: its fields, in order, are the columns,
+# and each field's type parses its column back.
+RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(SimRecord))
+_RECORD_TYPES = tuple(typing.get_type_hints(SimRecord)[f]
+                      for f in RECORD_FIELDS)
 CSV_HEADER = ",".join(RECORD_FIELDS)
 
 _INT_KEYS = ("seed", "n1", "n2_classical", "n2_solution", "graph_n",
@@ -201,10 +204,8 @@ def records_to_csv(records: list[SimRecord]) -> str:
 
 
 def records_to_jsonl(records: list[SimRecord]) -> str:
-    lines = []
-    for r in records:
-        obj = {f: getattr(r, f) for f in RECORD_FIELDS}
-        lines.append(json.dumps(obj, separators=(",", ":")))
+    lines = [json.dumps({f: getattr(r, f) for f in RECORD_FIELDS},
+                        separators=(",", ":")) for r in records]
     return "\n".join(lines) + "\n"
 
 
@@ -219,17 +220,6 @@ def write_records(records: list[SimRecord], path, fmt: str = "csv") -> None:
         raise ValueError(f"unknown record format {fmt!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _record_from_fields(fields: dict) -> SimRecord:
-    return SimRecord(
-        height=int(fields["height"]), sim_time=float(fields["sim_time"]),
-        kind=str(fields["kind"]), miner_id=int(fields["miner_id"]),
-        d_b=float(fields["d_b"]), d_r=float(fields["d_r"]),
-        best_score=int(fields["best_score"]),
-        problem_epoch=int(fields["problem_epoch"]),
-        cum_classical=int(fields["cum_classical"]),
-        cum_solution=int(fields["cum_solution"]))
 
 
 def read_records(path) -> list[SimRecord]:
@@ -249,13 +239,14 @@ def read_records(path) -> list[SimRecord]:
     for ln in lines if jsonl else lines[1:]:
         try:
             if jsonl:
-                fields = json.loads(ln)
+                obj = json.loads(ln)
+                values = [obj[f] for f in RECORD_FIELDS]
             else:
-                parts = ln.split(",")
-                if len(parts) != len(RECORD_FIELDS):
+                values = ln.split(",")
+                if len(values) != len(RECORD_FIELDS):
                     raise ReplayError(f"{path}: bad row {ln!r}")
-                fields = dict(zip(RECORD_FIELDS, parts))
-            records.append(_record_from_fields(fields))
+            records.append(SimRecord(*[parse(v) for parse, v
+                                       in zip(_RECORD_TYPES, values)]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ReplayError(f"{path}: bad record {ln!r} "
                               f"({type(exc).__name__}: {exc})") from None

@@ -26,8 +26,8 @@ def blk(kind, t, height=0):
                  difficulty_used=1.0, problem_epoch=0, solution=solution)
 
 
-def feed_v2(state, params, kinds, times):
-    for i, (kind, t) in enumerate(zip(kinds, times)):
+def feed_v2(state, params, kinds, times, start=0):
+    for i, (kind, t) in enumerate(zip(kinds, times), start):
         state = on_block_v2(state, params, blk(kind, t, height=i))
     return state
 
@@ -69,15 +69,15 @@ V1 = SimConfig(policy="v1", seed=0, eta=0.005, n1=4, target_time=0.1)
 
 def run_v1(times, d_b=100.0, d_r=0.5, start=0.0):
     state = DifficultyState(d_b=d_b, d_r=d_r, epoch_start_time=start)
-    for t in times:
-        state = on_block_v1(state, V1, blk(BlockKind.CLASSICAL, t))
+    for i, t in enumerate(times):
+        state = on_block_v1(state, V1, blk(BlockKind.CLASSICAL, t, height=i))
     return state
 
 
 def test_v1_is_inert_mid_epoch():
     state = run_v1([0.05, 0.10, 0.15])
     assert (state.d_b, state.d_r) == (100.0, 0.5)
-    assert state.total_count_in_epoch == 3
+    assert state.epoch_count == 3
     assert state.updates == ()
 
 
@@ -91,7 +91,7 @@ def test_v1_fast_epoch_doubles_both():
     new_dr = 0.5 * (0.005 * new_db / 0.5)
     assert state.d_b == new_db == 200.0
     assert state.d_r == new_dr == 1.0
-    assert state.total_count_in_epoch == 0
+    assert state.epoch_count == 0
     assert state.epoch_start_time == 0.20
 
 
@@ -123,7 +123,7 @@ def test_v1_ratio_relaxes_toward_eta():
     for i in range(24):
         state = on_block_v1(state, params, blk(BlockKind.CLASSICAL,
                                                0.25 * (i + 1)))
-        if state.total_count_in_epoch == 0:
+        if state.epoch_count == 0:
             trajectory.append(state.d_r)
     assert state.d_b == 100.0
     assert trajectory == [12.5, 3.125, 0.78125, 0.5, 0.5, 0.5]
@@ -171,10 +171,10 @@ def test_v2_solution_breaks_streak_but_not_classical_epoch():
     state = DifficultyState(d_b=1000.0, d_r=1000.0)
     mid = feed_v2(state, V2, kinds[:10], times[:10])
     assert mid.consecutive_classical == 0
-    assert mid.classical_count_in_epoch == 9    # solution does not reset it
+    assert mid.epoch_count == 9         # solution does not reset it
     assert not any(u.rule == "drought" for u in mid.updates)
 
-    end = feed_v2(mid, V2, kinds[10:], times[10:])
+    end = feed_v2(mid, V2, kinds[10:], times[10:], start=10)
     droughts = [u for u in end.updates if u.rule == "drought"]
     assert [(u.height, u.new / u.old) for u in droughts] == [(19, 0.25)]
     # The classical epoch completed at the 10th classical block (height 10).

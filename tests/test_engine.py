@@ -69,7 +69,7 @@ def test_equal_miners_split_wins_evenly():
 
 
 def test_held_solution_switches_kind_and_dominates_race():
-    holder = MinerState(spec=solver_spec(0), held_solution=sol(2))
+    holder = MinerState(spec=solver_spec(0), hoard=[sol(2)])
     rival = MinerState(spec=classical_spec(1))
     rng = np.random.default_rng(3)
     rounds = 10_000
@@ -149,7 +149,7 @@ def test_chunked_advance_equals_one_big_advance():
         advance_solvers([chunked], 0.05, problem)
     advance_solvers([whole], 0.5, problem)
     assert chunked.cursor.steps_consumed == whole.cursor.steps_consumed == 5
-    assert chunked.held_solution == whole.held_solution
+    assert chunked.hoard == whole.hoard
 
 
 def test_negative_dt_rejected():
@@ -178,7 +178,7 @@ def test_solver_banks_improvements_up_to_the_optimum():
     problem = ProblemInstance(graph=graph, epoch=0)
     advance_solvers([st], 1.0, problem)
     assert st.cursor.exhausted
-    assert st.held_solution.score == brute_force_max_clique(graph)
+    assert [s.score for s in st.hoard] == [brute_force_max_clique(graph)]
 
 
 def test_attacker_hoard_ascends_and_flips_release():
@@ -200,7 +200,7 @@ def test_honest_solver_holds_only_its_later_find():
     attacker = make_solver(graph, speed=1e6, strategy="bubka", target=2)
     advance_solvers([honest, attacker], 1.0, problem)
     assert [s.score for s in attacker.hoard] == [2, 3]
-    assert honest.held_solution == attacker.hoard[-1]
+    assert honest.hoard == attacker.hoard[-1:]
 
 
 def test_honest_solver_publishes_its_later_find_and_attacker_both():
