@@ -231,10 +231,26 @@ def _cmd_selftest(args) -> int:
 
 
 def _comma_list(convert):
-    """An argparse ``type`` that reads a comma-separated list of values."""
+    """An argparse ``type`` that reads a comma-separated list of distinct
+    values."""
     def parse(text: str) -> tuple:
-        return tuple(convert(v) for v in text.split(","))
+        values = tuple(convert(v) for v in text.split(","))
+        if len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
+        return values
     parse.__name__ = f"comma-separated {convert.__name__}"
+    return parse
+
+
+def _int_in(low: int, high: float = float("inf")):
+    """An argparse ``type`` that reads an integer in [low, high]."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"{value} is outside [{low}, {high}]")
+        return value
+    parse.__name__ = "int"
     return parse
 
 
@@ -301,9 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("selftest",
                           help="cross-check the search against brute force")
-    sub.add_argument("--graphs", type=int, default=60,
+    sub.add_argument("--graphs", type=_int_in(1), default=60,
                      help="number of random graphs (default: 60)")
-    sub.add_argument("--max-n", type=int, default=12,
+    # The brute-force oracle takes at most 20 vertices; graphs start at 4.
+    sub.add_argument("--max-n", type=_int_in(4, 20), default=12,
                      help="largest graph size (default: 12)")
     sub.add_argument("--seed", type=int, default=0)
     sub.set_defaults(func=_cmd_selftest)

@@ -127,7 +127,7 @@ def parse_config_text(text: str) -> SimConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in ("miner", "miners"):
+        if key == "miner":
             miner_entries.append(_parse_miner_entry(value, lineno))
             continue
         if key not in ("policy",) + _INT_KEYS + FLOAT_FIELDS:

@@ -126,6 +126,8 @@ def test_non_finite_config_numbers_exit_2(tmp_path, line):
 @pytest.mark.parametrize("command,option,value", [
     ("eta-sweep", "--etas", "0.5,x"),
     ("bubka", "--hoard-targets", "1,y"),
+    ("bubka", "--hoard-targets", "1,1"),
+    ("eta-sweep", "--etas", "0.5,0.5"),
 ])
 def test_bad_list_arguments_exit_2_and_write_nothing(tmp_path, capsys,
                                                      command, option, value):
@@ -239,6 +241,19 @@ def test_bubka_outputs(tmp_path):
 
 def test_selftest_passes():
     assert main(["selftest", "--graphs", "10", "--max-n", "10"]) == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["--max-n", "3"],                       # graphs start at 4 vertices
+    ["--max-n", "21", "--graphs", "1", "--seed", "7"],  # draws n = 21
+    ["--graphs", "-1"],
+    ["--graphs", "0"],
+], ids=["max-n-3", "max-n-21", "graphs-minus-1", "graphs-0"])
+def test_selftest_out_of_range_arguments_exit_2(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest"] + args)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_shipped_configs_parse():

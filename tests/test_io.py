@@ -83,6 +83,8 @@ def test_parse_rejects_unknown_keys():
         parse_config_text(MINIMAL + "difficulty = 3\n")
     with pytest.raises(UnknownKey):
         parse_config_text(MINIMAL + "miner = strategy=classical color=red\n")
+    with pytest.raises(UnknownKey):
+        parse_config_text(MINIMAL + "miners = strategy=classical\n")
 
 
 def test_parse_rejects_invalid_values():
