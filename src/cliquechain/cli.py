@@ -231,8 +231,7 @@ def _cmd_selftest(args) -> int:
 
 
 def _comma_list(convert):
-    """An argparse ``type`` that reads a comma-separated list of distinct
-    values."""
+    """An argparse ``type`` for a comma-separated list of distinct values."""
     def parse(text: str) -> tuple:
         values = tuple(convert(v) for v in text.split(","))
         if len(set(values)) < len(values):

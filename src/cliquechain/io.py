@@ -204,8 +204,10 @@ def records_to_csv(records: list[SimRecord]) -> str:
 
 
 def records_to_jsonl(records: list[SimRecord]) -> str:
-    lines = [json.dumps({f: getattr(r, f) for f in RECORD_FIELDS},
-                        separators=(",", ":")) for r in records]
+    lines = []
+    for r in records:
+        obj = {f: getattr(r, f) for f in RECORD_FIELDS}
+        lines.append(json.dumps(obj, separators=(",", ":")))
     return "\n".join(lines) + "\n"
 
 
