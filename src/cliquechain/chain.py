@@ -1,19 +1,20 @@
-"""Chain state and block validation.
+"""Blocks and the rule that appends them.
 
-The chain is a plain list of blocks: no forks, no transactions, no hash
-header.  What it enforces is the solution economy: a solution block must
-carry a genuine clique for the active problem instance and must strictly
-beat the best score already published for that instance, so the per-epoch
-score sequence is strictly increasing.
+Nothing stores the chain: each block is checked against its parent, the
+active problem instance and the difficulty state, with no forks,
+transactions or hash header.  What the rule enforces is the solution
+economy: a solution block must carry a genuine clique for the active
+problem instance and must strictly beat the best score already published
+for that instance, so the per-epoch score sequence is strictly increasing.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .clique import INITIAL_BEST_SCORE, CliqueSolution, Graph, is_clique
+from .clique import CliqueSolution, ProblemInstance, is_clique
 
 if TYPE_CHECKING:
     from .difficulty import DifficultyState
@@ -68,63 +69,28 @@ class Block:
             raise ValueError("solution epoch must match block epoch")
 
 
-@dataclass
-class Chain:
-    """Append-only block list plus the per-epoch published-best table.
-
-    ``active_epoch`` is bumped by the engine when a problem instance is
-    replaced; appends are validated against it.
-    """
-
-    blocks: list[Block] = field(default_factory=list)
-    best_score_per_epoch: dict[int, int] = field(default_factory=dict)
-    active_epoch: int = 0
-
-    @property
-    def height(self) -> int:
-        return len(self.blocks) - 1
-
-    def best_score(self, epoch: int) -> int:
-        return self.best_score_per_epoch.get(epoch, INITIAL_BEST_SCORE)
-
-    def begin_epoch(self, epoch: int) -> None:
-        if epoch <= self.active_epoch:
-            raise ChainError("epochs must advance")
-        self.active_epoch = epoch
-
-
-def verify_solution_block(block: Block, graph: Graph,
-                          current_best: int) -> bool:
-    """True iff the block's payload is a clique that beats current_best.
-
-    Pure check, O(score^2) edge lookups; ties are not improvements.
-    """
-    if block.solution is None:
-        return False
-    sol = block.solution
-    return sol.score > current_best and is_clique(graph, sol.vertices)
-
-
-def append_block(chain: Chain, block: Block, graph: Graph,
-                 state: "DifficultyState") -> None:
-    """Validate ``block`` against the chain tip and append it.
+def append_block(parent: Block | None, block: Block,
+                 problem: ProblemInstance, state: "DifficultyState") -> None:
+    """Validate ``block`` as the child of ``parent`` (``None`` for the
+    first block) and publish its solution, if any.
 
     The difficulty check is exact: the block must have been mined at the
     policy's current d_b (classical) or d_r (solution).  Solution blocks
-    must target the active epoch, be genuine cliques, and strictly improve
-    the published best for that epoch.
+    must target the active problem, be genuine cliques of its graph, and
+    strictly improve its published best, which is then raised to their
+    score.
     """
-    if block.height != len(chain.blocks):
-        raise ChainError(
-            f"expected height {len(chain.blocks)}, got {block.height}")
-    if chain.blocks and block.sim_time <= chain.blocks[-1].sim_time:
+    height = 0 if parent is None else parent.height + 1
+    if block.height != height:
+        raise ChainError(f"expected height {height}, got {block.height}")
+    if parent is not None and block.sim_time <= parent.sim_time:
         raise NonMonotonicTime(
             f"block time {block.sim_time} does not advance past "
-            f"{chain.blocks[-1].sim_time}")
-    if block.problem_epoch != chain.active_epoch:
+            f"{parent.sim_time}")
+    if block.problem_epoch != problem.epoch:
         raise ChainError(
             f"block targets epoch {block.problem_epoch}, "
-            f"active epoch is {chain.active_epoch}")
+            f"active epoch is {problem.epoch}")
 
     expected = state.d_r if block.kind is BlockKind.SOLUTION else state.d_b
     if block.difficulty_used != expected:
@@ -134,13 +100,11 @@ def append_block(chain: Chain, block: Block, graph: Graph,
 
     if block.kind is BlockKind.SOLUTION:
         sol = block.solution
-        if not is_clique(graph, sol.vertices):
+        if not is_clique(problem.graph, sol.vertices):
             raise MalformedClique(
                 f"vertices {sol.vertices} are not a clique")
-        best = chain.best_score(block.problem_epoch)
-        if sol.score <= best:
+        if sol.score <= problem.best_score:
             raise StaleSolution(
-                f"score {sol.score} does not beat published best {best}")
-        chain.best_score_per_epoch[block.problem_epoch] = sol.score
-
-    chain.blocks.append(block)
+                f"score {sol.score} does not beat published best "
+                f"{problem.best_score}")
+        problem.best_score = sol.score

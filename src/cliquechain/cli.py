@@ -206,8 +206,8 @@ def _cmd_verify_chain(args) -> int:
 def _cmd_selftest(args) -> int:
     """Cross-check the pausable search against the brute-force oracle,
     in visit orders drawn from a second stream so the graphs stay fixed."""
-    rng = np.random.Generator(np.random.PCG64(args.seed or 0))
-    order_rng = np.random.Generator(np.random.PCG64([args.seed or 0, 1]))
+    rng = np.random.Generator(np.random.PCG64(args.seed))
+    order_rng = np.random.Generator(np.random.PCG64([args.seed, 1]))
     failures = 0
     for i in range(args.graphs):
         n = int(rng.integers(4, args.max_n + 1))
@@ -253,15 +253,14 @@ def _int_in(low: int, high: float = float("inf")):
     return parse
 
 
-def _add_run_options(sub, with_format: bool = True) -> None:
+def _add_run_options(sub) -> None:
     sub.add_argument("config", help="flat key=value config file")
     sub.add_argument("--seed", type=int, default=None,
                      help="override the config seed")
     sub.add_argument("--out-dir", default="out",
                      help="output directory (default: ./out)")
-    if with_format:
-        sub.add_argument("--format", choices=("csv", "jsonl"), default="csv",
-                         help="record serialization (default: csv)")
+    sub.add_argument("--format", choices=("csv", "jsonl"), default="csv",
+                     help="record serialization (default: csv)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: 10 log-spaced from 1 to 0.001)")
     sub.add_argument("--instances", type=int, default=10,
                      help="independent chains per cell (default: 10)")
-    sub.add_argument("--workers", type=int, default=1,
+    sub.add_argument("--workers", type=_int_in(1), default=1,
                      help="worker processes (default: 1)")
     sub.set_defaults(func=_cmd_run)
 
@@ -303,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated hoard targets (default: 1,2,5)")
     sub.add_argument("--seeds", type=int, default=DEFAULT_BUBKA_SEEDS,
                      help="seeded runs per target (default: 20)")
-    sub.add_argument("--workers", type=int, default=1,
+    sub.add_argument("--workers", type=_int_in(1), default=1,
                      help="worker processes (default: 1)")
     sub.set_defaults(func=_cmd_run)
 
@@ -321,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     # The brute-force oracle takes at most 20 vertices; graphs start at 4.
     sub.add_argument("--max-n", type=_int_in(4, 20), default=12,
                      help="largest graph size (default: 12)")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_int_in(0), default=0)
     sub.set_defaults(func=_cmd_selftest)
     return parser
 

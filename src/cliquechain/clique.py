@@ -138,8 +138,9 @@ def gen_random_graph(n: int, edge_prob: float, seed: int) -> Graph:
 class ProblemInstance:
     """One clique instance being worked by the network.
 
-    ``best_score`` tracks the best published score; ``optimum`` is filled
-    once the enumeration provably finished (every solver cursor exhausted).
+    ``best_score`` is the best published score, raised only by
+    ``chain.append_block``; ``optimum`` is filled once the enumeration
+    provably finished (every solver cursor exhausted).
     ``last_improvement_height`` starts at the height that swapped the
     problem in (-1 for the first one) and moves with every publish; the
     problem is replaced once it lags a full saturation window behind.

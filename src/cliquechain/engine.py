@@ -19,9 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chain import Block, BlockKind, Chain, append_block
+from .chain import Block, BlockKind, append_block
 from .clique import (
-    INITIAL_BEST_SCORE,
     CliqueSolution,
     Graph,
     ProblemInstance,
@@ -212,7 +211,6 @@ class SimResult:
     """Everything a run produced, for writers and experiments."""
 
     records: list[SimRecord]
-    chain: Chain
     graphs: list[Graph]
     replacement_heights: list[int]
     final_state: DifficultyState
@@ -317,18 +315,18 @@ def bubka_strategy_step(st: MinerState, chain_best: int) -> None:
             st.releasing = False
 
 
-def check_saturation_and_replace(problem: ProblemInstance, chain: Chain,
+def check_saturation_and_replace(problem: ProblemInstance, height: int,
                                  config: SimConfig,
                                  rng: np.random.Generator,
                                  ) -> ProblemInstance | None:
-    """Decide whether the active problem is spent; if so build its successor.
+    """Decide, after the block at ``height``, whether the active problem is
+    spent; if so build its successor.
 
     Two triggers: the enumeration finished and the published best caught up
     with the proven optimum, or the best score has been frozen for a full
     saturation window of blocks.  The replacement is a fresh graph at
     epoch + 1; difficulties are not touched.
     """
-    height = chain.height
     done = (problem.optimum is not None
             and problem.best_score >= problem.optimum)
     stagnant = (config.saturation_window > 0
@@ -339,7 +337,6 @@ def check_saturation_and_replace(problem: ProblemInstance, chain: Chain,
     seed = int(rng.integers(0, 2 ** 63))
     graph = gen_random_graph(config.graph_n, config.graph_p, seed)
     return ProblemInstance(graph=graph, epoch=problem.epoch + 1,
-                           best_score=INITIAL_BEST_SCORE,
                            last_improvement_height=height)
 
 
@@ -379,7 +376,6 @@ def simulate(config: SimConfig) -> SimResult:
         graph=gen_random_graph(cfg.graph_n, cfg.graph_p,
                                int(problem_rng.integers(0, 2 ** 63))),
         epoch=0)
-    chain = Chain()
     miners = [MinerState(spec=spec) for spec in cfg.miners]
     if policy.uses_solutions:
         _reseed_solvers(miners, problem, cfg.seed)
@@ -389,8 +385,9 @@ def simulate(config: SimConfig) -> SimResult:
     replacement_heights: list[int] = []
     cum_solution = 0
     now = 0.0
+    parent = None
 
-    while len(chain.blocks) < cfg.max_blocks:
+    for height in range(cfg.max_blocks):
         miner_id, kind, dt = sample_block_winner(miners, state.d_b,
                                                  state.d_r, mining_rng)
         # Long droughts can push d_r so low that a waiting time drops under
@@ -404,17 +401,16 @@ def simulate(config: SimConfig) -> SimResult:
         solution = (miners[miner_id].hoard.pop(0)
                     if kind is BlockKind.SOLUTION else None)
 
-        height = len(chain.blocks)
         block = Block(height=height, kind=kind, miner_id=miner_id,
                       sim_time=now,
                       difficulty_used=(state.d_r if kind is BlockKind.SOLUTION
                                        else state.d_b),
                       problem_epoch=problem.epoch, solution=solution)
-        append_block(chain, block, problem.graph, state)
+        append_block(parent, block, problem, state)
+        parent = block
 
         if kind is BlockKind.SOLUTION:
             cum_solution += 1
-            problem.best_score = solution.score
             problem.last_improvement_height = height
             for st in miners:
                 bubka_strategy_step(st, solution.score)
@@ -426,15 +422,14 @@ def simulate(config: SimConfig) -> SimResult:
             problem_epoch=problem.epoch,
             cum_classical=height + 1 - cum_solution, cum_solution=cum_solution))
 
-        fresh = check_saturation_and_replace(problem, chain, cfg, problem_rng)
+        fresh = check_saturation_and_replace(problem, height, cfg, problem_rng)
         if fresh is not None:
             replacement_heights.append(height)
-            chain.begin_epoch(fresh.epoch)
             problem = fresh
             graphs.append(problem.graph)
             if policy.uses_solutions:
                 _reseed_solvers(miners, problem, cfg.seed)
 
-    return SimResult(records=records, chain=chain, graphs=graphs,
+    return SimResult(records=records, graphs=graphs,
                      replacement_heights=replacement_heights,
                      final_state=state)

@@ -3,19 +3,23 @@ strictly-improving published-score sequence."""
 
 import pytest
 
+from cliquechain import engine
 from cliquechain.chain import (
     Block,
     BlockKind,
-    Chain,
     ChainError,
     InvalidDifficulty,
     MalformedClique,
     NonMonotonicTime,
     StaleSolution,
     append_block,
-    verify_solution_block,
 )
-from cliquechain.clique import CliqueSolution, Graph, gen_random_graph
+from cliquechain.clique import (
+    CliqueSolution,
+    Graph,
+    ProblemInstance,
+    gen_random_graph,
+)
 from cliquechain.difficulty import DifficultyPolicy, DifficultyState
 from cliquechain.engine import SimConfig, simulate
 
@@ -29,6 +33,18 @@ K5 = Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
 
 def mk_state():
     return DifficultyState(d_b=D_B, d_r=D_R)
+
+
+def mk_problem(graph, best=1, epoch=0):
+    return ProblemInstance(graph=graph, epoch=epoch, best_score=best)
+
+
+def publish(graph, best, vertices):
+    """Append one solution block as the first block of a problem whose
+    published best is ``best``; return the problem."""
+    problem = mk_problem(graph, best)
+    append_block(None, solution(0, 1.0, vertices), problem, mk_state())
+    return problem
 
 
 def classical(height, t, miner=0, epoch=0):
@@ -71,18 +87,19 @@ def test_solution_payload_shape_is_checked():
 
 
 # ---------------------------------------------------------------------------
-# verify_solution_block
+# Solution checks
 # ---------------------------------------------------------------------------
 
 def test_verify_accepts_strict_improvement():
-    assert verify_solution_block(solution(0, 1.0, (0, 1, 2)), K3, 2)
-    assert verify_solution_block(solution(0, 1.0, (0, 1, 2, 3)), K5, 3)
+    assert publish(K3, 2, (0, 1, 2)).best_score == 3
+    assert publish(K5, 3, (0, 1, 2, 3)).best_score == 4
 
 
 def test_verify_rejects_ties_and_non_cliques():
-    assert not verify_solution_block(solution(0, 1.0, (0, 1)), C5, 2)
-    assert not verify_solution_block(solution(0, 1.0, (0, 2)), C5, 1)
-    assert not verify_solution_block(classical(0, 1.0), K3, 0)
+    with pytest.raises(StaleSolution):
+        publish(C5, 2, (0, 1))
+    with pytest.raises(MalformedClique):
+        publish(C5, 1, (0, 2))
 
 
 def test_verify_agrees_with_pairwise_check():
@@ -91,11 +108,15 @@ def test_verify_agrees_with_pairwise_check():
     for g in rng_graphs:
         for vs in subsets:
             for best in (1, len(vs) - 1, len(vs)):
-                block = solution(0, 1.0, vs)
                 pairwise = all(g.has_edge(u, v)
                                for i, u in enumerate(vs) for v in vs[i + 1:])
                 expect = pairwise and len(vs) > best
-                assert verify_solution_block(block, g, best) == expect
+                try:
+                    publish(g, best, vs)
+                except (MalformedClique, StaleSolution):
+                    assert not expect
+                else:
+                    assert expect
 
 
 # ---------------------------------------------------------------------------
@@ -103,106 +124,118 @@ def test_verify_agrees_with_pairwise_check():
 # ---------------------------------------------------------------------------
 
 def test_append_updates_published_best():
-    chain = Chain()
+    problem = mk_problem(K3)
     state = mk_state()
-    append_block(chain, classical(0, 0.1), K3, state)
-    assert chain.best_score(0) == 1
-    append_block(chain, solution(1, 0.2, (0, 1)), K3, state)
-    assert chain.best_score(0) == 2
-    append_block(chain, solution(2, 0.3, (0, 1, 2)), K3, state)
-    assert chain.best_score(0) == 3
-    assert chain.height == 2
+    b0 = classical(0, 0.1)
+    append_block(None, b0, problem, state)
+    assert problem.best_score == 1
+    b1 = solution(1, 0.2, (0, 1))
+    append_block(b0, b1, problem, state)
+    assert problem.best_score == 2
+    append_block(b1, solution(2, 0.3, (0, 1, 2)), problem, state)
+    assert problem.best_score == 3
 
 
 def test_append_rejects_stale_solution():
-    chain = Chain()
+    problem = mk_problem(K3)
     state = mk_state()
-    append_block(chain, solution(0, 0.1, (0, 1, 2)), K3, state)
+    b0 = solution(0, 0.1, (0, 1, 2))
+    append_block(None, b0, problem, state)
     with pytest.raises(StaleSolution):
-        append_block(chain, solution(1, 0.2, (0, 1, 2)), K3, state)
+        append_block(b0, solution(1, 0.2, (0, 1, 2)), problem, state)
     with pytest.raises(StaleSolution):
-        append_block(chain, solution(1, 0.2, (0, 1)), K3, state)
+        append_block(b0, solution(1, 0.2, (0, 1)), problem, state)
+    assert problem.best_score == 3
 
 
 def test_append_rejects_non_clique():
-    chain = Chain()
+    problem = mk_problem(C5)
     with pytest.raises(MalformedClique):
-        append_block(chain, solution(0, 0.1, (0, 2)), C5, mk_state())
-    assert chain.blocks == []
+        append_block(None, solution(0, 0.1, (0, 2)), problem, mk_state())
+    assert problem.best_score == 1
 
 
 def test_append_rejects_non_monotonic_time():
-    chain = Chain()
+    problem = mk_problem(K3)
     state = mk_state()
-    append_block(chain, classical(0, 1.0), K3, state)
+    b0 = classical(0, 1.0)
+    append_block(None, b0, problem, state)
     with pytest.raises(NonMonotonicTime):
-        append_block(chain, classical(1, 1.0), K3, state)
+        append_block(b0, classical(1, 1.0), problem, state)
     with pytest.raises(NonMonotonicTime):
-        append_block(chain, classical(1, 0.5), K3, state)
+        append_block(b0, classical(1, 0.5), problem, state)
 
 
 def test_append_rejects_wrong_difficulty():
-    chain = Chain()
+    problem = mk_problem(K3)
     state = mk_state()
     bad_classical = Block(height=0, kind=BlockKind.CLASSICAL, miner_id=0,
                           sim_time=0.1, difficulty_used=D_R, problem_epoch=0)
     with pytest.raises(InvalidDifficulty):
-        append_block(chain, bad_classical, K3, state)
+        append_block(None, bad_classical, problem, state)
     sol = CliqueSolution(problem_epoch=0, vertices=(0, 1), score=2)
     bad_solution = Block(height=0, kind=BlockKind.SOLUTION, miner_id=0,
                          sim_time=0.1, difficulty_used=D_B, problem_epoch=0,
                          solution=sol)
     with pytest.raises(InvalidDifficulty):
-        append_block(chain, bad_solution, K3, state)
+        append_block(None, bad_solution, problem, state)
 
 
 def test_append_rejects_height_gap():
-    chain = Chain()
+    problem = mk_problem(K3)
     with pytest.raises(ChainError):
-        append_block(chain, classical(1, 0.1), K3, mk_state())
+        append_block(None, classical(1, 0.1), problem, mk_state())
+    b0 = classical(0, 0.1)
+    append_block(None, b0, problem, mk_state())
+    with pytest.raises(ChainError):
+        append_block(b0, classical(2, 0.2), problem, mk_state())
 
 
 def test_append_rejects_epoch_mismatch():
-    chain = Chain()
     with pytest.raises(ChainError):
-        append_block(chain, classical(0, 0.1, epoch=1), K3, mk_state())
-
-
-def test_epochs_must_advance():
-    chain = Chain()
-    chain.begin_epoch(2)
+        append_block(None, classical(0, 0.1, epoch=1), mk_problem(K3),
+                     mk_state())
     with pytest.raises(ChainError):
-        chain.begin_epoch(2)
-    with pytest.raises(ChainError):
-        chain.begin_epoch(1)
+        append_block(None, classical(0, 0.1), mk_problem(K3, epoch=1),
+                     mk_state())
 
 
 def test_best_score_floor_is_one():
-    assert Chain().best_score(0) == 1
-    assert Chain().best_score(7) == 1
+    assert ProblemInstance(graph=K3, epoch=0).best_score == 1
+    assert ProblemInstance(graph=K3, epoch=7).best_score == 1
 
 
 # ---------------------------------------------------------------------------
 # Replay: simulated chains re-validate from scratch
 # ---------------------------------------------------------------------------
 
-def test_simulated_chain_replays_cleanly():
+def test_simulated_chain_replays_cleanly(monkeypatch):
+    appended = []
+
+    def record(parent, block, problem, state):
+        append_block(parent, block, problem, state)
+        appended.append(block)
+
+    monkeypatch.setattr(engine, "append_block", record)
     cfg = SimConfig(policy="v2", seed=3, max_blocks=150).resolve()
     res = simulate(cfg)
+    assert [b.height for b in appended] == list(range(cfg.max_blocks))
+
     policy = DifficultyPolicy(cfg)
     state = DifficultyState(d_b=cfg.initial_db, d_r=cfg.initial_dr)
-    fresh = Chain()
-    for block in res.chain.blocks:
-        if block.problem_epoch > fresh.active_epoch:
-            fresh.begin_epoch(block.problem_epoch)
-        append_block(fresh, block, res.graphs[block.problem_epoch], state)
+    problems = [ProblemInstance(graph=g, epoch=k)
+                for k, g in enumerate(res.graphs)]
+    parent = None
+    for block in appended:
+        append_block(parent, block, problems[block.problem_epoch], state)
         state = policy.on_block(state, block)
-    assert fresh.blocks == res.chain.blocks
-    assert fresh.best_score_per_epoch == res.chain.best_score_per_epoch
+        parent = block
+    final_best = {r.problem_epoch: r.best_score for r in res.records}
+    assert {k: problems[k].best_score for k in final_best} == final_best
 
     # Published scores rise strictly within every epoch.
     by_epoch = {}
-    for block in res.chain.blocks:
+    for block in appended:
         if block.kind is BlockKind.SOLUTION:
             prev = by_epoch.get(block.problem_epoch, 1)
             assert block.solution.score > prev

@@ -128,6 +128,8 @@ def test_non_finite_config_numbers_exit_2(tmp_path, line):
     ("bubka", "--hoard-targets", "1,y"),
     ("bubka", "--hoard-targets", "1,1"),
     ("eta-sweep", "--etas", "0.5,0.5"),
+    ("eta-sweep", "--workers", "0"),
+    ("bubka", "--workers", "-2"),
 ])
 def test_bad_list_arguments_exit_2_and_write_nothing(tmp_path, capsys,
                                                      command, option, value):
@@ -248,7 +250,8 @@ def test_selftest_passes():
     ["--max-n", "21", "--graphs", "1", "--seed", "7"],  # draws n = 21
     ["--graphs", "-1"],
     ["--graphs", "0"],
-], ids=["max-n-3", "max-n-21", "graphs-minus-1", "graphs-0"])
+    ["--seed", "-1"],
+], ids=["max-n-3", "max-n-21", "graphs-minus-1", "graphs-0", "seed-minus-1"])
 def test_selftest_out_of_range_arguments_exit_2(capsys, args):
     with pytest.raises(SystemExit) as exc:
         main(["selftest"] + args)

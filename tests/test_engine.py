@@ -212,9 +212,9 @@ def test_honest_solver_publishes_its_later_find_and_attacker_both():
                          solver_steps_per_second=1e6, hoard_target=target)
         cfg = SimConfig(policy="v2", seed=0, graph_n=8, max_blocks=4,
                         miners=(spec,))
-        published[strategy] = [(b.height, b.solution.score)
-                               for b in simulate(cfg).chain.blocks
-                               if b.solution and b.problem_epoch == 0]
+        published[strategy] = [(r.height, r.best_score)
+                               for r in simulate(cfg).records
+                               if r.kind == "solution" and r.problem_epoch == 0]
     assert published == {Strategy.SOLVER: [(1, 3)],
                          Strategy.BUBKA: [(1, 2), (2, 3)]}
 
