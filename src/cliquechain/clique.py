@@ -12,7 +12,9 @@ unrelabelled search.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -175,6 +177,108 @@ def _relabel(masks: tuple[int, ...], order: list[int]) -> list[int]:
             for i in range(0, n * width, width)]
 
 
+@cache
+def _above(threshold: int) -> re.Pattern | None:
+    """Pattern for one byte greater than ``threshold``; None if no size
+    byte can be."""
+    low = max(threshold + 1, 0)
+    if low > 255:
+        return None
+    return re.compile(b"[" + re.escape(bytes([low])) + b"-\xff]")
+
+
+class Walk:
+    """The expansion steps of one (graph, visit order) search, recorded
+    as far as some cursor has asked.
+
+    Step ``k`` is the k-th frame expansion of the search.  ``sizes[k]`` is
+    the size of its clique, ``parents[k]`` the step it extends (-1 for the
+    root) and ``ranks[k]`` the rank it adds, so a clique is rebuilt by
+    following the parents.  Frames are ``[step, p, x, ext]`` and are
+    recorded when pushed; the search below is the live loop of
+    ``SolverCursor.advance`` with that bookkeeping.  Sizes are bytes, so
+    walks are only kept for graphs of at most 255 vertices.
+    """
+
+    __slots__ = ("masks", "stack", "sizes", "parents", "ranks")
+
+    def __init__(self, masks: list[int]):
+        n = len(masks)
+        self.masks = masks
+        self.stack: list[list] = [[0, (1 << n) - 1, 0, -1]]
+        self.sizes = bytearray()
+        self.parents: list[int] = []
+        self.ranks: list[int] = []
+
+    def first_above(self, start: int, end: int, threshold: int) -> int:
+        """The first step in ``[start, end)`` whose clique is larger than
+        ``threshold``, or -1; ``start`` must be a recorded position.  On a
+        miss, ``len(sizes) < end`` iff the search ran out of steps."""
+        pattern = _above(threshold)
+        hit = pattern.search(self.sizes, start, end) if pattern else None
+        if hit is not None:
+            return hit.start()
+        if len(self.sizes) < end and self.stack:
+            return self._record(end, threshold)
+        return -1
+
+    def _record(self, end: int, threshold: int) -> int:
+        masks = self.masks
+        stack = self.stack
+        sizes = self.sizes
+        parents = self.parents
+        ranks = self.ranks
+        if not sizes:
+            sizes.append(0)
+            parents.append(-1)
+            ranks.append(0)
+            if threshold < 0:
+                return 0
+        while stack:
+            fr = stack[-1]
+            k, p, x, ext = fr
+            if ext < 0:
+                ext = 0
+                if p:
+                    best_count = -1
+                    cand = p | x
+                    while cand:
+                        low = cand & -cand
+                        cand ^= low
+                        count = (p & masks[low.bit_length() - 1]).bit_count()
+                        if count > best_count:
+                            best_count, pivot = count, low
+                    ext = p & ~masks[pivot.bit_length() - 1]
+                fr[3] = ext
+            elif ext:
+                step = len(sizes)
+                if step >= end:
+                    return -1
+                low = ext & -ext
+                v = low.bit_length() - 1
+                mv = masks[v]
+                fr[1] = p ^ low
+                fr[2] = x | low
+                fr[3] = ext ^ low
+                size = sizes[k] + 1
+                sizes.append(size)
+                parents.append(k)
+                ranks.append(v)
+                stack.append([step, p & mv, x & mv, -1])
+                if size > threshold:
+                    return step
+            else:
+                stack.pop()
+        return -1
+
+    def vertices(self, step: int, order: tuple[int, ...]) -> tuple[int, ...]:
+        out = []
+        while step > 0:
+            out.append(order[self.ranks[step]])
+            step = self.parents[step]
+        return tuple(sorted(out))
+
+
 class SolverCursor:
     """Pausable Bron-Kerbosch enumeration over one graph.
 
@@ -193,10 +297,19 @@ class SolverCursor:
     search on the graph's own labels, so the tree and every trace are the
     same.  Any expanded frame whose clique beats the caller's threshold is
     reported at once, maximal or not, mapped back through ``order``.
+
+    Given a ``walks`` dict, cursors of the same graph and order share one
+    ``Walk`` kept there under ``(graph.neighbor_masks, order)``: each
+    cursor keeps only its position, the search runs each step once for
+    all of them, and a call answers with a byte search of the recorded
+    clique sizes.  Reports, ``steps_consumed`` and ``exhausted`` are those
+    of the cursor's own search.  Without ``walks``, or on graphs of more
+    than 255 vertices, the cursor searches on its own stack.
     """
 
     def __init__(self, graph: Graph, problem_epoch: int = 0,
-                 order: list[int] | None = None):
+                 order: list[int] | None = None,
+                 walks: dict | None = None):
         n = graph.n
         if order is None:
             order = list(range(n))
@@ -205,10 +318,18 @@ class SolverCursor:
         self.problem_epoch = problem_epoch
         self._graph_masks = graph.neighbor_masks
         self._order = tuple(order)
-        self._masks = _relabel(graph.neighbor_masks, order)
-        self._stack: list[list] = [[(), (1 << n) - 1, 0, -1]]
         self.steps_consumed = 0
         self.exhausted = False
+        self._walk = None
+        if walks is not None and n <= 255:
+            key = (graph.neighbor_masks, self._order)
+            self._walk = walks.get(key)
+            if self._walk is None:
+                self._walk = walks[key] = Walk(
+                    _relabel(graph.neighbor_masks, order))
+            return
+        self._masks = _relabel(graph.neighbor_masks, order)
+        self._stack: list[list] = [[(), (1 << n) - 1, 0, -1]]
 
     def matches(self, graph: Graph) -> bool:
         masks = graph.neighbor_masks
@@ -226,6 +347,8 @@ class SolverCursor:
         if not self.matches(graph):
             raise CursorGraphMismatch(
                 "cursor was created for a different graph")
+        if self._walk is not None:
+            return self._replay(step_budget, threshold)
         masks = self._masks
         stack = self._stack
         budget = step_budget
@@ -268,6 +391,24 @@ class SolverCursor:
         if not stack:
             self.exhausted = True
         return found
+
+    def _replay(self, step_budget: int,
+                threshold: int) -> CliqueSolution | None:
+        # The live loop leaves a frame on its stack after every expansion,
+        # so it exhausts only in a call with budget left past the last step.
+        walk = self._walk
+        end = self.steps_consumed + step_budget
+        step = walk.first_above(self.steps_consumed, end, threshold)
+        if step < 0:
+            recorded = len(walk.sizes)
+            self.steps_consumed = min(end, recorded)
+            if recorded < end:
+                self.exhausted = True
+            return None
+        self.steps_consumed = step + 1
+        vertices = walk.vertices(step, self._order)
+        return CliqueSolution(problem_epoch=self.problem_epoch,
+                              vertices=vertices, score=len(vertices))
 
 
 def brute_force_max_clique(graph: Graph) -> int:

@@ -341,12 +341,13 @@ def check_saturation_and_replace(problem: ProblemInstance, height: int,
 
 
 def _reseed_solvers(miners: list[MinerState], problem: ProblemInstance,
-                    master_seed: int) -> None:
+                    master_seed: int, walks: dict | None) -> None:
     for st in miners:
         if st.spec.strategy in (Strategy.SOLVER, Strategy.BUBKA):
             order = _solver_order(master_seed, st.spec.id, problem.epoch,
                                   problem.graph.n)
-            st.cursor = SolverCursor(problem.graph, problem.epoch, order)
+            st.cursor = SolverCursor(problem.graph, problem.epoch, order,
+                                     walks)
             st.hoard.clear()
             st.releasing = False
 
@@ -364,8 +365,12 @@ def _maybe_prove_optimum(problem: ProblemInstance,
         st.hoard[-1].score for st in solverish if st.hoard])
 
 
-def simulate(config: SimConfig) -> SimResult:
-    """Run the full event loop and return records plus final state."""
+def simulate(config: SimConfig, walks: dict | None = None) -> SimResult:
+    """Run the full event loop and return records plus final state.
+
+    Runs given the same ``walks`` dict share their search walks (see
+    ``SolverCursor``); the results are those of separate runs.
+    """
     cfg = config.resolve()
     policy = DifficultyPolicy(cfg)
     state = DifficultyState(d_b=cfg.initial_db, d_r=cfg.initial_dr)
@@ -378,7 +383,7 @@ def simulate(config: SimConfig) -> SimResult:
         epoch=0)
     miners = [MinerState(spec=spec) for spec in cfg.miners]
     if policy.uses_solutions:
-        _reseed_solvers(miners, problem, cfg.seed)
+        _reseed_solvers(miners, problem, cfg.seed, walks)
 
     records: list[SimRecord] = []
     graphs = [problem.graph]
@@ -428,7 +433,7 @@ def simulate(config: SimConfig) -> SimResult:
             problem = fresh
             graphs.append(problem.graph)
             if policy.uses_solutions:
-                _reseed_solvers(miners, problem, cfg.seed)
+                _reseed_solvers(miners, problem, cfg.seed, walks)
 
     return SimResult(records=records, graphs=graphs,
                      replacement_heights=replacement_heights,

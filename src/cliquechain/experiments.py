@@ -3,9 +3,11 @@
 Every run in a sweep gets its seed from a pure function of the master seed
 and the cell index, so sweeps are reproducible, cells are independent, and
 the two protocols in a comparison share identical random numbers per cell.
-Cells can be farmed out to worker processes; results come back in the
-order the cells were built, so parallel and serial execution produce the
-same output.
+The cells that share a seed form one task, which runs them in cell order
+through one dict of search walks, so each search walk they have in common
+is run once (see ``SolverCursor``).  Tasks can be farmed out to worker
+processes; results come back in the order the cells were built, so
+parallel and serial execution produce the same output.
 """
 
 from __future__ import annotations
@@ -138,22 +140,42 @@ def _sweep_cell_config(base: SimConfig, protocol: str, eta: float,
                    initial_dr=base.resolve().initial_dr, seed=seed)
 
 
-def _run_sweep_cell(cell: tuple[str, int, int, SimConfig]) -> SweepCell:
-    protocol, eta_index, instance, config = cell
-    result = simulate(config)
-    return SweepCell(protocol=protocol, eta_index=eta_index,
-                     instance=instance, seed=config.seed,
-                     fraction=solution_fraction(result.records),
-                     records=tuple(result.records))
+def _run_seed_group(cells: list[tuple[str, int, int, SimConfig]]
+                    ) -> list[SweepCell]:
+    walks: dict = {}
+    out = []
+    for protocol, eta_index, instance, config in cells:
+        result = simulate(config, walks)
+        out.append(SweepCell(protocol=protocol, eta_index=eta_index,
+                             instance=instance, seed=config.seed,
+                             fraction=solution_fraction(result.records),
+                             records=tuple(result.records)))
+    return out
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_cells(cells, workers: int):
-    # More processes than cores or cells only add start-up cost.
-    workers = min(workers, os.cpu_count() or 1, len(cells))
+    groups: dict[int, list[int]] = {}
+    for i, cell in enumerate(cells):
+        groups.setdefault(cell[3].seed, []).append(i)
+    tasks = [[cells[i] for i in members] for members in groups.values()]
+    # More processes than usable cores or tasks only add start-up cost.
+    workers = min(workers, _usable_cores(), len(tasks))
     if workers <= 1:
-        return [_run_sweep_cell(c) for c in cells]
-    with Pool(workers) as pool:
-        return pool.map(_run_sweep_cell, cells)
+        done = [_run_seed_group(t) for t in tasks]
+    else:
+        with Pool(workers) as pool:
+            done = pool.map(_run_seed_group, tasks)
+    outputs = [None] * len(cells)
+    for members, results in zip(groups.values(), done):
+        for i, result in zip(members, results):
+            outputs[i] = result
+    return outputs
 
 
 def run_eta_sweep(base_config: SimConfig,

@@ -245,6 +245,141 @@ def test_resume_never_rereports():
 
 
 # ---------------------------------------------------------------------------
+# Shared walks: replay against the live search
+# ---------------------------------------------------------------------------
+
+# The search cases of test_golden.py: graph size -> (edge probability,
+# graph seed, fixed threshold), visit orders, budget cycles, call limit.
+GOLDEN_GRAPHS = {1: (0.5, 11, 0), 2: (0.7, 12, 1), 5: (0.6, 13, 1),
+                 12: (0.5, 14, 2), 30: (0.5, 15, 3), 60: (0.5, 16, 5)}
+GOLDEN_ORDERS = ("identity", "reversed", "random")
+GOLDEN_BUDGET_CYCLES = ((1,), (0, 1, 5), (0, 64, 1, 250), (1, 0, 997))
+GOLDEN_MAX_CALLS = 120
+
+
+def _visit_order(kind, n, seed):
+    if kind == "identity":
+        return list(range(n))
+    if kind == "reversed":
+        return list(range(n - 1, -1, -1))
+    return np.random.Generator(np.random.PCG64(seed)).permutation(n).tolist()
+
+
+def _state(cursor, found):
+    return found, cursor.steps_consumed, cursor.exhausted
+
+
+def _advance_both(graph, live, shared, budget, threshold):
+    """One call on each cursor; both must answer alike."""
+    expect = _state(live, live.advance(graph, budget, threshold))
+    assert _state(shared, shared.advance(graph, budget, threshold)) == expect
+    return expect[0]
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_GRAPHS))
+def test_shared_walk_replays_the_live_search(n):
+    edge_prob, graph_seed, fixed = GOLDEN_GRAPHS[n]
+    graph = gen_random_graph(n, edge_prob, graph_seed)
+    # One dict for every case, so later cases replay walks that earlier
+    # ones recorded further than they need.
+    walks = {}
+    orders = [_visit_order(kind, n, 1000 * n + i)
+              for i, kind in enumerate(GOLDEN_ORDERS)]
+    for order in orders:
+        for budgets in GOLDEN_BUDGET_CYCLES:
+            for mode in ("rising", -1, 0, fixed):
+                live = SolverCursor(graph, order=order)
+                shared = SolverCursor(graph, order=order, walks=walks)
+                best = 0
+                # A few calls past exhaustion check that it stays set.
+                for call in range(GOLDEN_MAX_CALLS):
+                    if live.exhausted and call % 5 == 0:
+                        break
+                    threshold = best if mode == "rising" else mode
+                    found = _advance_both(graph, live, shared,
+                                          budgets[call % len(budgets)],
+                                          threshold)
+                    if found is not None:
+                        best = max(best, found.score)
+    assert len(walks) == len({tuple(order) for order in orders})
+
+
+def test_zero_budget_records_nothing():
+    g = gen_random_graph(10, 0.5, 4)
+    walks = {}
+    cursor = SolverCursor(g, walks=walks)
+    assert cursor.advance(g, 0, -1) is None
+    assert cursor.steps_consumed == 0 and not cursor.exhausted
+    (walk,) = walks.values()
+    assert len(walk.sizes) == 0
+
+
+@pytest.mark.parametrize("recorded_first", [False, True])
+def test_budget_ending_on_the_last_step_leaves_exhausted_unset(
+        recorded_first):
+    g = gen_random_graph(12, 0.5, 14)
+    _, whole = exhaust(g)
+    total = whole.steps_consumed
+    walks = {}
+    if recorded_first:
+        exhaust_shared = SolverCursor(g, walks=walks)
+        exhaust_shared.advance(g, total + 1, g.n)
+        assert exhaust_shared.exhausted
+    live = SolverCursor(g)
+    shared = SolverCursor(g, walks=walks)
+    assert _advance_both(g, live, shared, total, g.n) is None
+    assert shared.steps_consumed == total and not shared.exhausted
+    # Reports never set it either, even on the last step.
+    assert _advance_both(g, live, shared, 0, g.n) is None
+    assert not shared.exhausted
+    assert _advance_both(g, live, shared, 1, g.n) is None
+    assert shared.steps_consumed == total and shared.exhausted
+
+
+def test_interleaved_consumers_of_one_walk_match_live_cursors():
+    g = gen_random_graph(30, 0.5, 15)
+    order = _visit_order("random", 30, 7)
+    rng = np.random.Generator(np.random.PCG64(5))
+    walks = {}
+    pairs = [(SolverCursor(g, order=order),
+              SolverCursor(g, order=order, walks=walks)) for _ in range(2)]
+    lead = 0
+    while not all(shared.exhausted for _, shared in pairs):
+        live, shared = pairs[int(rng.integers(2))]
+        budget = int(rng.choice([0, 1, 3, 40]))
+        threshold = int(rng.integers(-1, 7))
+        _advance_both(g, live, shared, budget, threshold)
+        a, b = (shared.steps_consumed for _, shared in pairs)
+        lead = max(lead, abs(a - b))
+    assert len(walks) == 1
+    assert lead > 20
+
+
+def test_graphs_above_255_vertices_use_the_live_loop():
+    walks = {}
+    g255 = gen_random_graph(255, 0.5, 1)
+    SolverCursor(g255, walks=walks)
+    assert len(walks) == 1
+    g = gen_random_graph(256, 0.5, 1)
+    live = SolverCursor(g)
+    shared = SolverCursor(g, walks=walks)
+    assert len(walks) == 1
+    for budget, threshold in ((1, -1), (5, 3), (50, 0), (200, 6)):
+        _advance_both(g, live, shared, budget, threshold)
+    assert len(walks) == 1
+
+
+def test_shared_cursor_rejects_wrong_graph():
+    g = gen_random_graph(10, 0.5, 4)
+    walks = {}
+    cursor = SolverCursor(g, walks=walks)
+    assert cursor.advance(g, 3, g.n) is None
+    with pytest.raises(CursorGraphMismatch):
+        cursor.advance(gen_random_graph(10, 0.5, 5), 10, 0)
+    assert cursor.steps_consumed == 3
+
+
+# ---------------------------------------------------------------------------
 # Edge-list persistence
 # ---------------------------------------------------------------------------
 

@@ -123,12 +123,15 @@ def test_eta_sweep_is_reproducible_and_parallel_safe():
     assert serial == parallel
 
 
-@pytest.mark.parametrize("workers,cpus,expect", [
-    (64, 3, [3]),          # capped at the core count
-    (64, 16, [8]),         # capped at the eight cells
-    (8, 1, []),            # one core: no pool at all
+@pytest.mark.parametrize("workers,cpus,usable,expect", [
+    (64, 3, 3, [3]),        # capped at the usable cores
+    (64, 16, 16, [4]),      # capped at the four seed groups of 8 cells
+    (8, 1, 1, []),          # one core: no pool at all
+    (64, 16, 2, [2]),       # affinity allows fewer cores than cpu_count
+    (64, 3, None, [3]),     # no sched_getaffinity: cpu_count decides
 ])
-def test_sweep_workers_are_capped(monkeypatch, workers, cpus, expect):
+def test_sweep_workers_are_capped(monkeypatch, workers, cpus, usable,
+                                  expect):
     from cliquechain import experiments
 
     requested = []
@@ -148,10 +151,40 @@ def test_sweep_workers_are_capped(monkeypatch, workers, cpus, expect):
 
     monkeypatch.setattr(experiments, "Pool", SerialPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    if usable is None:
+        monkeypatch.delattr(experiments.os, "sched_getaffinity",
+                            raising=False)
+    else:
+        monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                            lambda pid: set(range(usable)))
     base = SimConfig(policy="v2", seed=100, max_blocks=10, graph_n=12)
     res = run_eta_sweep(base, SWEEP_ETAS, instances=2, workers=workers)
     assert requested == expect
     assert res == run_eta_sweep(base, SWEEP_ETAS, instances=2)
+
+
+def test_shared_walks_run_fewer_steps_with_the_same_records(monkeypatch):
+    from cliquechain import engine
+    from cliquechain.clique import SolverCursor
+    from cliquechain.experiments import _sweep_cell_config
+
+    cursors = []
+
+    class CountedCursor(SolverCursor):
+        def __init__(self, *args):
+            super().__init__(*args)
+            cursors.append(self)
+
+    monkeypatch.setattr(engine, "SolverCursor", CountedCursor)
+    seed = derive_seed(SWEEP_BASE.seed, 0, 0)
+    cells = [_sweep_cell_config(SWEEP_BASE, protocol, SWEEP_ETAS[0], seed)
+             for protocol in ("v1", "v2")]
+    walks = {}
+    shared = [simulate(cfg, walks).records for cfg in cells]
+    consumed = sum(c.steps_consumed for c in cursors)
+    executed = sum(len(walk.sizes) for walk in walks.values())
+    assert shared == [simulate(cfg).records for cfg in cells]
+    assert 0 < executed < consumed
 
 
 def test_eta_sweep_summary_math():
