@@ -329,7 +329,7 @@ def test_budget_ending_on_the_last_step_leaves_exhausted_unset(
     shared = SolverCursor(g, walks=walks)
     assert _advance_both(g, live, shared, total, g.n) is None
     assert shared.steps_consumed == total and not shared.exhausted
-    # Reports never set it either, even on the last step.
+    # Nor does a zero budget; the next step of budget does.
     assert _advance_both(g, live, shared, 0, g.n) is None
     assert not shared.exhausted
     assert _advance_both(g, live, shared, 1, g.n) is None
