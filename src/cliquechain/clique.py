@@ -7,7 +7,9 @@ i.e. one node of the recursion tree.  Following BBMC, each cursor first
 relabels its graph into its own visit order, so every vertex set is a
 bitmask in which the lowest bit is the earliest vertex to visit (see
 ``SolverCursor``); the tree, and so every trace, is that of the
-unrelabelled search.
+unrelabelled search.  The one search loop is ``Walk.run``: a cursor runs
+a private walk, or shares a recorded one with the cursors of other runs
+that search the same graph in the same order.
 """
 
 from __future__ import annotations
@@ -188,56 +190,48 @@ def _above(threshold: int) -> re.Pattern | None:
 
 
 class Walk:
-    """The expansion steps of one (graph, visit order) search, recorded
-    as far as some cursor has asked.
+    """The Bron-Kerbosch search of one relabelled graph, run as far as its
+    cursors have asked.
 
-    Step ``k`` is the k-th frame expansion of the search.  ``sizes[k]`` is
-    the size of its clique, ``parents[k]`` the step it extends (-1 for the
-    root) and ``ranks[k]`` the rank it adds, so a clique is rebuilt by
-    following the parents.  Frames are ``[step, p, x, ext]`` and are
-    recorded when pushed; the search below is the live loop of
-    ``SolverCursor.advance`` with that bookkeeping.  Sizes are bytes, so
-    walks are only kept for graphs of at most 255 vertices.
+    Each stack frame is a list ``[r, p, x, ext]``: the clique so far,
+    candidate and excluded sets, all bitmasks of ranks, and the children
+    left to visit, with ``ext = -1`` until expanded.  Expanding costs one
+    step: the pivot is the first vertex of P | X, scanning from the lowest
+    bit, with the most neighbours in P, and ``ext`` becomes P \\ N(pivot),
+    visited lowest bit first.  ``steps`` counts the expansions so far.
+
+    A shared walk (``record=True``) also keeps the size and the clique of
+    its ``k``-th expansion, from 0, in ``sizes[k]`` and ``cliques[k]``, so
+    cursors behind its frontier answer from the record.  Sizes are bytes,
+    so only graphs of at most 255 vertices are recorded.  A private walk
+    keeps nothing but its stack.
     """
 
-    __slots__ = ("masks", "stack", "sizes", "parents", "ranks")
+    __slots__ = ("masks", "stack", "steps", "sizes", "cliques")
 
-    def __init__(self, masks: list[int]):
-        n = len(masks)
+    def __init__(self, masks: list[int], record: bool = False):
         self.masks = masks
-        self.stack: list[list] = [[0, (1 << n) - 1, 0, -1]]
-        self.sizes = bytearray()
-        self.parents: list[int] = []
-        self.ranks: list[int] = []
+        self.stack: list[list] = [[0, (1 << len(masks)) - 1, 0, -1]]
+        self.steps = 0
+        self.sizes = bytearray() if record else None
+        self.cliques: list[int] | None = [] if record else None
 
-    def first_above(self, start: int, end: int, threshold: int) -> int:
-        """The first step in ``[start, end)`` whose clique is larger than
-        ``threshold``, or -1; ``start`` must be a recorded position.  On a
-        miss, ``len(sizes) < end`` iff the search ran out of steps."""
-        pattern = _above(threshold)
-        hit = pattern.search(self.sizes, start, end) if pattern else None
-        if hit is not None:
-            return hit.start()
-        if len(self.sizes) < end and self.stack:
-            return self._record(end, threshold)
-        return -1
-
-    def _record(self, end: int, threshold: int) -> int:
+    def run(self, end: int, threshold: int) -> int | None:
+        """Expand frames until step ``end``; return the clique of the first
+        expansion larger than ``threshold``, or None.  The walk pauses
+        right after a report.  On a miss, ``steps < end`` iff the search
+        ran out of frames."""
         masks = self.masks
         stack = self.stack
         sizes = self.sizes
-        parents = self.parents
-        ranks = self.ranks
-        if not sizes:
-            sizes.append(0)
-            parents.append(-1)
-            ranks.append(0)
-            if threshold < 0:
-                return 0
-        while stack:
+        cliques = self.cliques
+        step = self.steps
+        found = None
+        while step < end and stack:
             fr = stack[-1]
-            k, p, x, ext = fr
+            r, p, x, ext = fr
             if ext < 0:
+                step += 1
                 ext = 0
                 if p:
                     best_count = -1
@@ -250,33 +244,24 @@ class Walk:
                             best_count, pivot = count, low
                     ext = p & ~masks[pivot.bit_length() - 1]
                 fr[3] = ext
+                size = r.bit_count()
+                if sizes is not None:
+                    sizes.append(size)
+                    cliques.append(r)
+                if size > threshold:
+                    found = r
+                    break
             elif ext:
-                step = len(sizes)
-                if step >= end:
-                    return -1
                 low = ext & -ext
-                v = low.bit_length() - 1
-                mv = masks[v]
+                mv = masks[low.bit_length() - 1]
                 fr[1] = p ^ low
                 fr[2] = x | low
                 fr[3] = ext ^ low
-                size = sizes[k] + 1
-                sizes.append(size)
-                parents.append(k)
-                ranks.append(v)
-                stack.append([step, p & mv, x & mv, -1])
-                if size > threshold:
-                    return step
+                stack.append([r | low, p & mv, x & mv, -1])
             else:
                 stack.pop()
-        return -1
-
-    def vertices(self, step: int, order: tuple[int, ...]) -> tuple[int, ...]:
-        out = []
-        while step > 0:
-            out.append(order[self.ranks[step]])
-            step = self.parents[step]
-        return tuple(sorted(out))
+        self.steps = step
+        return found
 
 
 class SolverCursor:
@@ -286,25 +271,20 @@ class SolverCursor:
     the same tree in different directions; the default is vertex order.
     The cursor searches a copy of the graph relabelled into that order:
     bit ``i`` stands for ``order[i]``, the vertex of rank ``i``, so the
-    lowest set bit of a set is its earliest vertex in visit order.
+    lowest set bit of a set is its earliest vertex in visit order.  Pivot
+    ties and children thus go in visit order, as in the plain search on
+    the graph's own labels, so the tree and every trace are the same.  Any
+    expanded frame whose clique beats the caller's threshold is reported
+    at once, maximal or not, mapped back through ``order``.
 
-    Each stack frame is a list ``[r, p, x, ext]``: clique so far (ranks),
-    candidate and excluded sets, and the children left to visit, with
-    ``ext = -1`` until expanded.  Expanding costs one step: the pivot is
-    the first vertex of P | X, scanning from the lowest bit, with the most
-    neighbours in P, and ``ext`` becomes P \\ N(pivot), visited lowest bit
-    first.  Pivot ties and children thus go in visit order, as in the plain
-    search on the graph's own labels, so the tree and every trace are the
-    same.  Any expanded frame whose clique beats the caller's threshold is
-    reported at once, maximal or not, mapped back through ``order``.
-
-    Given a ``walks`` dict, cursors of the same graph and order share one
-    ``Walk`` kept there under ``(graph.neighbor_masks, order)``: each
-    cursor keeps only its position, the search runs each step once for
-    all of them, and a call answers with a byte search of the recorded
-    clique sizes.  Reports, ``steps_consumed`` and ``exhausted`` are those
-    of the cursor's own search.  Without ``walks``, or on graphs of more
-    than 255 vertices, the cursor searches on its own stack.
+    The search itself is a ``Walk``.  Given a ``walks`` dict, cursors of
+    the same graph and order share one recorded walk kept there under
+    ``(graph.neighbor_masks, order)``: each cursor keeps only its
+    position, the walk runs each step once for all of them, and a cursor
+    behind its frontier answers with a byte search of the recorded clique
+    sizes.  Reports, ``steps_consumed`` and ``exhausted`` are those of the
+    cursor's own search.  Without ``walks``, or on graphs of more than 255
+    vertices, the cursor runs a private walk that records nothing.
     """
 
     def __init__(self, graph: Graph, problem_epoch: int = 0,
@@ -320,16 +300,14 @@ class SolverCursor:
         self._order = tuple(order)
         self.steps_consumed = 0
         self.exhausted = False
-        self._walk = None
-        if walks is not None and n <= 255:
-            key = (graph.neighbor_masks, self._order)
-            self._walk = walks.get(key)
-            if self._walk is None:
-                self._walk = walks[key] = Walk(
-                    _relabel(graph.neighbor_masks, order))
+        if walks is None or n > 255:
+            self._walk = Walk(_relabel(graph.neighbor_masks, order))
             return
-        self._masks = _relabel(graph.neighbor_masks, order)
-        self._stack: list[list] = [[(), (1 << n) - 1, 0, -1]]
+        key = (graph.neighbor_masks, self._order)
+        self._walk = walks.get(key)
+        if self._walk is None:
+            self._walk = walks[key] = Walk(
+                _relabel(graph.neighbor_masks, order), record=True)
 
     def matches(self, graph: Graph) -> bool:
         masks = graph.neighbor_masks
@@ -347,66 +325,30 @@ class SolverCursor:
         if not self.matches(graph):
             raise CursorGraphMismatch(
                 "cursor was created for a different graph")
-        if self._walk is not None:
-            return self._replay(step_budget, threshold)
-        masks = self._masks
-        stack = self._stack
-        budget = step_budget
-        found = None
-        while budget > 0 and stack:
-            fr = stack[-1]
-            r, p, x, ext = fr
-            if ext < 0:
-                budget -= 1
-                ext = 0
-                if p:
-                    best_count = -1
-                    cand = p | x
-                    while cand:
-                        low = cand & -cand
-                        cand ^= low
-                        count = (p & masks[low.bit_length() - 1]).bit_count()
-                        if count > best_count:
-                            best_count, pivot = count, low
-                    ext = p & ~masks[pivot.bit_length() - 1]
-                fr[3] = ext
-                if len(r) > threshold:
-                    order = self._order
-                    found = CliqueSolution(
-                        problem_epoch=self.problem_epoch,
-                        vertices=tuple(sorted(order[i] for i in r)),
-                        score=len(r))
-                    break
-            elif ext:
-                low = ext & -ext
-                v = low.bit_length() - 1
-                mv = masks[v]
-                fr[1] = p ^ low
-                fr[2] = x | low
-                fr[3] = ext ^ low
-                stack.append([r + (v,), p & mv, x & mv, -1])
-            else:
-                stack.pop()
-        self.steps_consumed += step_budget - budget
-        if not stack:
-            self.exhausted = True
-        return found
-
-    def _replay(self, step_budget: int,
-                threshold: int) -> CliqueSolution | None:
-        # The live loop leaves a frame on its stack after every expansion,
-        # so it exhausts only in a call with budget left past the last step.
         walk = self._walk
-        end = self.steps_consumed + step_budget
-        step = walk.first_above(self.steps_consumed, end, threshold)
-        if step < 0:
-            recorded = len(walk.sizes)
-            self.steps_consumed = min(end, recorded)
-            if recorded < end:
+        pos = self.steps_consumed
+        end = pos + step_budget
+        clique = None
+        if pos < walk.steps:
+            stop = min(end, walk.steps)
+            pattern = _above(threshold)
+            hit = pattern and pattern.search(walk.sizes, pos, stop)
+            if hit:
+                pos = hit.end()
+                clique = walk.cliques[pos - 1]
+            else:
+                pos = stop
+        if clique is None and pos < end:
+            clique = walk.run(end, threshold)
+            pos = walk.steps
+        self.steps_consumed = pos
+        if clique is None:
+            # A frame stays on the stack after every expansion, so the
+            # search exhausts only in a call with budget left past it.
+            if walk.steps < end:
                 self.exhausted = True
             return None
-        self.steps_consumed = step + 1
-        vertices = walk.vertices(step, self._order)
+        vertices = tuple(sorted(self._order[i] for i in _bits(clique)))
         return CliqueSolution(problem_epoch=self.problem_epoch,
                               vertices=vertices, score=len(vertices))
 
@@ -481,7 +423,8 @@ def write_graphs(graphs, path) -> None:
 def read_graphs(path) -> list[Graph]:
     """Parse edge-list sections back into graphs.
 
-    When a section carries a non-negative seed it is re-drawn from
+    The header's edge count must equal the number of distinct edges
+    listed.  When a section carries a non-negative seed it is re-drawn from
     (n, edge_prob, seed) and must match the listed edges bit for bit;
     a mismatch means the file does not belong to its manifest.  Every
     problem with the file raises ValueError naming it.
@@ -509,6 +452,9 @@ def read_graphs(path) -> list[Graph]:
                 i += 1
             graph = Graph.from_edges(n, edges, seed=seed,
                                      edge_prob=edge_prob)
+            if graph.num_edges != m:
+                raise ValueError(f"section {len(graphs)} header says {m} "
+                                 f"edges, lists {graph.num_edges} distinct")
             if seed >= 0:
                 regen = gen_random_graph(n, edge_prob, seed)
                 if regen.neighbor_masks != graph.neighbor_masks:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,10 +38,6 @@ DEFAULT_SOLVER_STEPS_PER_SECOND = 100.0
 DEFAULT_ETA = 1.0 / 200.0
 DEFAULT_MAX_UPDATE_FACTOR = 4.0
 
-
-# The float-valued SimConfig fields, which are also config-file keys.
-FLOAT_FIELDS = ("eta", "target_time", "t2_classical", "t2_solution",
-                "max_update_factor", "initial_db", "initial_dr", "graph_p")
 
 
 class ConfigError(Exception):
@@ -175,6 +172,12 @@ class SimConfig:
                 raise ConfigError("miner ids must run 0..m-1 in order")
         return replace(self, initial_dr=initial_dr, miners=tuple(miners))
 
+
+# The float-valued SimConfig fields, in field order; every SimConfig field
+# is also a config-file key.
+FLOAT_FIELDS = tuple(name for name, kind
+                     in typing.get_type_hints(SimConfig).items()
+                     if kind in (float, float | None))
 
 def default_miners(policy: str) -> tuple[MinerSpec, ...]:
     """Stock population: 10 classical miners, plus 10 solvers when the

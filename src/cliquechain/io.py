@@ -39,8 +39,9 @@ _RECORD_TYPES = tuple(typing.get_type_hints(SimRecord)[f]
                       for f in RECORD_FIELDS)
 CSV_HEADER = ",".join(RECORD_FIELDS)
 
-_INT_KEYS = ("seed", "n1", "n2_classical", "n2_solution", "graph_n",
-             "max_blocks", "saturation_window")
+# The int-valued config keys, in SimConfig field order.
+_INT_KEYS = tuple(name for name, kind
+                  in typing.get_type_hints(SimConfig).items() if kind is int)
 _MINER_ATTRS = ("strategy", "hashrate", "solver_steps_per_second",
                 "hoard_target", "count")
 

@@ -169,6 +169,24 @@ def test_truncated_graph_file_exits_3(tmp_path, capsys):
     assert "graphs.edges" in capsys.readouterr().err
 
 
+def test_repeated_edge_line_exits_3(tmp_path, capsys):
+    # The header counts the repeat, so the edge list still regenerates.
+    cfg = write_cfg(tmp_path, V2_SMALL)
+    out = str(tmp_path / "out")
+    assert main(["simulate", cfg, "--out-dir", out]) == 0
+    graphs = os.path.join(out, "graphs.edges")
+    lines = open(graphs).read().splitlines()
+    header = lines[0].split()
+    header[1] = str(int(header[1]) + 1)
+    lines[0:2] = [" ".join(header), lines[1], lines[1]]
+    with open(graphs, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify-chain", os.path.join(out, "records.csv"),
+                 graphs]) == 3
+    assert "distinct" in capsys.readouterr().err
+
+
 def test_jsonl_record_without_kind_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, V2_SMALL)
     out = str(tmp_path / "out")

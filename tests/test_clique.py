@@ -245,7 +245,7 @@ def test_resume_never_rereports():
 
 
 # ---------------------------------------------------------------------------
-# Shared walks: replay against the live search
+# Shared walks: replay against a private walk
 # ---------------------------------------------------------------------------
 
 # The search cases of test_golden.py: graph size -> (edge probability,
@@ -270,7 +270,8 @@ def _state(cursor, found):
 
 
 def _advance_both(graph, live, shared, budget, threshold):
-    """One call on each cursor; both must answer alike."""
+    """One call on each cursor; both must answer alike.  ``live`` runs a
+    private walk, ``shared`` one from a ``walks`` dict."""
     expect = _state(live, live.advance(graph, budget, threshold))
     assert _state(shared, shared.advance(graph, budget, threshold)) == expect
     return expect[0]
@@ -355,7 +356,7 @@ def test_interleaved_consumers_of_one_walk_match_live_cursors():
     assert lead > 20
 
 
-def test_graphs_above_255_vertices_use_the_live_loop():
+def test_graphs_above_255_vertices_are_not_shared():
     walks = {}
     g255 = gen_random_graph(255, 0.5, 1)
     SolverCursor(g255, walks=walks)
@@ -367,6 +368,18 @@ def test_graphs_above_255_vertices_use_the_live_loop():
     for budget, threshold in ((1, -1), (5, 3), (50, 0), (200, 6)):
         _advance_both(g, live, shared, budget, threshold)
     assert len(walks) == 1
+    assert shared._walk.sizes is None
+
+
+def test_private_walk_keeps_no_per_step_record():
+    g = gen_random_graph(60, 0.5, 16)
+    cursor = SolverCursor(g, order=_visit_order("random", 60, 3))
+    reports = 0
+    while not cursor.exhausted:
+        reports += cursor.advance(g, 500, 4) is not None
+    walk = cursor._walk
+    assert reports > 0 and walk.steps == cursor.steps_consumed > 1000
+    assert walk.sizes is None and walk.cliques is None and not walk.stack
 
 
 def test_shared_cursor_rejects_wrong_graph():
@@ -412,6 +425,18 @@ def test_edge_list_detects_tampering(tmp_path):
     lines[0] = " ".join(header)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="regeneration"):
+        read_graphs(path)
+
+
+@pytest.mark.parametrize("text", [
+    "1 -3 0 0.5\n",
+    "3 2 -1 0\n0 1\n1 0\n",
+])
+def test_edge_list_rejects_a_wrong_edge_count(tmp_path, text):
+    # Both parse to valid graphs whose rewritten header would differ.
+    path = tmp_path / "graph.edges"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="distinct"):
         read_graphs(path)
 
 
