@@ -39,7 +39,6 @@ DEFAULT_ETA = 1.0 / 200.0
 DEFAULT_MAX_UPDATE_FACTOR = 4.0
 
 
-
 class ConfigError(Exception):
     """Simulation configuration is structurally or semantically invalid."""
 
@@ -178,6 +177,7 @@ class SimConfig:
 FLOAT_FIELDS = tuple(name for name, kind
                      in typing.get_type_hints(SimConfig).items()
                      if kind in (float, float | None))
+
 
 def default_miners(policy: str) -> tuple[MinerSpec, ...]:
     """Stock population: 10 classical miners, plus 10 solvers when the
