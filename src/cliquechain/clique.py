@@ -14,9 +14,10 @@ that search the same graph in the same order.
 
 from __future__ import annotations
 
+import contextlib
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -90,13 +91,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.neighbor_masks[u] >> v & 1)
 
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            mask = self.neighbor_masks[u] >> (u + 1) << (u + 1)
-            out.extend((u, v) for v in _bits(mask))
-        return out
-
     @property
     def num_edges(self) -> int:
         return sum(m.bit_count() for m in self.neighbor_masks) // 2
@@ -126,16 +120,33 @@ def gen_random_graph(n: int, edge_prob: float, seed: int) -> Graph:
         raise InvalidParams("seed must be non-negative")
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = rng.random(n * (n - 1) // 2)
-    masks = [0] * n
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draws[k] < edge_prob:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            k += 1
+    adj = np.zeros((n, n), dtype=bool)
+    adj[_upper(n)] = draws < edge_prob
+    adj |= adj.T
     return Graph(n=n, seed=seed, edge_prob=edge_prob,
-                 neighbor_masks=tuple(masks))
+                 neighbor_masks=tuple(_masks_from_rows(adj)))
+
+
+@lru_cache(maxsize=16)
+def _upper(n: int) -> np.ndarray:
+    return ~np.tri(n, dtype=bool)  # indexes the pairs u < v in (u, v) order
+
+
+def _masks_from_rows(adj: np.ndarray) -> list[int]:
+    """Bitmask rows of a 0/1 matrix: bit ``v`` of row ``u`` is adj[u, v]."""
+    width = (len(adj) + 7) // 8
+    out = np.packbits(adj, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(out[i:i + width], "little")
+            for i in range(0, len(out), width)]
+
+
+def _adjacency(masks: tuple[int, ...]) -> np.ndarray:
+    """Boolean matrix of bitmask rows; ``_masks_from_rows`` inverts it."""
+    n = len(masks)
+    width = (n + 7) // 8
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
 
 
 @dataclass
@@ -162,21 +173,9 @@ class ProblemInstance:
 # ---------------------------------------------------------------------------
 
 def _relabel(masks: tuple[int, ...], order: list[int]) -> list[int]:
-    """Adjacency masks renumbered so that bit ``i`` is vertex ``order[i]``.
-
-    Vectorised: a per-bit loop would cost as much as a short-lived cursor's
-    whole search.
-    """
-    n = len(masks)
-    width = (n + 7) // 8
-    raw = b"".join(m.to_bytes(width, "little") for m in masks)
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
-    adj = np.unpackbits(rows, axis=1, count=n, bitorder="little")
+    """Adjacency masks renumbered so that bit ``i`` is vertex ``order[i]``."""
     o = np.asarray(order)
-    out = np.packbits(adj.take(o, 0).take(o, 1), axis=1,
-                      bitorder="little").tobytes()
-    return [int.from_bytes(out[i:i + width], "little")
-            for i in range(0, n * width, width)]
+    return _masks_from_rows(_adjacency(masks).take(o, 0).take(o, 1))
 
 
 @cache
@@ -401,12 +400,24 @@ def is_clique(graph: Graph, vertices) -> bool:
 def graph_to_edge_list(graph: Graph) -> str:
     """Render one graph as an edge-list section.
 
-    Header line is "n m seed p", then one "u v" pair per line, 0-indexed.
+    Header line is "n m seed p", then one "u v" pair per line, 0-indexed,
+    u < v, in (u, v) order: the text ``read_graphs`` matches before parsing.
     """
-    lines = [f"{graph.n} {graph.num_edges} {graph.seed} "
-             f"{format(graph.edge_prob, '.17g')}"]
-    lines.extend(f"{u} {v}" for u, v in graph.edges())
-    return "\n".join(lines) + "\n"
+    head = (f"{graph.n} {graph.num_edges} {graph.seed} "
+            f"{format(graph.edge_prob, '.17g')}")
+    return "\n".join([head, *_edge_lines(graph)]) + "\n"
+
+
+def _edge_lines(graph: Graph) -> list[str]:
+    upper = _adjacency(graph.neighbor_masks)[_upper(graph.n)]
+    return _pair_labels(graph.n)[upper].tolist()
+
+
+@lru_cache(maxsize=16)
+def _pair_labels(n: int) -> np.ndarray:
+    """The "u v" label of each pair u < v, in ``_upper(n)`` order."""
+    return np.array([f"{u} {v}" for u, v in zip(*np.nonzero(_upper(n)))],
+                    dtype=object)
 
 
 def write_graphs(graphs, path) -> None:
@@ -426,13 +437,13 @@ def read_graphs(path) -> list[Graph]:
     The header's edge count must equal the number of distinct edges
     listed.  When a section carries a non-negative seed it is re-drawn from
     (n, edge_prob, seed) and must match the listed edges bit for bit;
-    a mismatch means the file does not belong to its manifest.  Every
-    problem with the file raises ValueError naming it.
+    a mismatch means the file does not belong to its manifest.  A section
+    whose stripped lines are the re-drawn graph's rendering is taken as it,
+    unparsed.  Every problem with the file raises ValueError naming it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            tokens = fh.read().split("\n")
-        lines = [ln.strip() for ln in tokens if ln.strip()]
+            lines = [s for ln in fh.read().split("\n") if (s := ln.strip())]
         graphs = []
         i = 0
         while i < len(lines):
@@ -445,18 +456,22 @@ def read_graphs(path) -> list[Graph]:
             if i + m > len(lines):
                 raise ValueError(f"section {len(graphs)} lists "
                                  f"{len(lines) - i} of its {m} edges")
-            edges = []
-            for _ in range(m):
-                u, v = lines[i].split()
-                edges.append((int(u), int(v)))
-                i += 1
+            body, i = lines[i:i + max(m, 0)], i + max(m, 0)
+            regen = None
+            if seed >= 0:
+                with contextlib.suppress(InvalidParams):  # raised below
+                    regen = gen_random_graph(n, edge_prob, seed)
+            if regen and regen.num_edges == m and body == _edge_lines(regen):
+                graphs.append(regen)
+                continue
+            edges = [(int(u), int(v)) for u, v in map(str.split, body)]
             graph = Graph.from_edges(n, edges, seed=seed,
                                      edge_prob=edge_prob)
             if graph.num_edges != m:
                 raise ValueError(f"section {len(graphs)} header says {m} "
                                  f"edges, lists {graph.num_edges} distinct")
             if seed >= 0:
-                regen = gen_random_graph(n, edge_prob, seed)
+                regen = regen or gen_random_graph(n, edge_prob, seed)
                 if regen.neighbor_masks != graph.neighbor_masks:
                     raise ValueError(f"edge list for seed {seed} does not "
                                      "match regeneration")

@@ -260,7 +260,7 @@ def sample_block_winner(miners: list[MinerState], d_b: float, d_r: float,
     reduced = [st.mines_reduced() for st in miners]
     scales = np.array([(d_r if red else d_b) / st.spec.hashrate
                        for st, red in zip(miners, reduced)])
-    times = rng.exponential(scales)
+    times = rng.standard_exponential(len(scales)) * scales
     idx = int(np.argmin(times))
     kind = BlockKind.SOLUTION if reduced[idx] else BlockKind.CLASSICAL
     return miners[idx].spec.id, kind, float(times[idx])

@@ -299,10 +299,10 @@ def verify_record_stream(records: list[SimRecord],
 
     Checks the structural invariants a chain must satisfy: consecutive
     heights, strictly increasing times, positive difficulties, the
-    classical/solution partition, monotone epochs, and strictly improving
-    per-epoch scores bounded by the epoch's graph size.  Raises ReplayError
-    on the first violation.  (Solution vertices are validated at append
-    time; the record schema stores only scores.)
+    classical/solution partition, epochs from 0 up by at most one a block
+    (and at most one graph past the last), and strictly improving scores
+    bounded by the epoch's graph size.  Raises ReplayError on the first
+    violation.  (The record schema stores scores, not solution vertices.)
     """
     if not records:
         raise ReplayError("no records to verify")
@@ -320,8 +320,9 @@ def verify_record_stream(records: list[SimRecord],
             raise ReplayError(f"{where}: non-positive difficulty")
         if r.kind not in ("classical", "solution"):
             raise ReplayError(f"{where}: unknown kind {r.kind!r}")
-        if r.problem_epoch < prev_epoch:
-            raise ReplayError(f"{where}: problem_epoch went backwards")
+        if r.problem_epoch != prev_epoch and (
+                r.problem_epoch != prev_epoch + 1 or not r.height):
+            raise ReplayError(f"{where}: epoch does not follow {prev_epoch}")
         if r.problem_epoch >= len(graphs):
             raise ReplayError(f"{where}: no graph for epoch "
                               f"{r.problem_epoch}")
@@ -344,3 +345,5 @@ def verify_record_stream(records: list[SimRecord],
             raise ReplayError(f"{where}: cumulative counters inconsistent")
         prev_time = r.sim_time
         prev_epoch = r.problem_epoch
+    if len(graphs) > prev_epoch + 2:
+        raise ReplayError(f"{len(graphs)} graphs for {prev_epoch + 1} epochs")

@@ -70,6 +70,30 @@ def test_verify_chain_catches_tampering(tmp_path):
                  os.path.join(out, "graphs.edges")]) == 3
 
 
+@pytest.mark.parametrize("new_epoch", [
+    lambda e: max(e, 1),                    # every epoch-0 record as epoch 1
+    lambda e: e + 1 if e >= 3 else e,       # epoch 2 jumps to 4
+], ids=["starts-at-1", "skips-an-epoch"])
+def test_verify_chain_rejects_impossible_epochs(tmp_path, capsys, new_epoch):
+    cfg = write_cfg(tmp_path, "policy = bitcoin\nseed = 3\n"
+                              "max_blocks = 400\n")
+    out = str(tmp_path / "out")
+    assert main(["simulate", cfg, "--out-dir", out]) == 0
+    records = os.path.join(out, "records.csv")
+    lines = open(records).read().splitlines()
+    column = lines[0].split(",").index("problem_epoch")
+    for i, line in enumerate(lines[1:], 1):
+        row = line.split(",")
+        row[column] = str(new_epoch(int(row[column])))
+        lines[i] = ",".join(row)
+    with open(records, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify-chain", records,
+                 os.path.join(out, "graphs.edges")]) == 3
+    assert "does not follow" in capsys.readouterr().err
+
+
 def test_seed_override_is_recorded_and_changes_output(tmp_path):
     cfg = write_cfg(tmp_path, V2_SMALL)
     out_a = str(tmp_path / "a")

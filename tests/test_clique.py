@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cliquechain import clique
 from cliquechain.clique import (
     CursorGraphMismatch,
     Graph,
@@ -62,6 +63,30 @@ def test_gen_is_deterministic():
     assert a.neighbor_masks == b.neighbor_masks
     c = gen_random_graph(40, 0.3, 124)
     assert a.neighbor_masks != c.neighbor_masks
+
+
+def scalar_gen_masks(n, edge_prob, seed):
+    """The per-pair G(n, p) loop: one draw per pair u < v, in (u, v) order."""
+    draws = np.random.Generator(np.random.PCG64(seed)).random(
+        n * (n - 1) // 2)
+    masks = [0] * n
+    k = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draws[k] < edge_prob:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+            k += 1
+    return tuple(masks)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 60, 61, 200, 256])
+def test_gen_matches_the_scalar_loop(n):
+    for edge_prob in (0.1, 0.5, 0.9):
+        for seed in range(10):
+            g = gen_random_graph(n, edge_prob, seed)
+            assert g.neighbor_masks == scalar_gen_masks(n, edge_prob, seed), \
+                (n, edge_prob, seed)
 
 
 def test_gen_rejects_bad_params():
@@ -402,6 +427,26 @@ def test_edge_list_header_format():
     assert header == ["6", str(g.num_edges), "3", "0.5"]
 
 
+def bitwise_edge_list(graph):
+    """A section rendered bit by bit from the neighbour masks."""
+    lines = [f"{graph.n} {graph.num_edges} {graph.seed} "
+             f"{format(graph.edge_prob, '.17g')}"]
+    for u in range(graph.n):
+        for v in range(u + 1, graph.n):
+            if graph.neighbor_masks[u] >> v & 1:
+                lines.append(f"{u} {v}")
+    return "\n".join(lines) + "\n"
+
+
+def test_edge_list_matches_bitwise_rendering():
+    graphs = [Graph.from_edges(10, PETERSEN_EDGES), Graph.from_edges(1, []),
+              Graph.from_edges(5, [])]
+    graphs += [gen_random_graph(n, p, seed) for n in (1, 2, 9, 64, 65, 130)
+               for p in (0.1, 0.5, 0.9) for seed in range(3)]
+    for g in graphs:
+        assert graph_to_edge_list(g) == bitwise_edge_list(g)
+
+
 def test_edge_list_round_trip(tmp_path):
     graphs = [gen_random_graph(20, 0.5, 11), gen_random_graph(15, 0.3, 12)]
     path = tmp_path / "graphs.edges"
@@ -446,3 +491,68 @@ def test_handcrafted_graphs_round_trip(tmp_path):
     write_graphs([g], path)
     back = read_graphs(path)[0]
     assert back.neighbor_masks == g.neighbor_masks
+
+
+def _rewrite_edges(text, change):
+    head, *edges = text.splitlines()
+    return "\n".join([head, *change(edges)]) + "\n"
+
+
+@pytest.mark.parametrize("change", [
+    lambda edges: edges[::-1],
+    lambda edges: [" ".join(e.split()[::-1]) for e in edges],
+    lambda edges: [e.replace(" ", "  ") for e in edges],
+    lambda edges: [x for e in edges for x in (e, "", "  ")],
+], ids=["reordered", "as-v-u", "double-spaced", "blank-lines"])
+def test_seeded_sections_read_back_however_laid_out(tmp_path, monkeypatch,
+                                                    change):
+    graphs = [gen_random_graph(30, 0.5, 5), gen_random_graph(12, 0.3, 6)]
+    path = tmp_path / "graphs.edges"
+    path.write_text("".join(_rewrite_edges(graph_to_edge_list(g), change)
+                            for g in graphs))
+    calls = []
+
+    def counting_gen(*args):
+        calls.append(args)
+        return gen_random_graph(*args)
+
+    monkeypatch.setattr(clique, "gen_random_graph", counting_gen)
+    assert read_graphs(path) == graphs
+    assert len(calls) == len(graphs)        # one regeneration per section
+
+
+def test_tampered_seeded_section_regenerates_once(tmp_path, monkeypatch):
+    g = gen_random_graph(12, 0.5, 21)
+    lines = graph_to_edge_list(g).splitlines()
+    header = lines[0].split()
+    header[1] = str(int(header[1]) - 1)
+    path = tmp_path / "graph.edges"
+    path.write_text("\n".join([" ".join(header)] + lines[2:]) + "\n")
+    calls = []
+
+    def counting_gen(*args):
+        calls.append(args)
+        return gen_random_graph(*args)
+
+    monkeypatch.setattr(clique, "gen_random_graph", counting_gen)
+    with pytest.raises(ValueError, match="regeneration"):
+        read_graphs(path)
+    assert calls == [(12, 0.5, 21)]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 0 5 0.5\n", "graph needs at least one vertex"),
+    ("3 1 5 1.5\n0 1\n", "edge_prob must lie strictly between 0 and 1"),
+    ("3 1 5 1.5\n0 1 2\n", "too many values to unpack"),
+    ("2 1 5 0.5\nx y\n", "invalid literal for int"),
+    ("4 1 7 0.5\n0 9\n", r"bad edge \(0, 9\) for n=4"),
+    ("1 -3 0 0.5\n", "header says -3 edges, lists 0 distinct"),
+    ("2 0 3 0.5\n", "does not match regeneration"),
+])
+def test_seeded_section_errors_keep_their_messages(tmp_path, text, message):
+    # A section the re-drawn graph cannot match gets the parse path's error,
+    # even where the re-draw itself would fail first.
+    path = tmp_path / "graph.edges"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_graphs(path)

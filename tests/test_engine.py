@@ -88,6 +88,36 @@ def test_held_solution_switches_kind_and_dominates_race():
     assert abs(wins - rounds * p) < 4 * sigma
 
 
+def test_race_draws_match_the_exponential_oracle():
+    # Scales d/h through rng.exponential, the race's reference sampler.
+    def oracle(miners, d_b, d_r, rng):
+        reduced = [st.mines_reduced() for st in miners]
+        times = rng.exponential([(d_r if red else d_b) / st.spec.hashrate
+                                 for st, red in zip(miners, reduced)])
+        idx = int(np.argmin(times))
+        kind = BlockKind.SOLUTION if reduced[idx] else BlockKind.CLASSICAL
+        return miners[idx].spec.id, kind, float(times[idx])
+
+    miners = [MinerState(spec=classical_spec(0, 3.0)),
+              MinerState(spec=solver_spec(1, 1000.0), hoard=[sol(2)]),
+              MinerState(spec=solver_spec(2, 250.0)),
+              MinerState(spec=bubka_spec(3, 2, 4e6), hoard=[sol(2)],
+                         releasing=True),
+              MinerState(spec=bubka_spec(4, 2, 0.5), hoard=[sol(2)]),
+              MinerState(spec=classical_spec(5, 1e-3))]
+    assert [st.mines_reduced() for st in miners] == [False, True, False,
+                                                       True, False, False]
+    ours, ref = np.random.default_rng(9), np.random.default_rng(9)
+    difficulties = np.random.default_rng(10).uniform(-300, 10.4, (4000, 2))
+    kinds = set()
+    for d_b, d_r in 10.0 ** difficulties:
+        got = sample_block_winner(miners, d_b, d_r, ours)
+        assert got == oracle(miners, d_b, d_r, ref)
+        kinds.add(got[1])
+    assert kinds == {BlockKind.CLASSICAL, BlockKind.SOLUTION}
+    assert ours.random() == ref.random()            # streams stay in step
+
+
 def test_attacker_mines_reduced_only_while_releasing():
     st = MinerState(spec=bubka_spec(0, target=2))
     assert not st.mines_reduced()

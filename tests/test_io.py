@@ -230,3 +230,22 @@ def test_verify_rejects_corrupted_streams():
     with pytest.raises(ReplayError):
         verify_record_stream([], graphs)
     verify_record_stream(records, graphs)               # original still fine
+
+    # Epochs start at 0 and rise by at most one a block; the last block may
+    # have swapped in one more graph, but no more.
+    res = simulate(SimConfig(policy="bitcoin", seed=3, max_blocks=400))
+    records, graphs = res.records, res.graphs
+    assert records[-1].problem_epoch == 7 and len(graphs) == 9
+    verify_record_stream(records, graphs)
+
+    def relabel(new_epoch):
+        return [dataclasses.replace(r,
+                                    problem_epoch=new_epoch(r.problem_epoch))
+                for r in records]
+
+    for bad in (relabel(lambda e: max(e, 1)),             # starts at 1
+                relabel(lambda e: e + 1 if e >= 3 else e)):  # 2 jumps to 4
+        with pytest.raises(ReplayError, match="does not follow"):
+            verify_record_stream(bad, graphs)
+    with pytest.raises(ReplayError, match="10 graphs for 8 epochs"):
+        verify_record_stream(records, graphs + graphs[:1])
