@@ -183,7 +183,7 @@ def _cmd_run(args) -> int:
     started = _utcnow()
     cfg = parse_config(args.config)
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed).resolve()
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     outputs, message = _RUNS[args.command](args, cfg)
     manifest = RunManifest(version=__version__,
                            command=" ".join(sys.argv) if sys.argv else "",

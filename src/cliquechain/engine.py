@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,25 +51,32 @@ class Strategy(str, enum.Enum):
 
 @dataclass(frozen=True)
 class MinerSpec:
-    """Static description of one miner."""
+    """One miner, validated when built.  A solving miner's speed defaults
+    to DEFAULT_SOLVER_STEPS_PER_SECOND; a classical miner's is always 0."""
 
     id: int
-    hashrate: float
     strategy: Strategy
-    solver_steps_per_second: float = 0.0
+    hashrate: float = DEFAULT_HASHRATE
+    solver_steps_per_second: float | None = None
     hoard_target: int | None = None
 
     def __post_init__(self):
+        solves = self.strategy is not Strategy.CLASSICAL
+        if self.solver_steps_per_second is None:
+            object.__setattr__(self, "solver_steps_per_second",
+                               DEFAULT_SOLVER_STEPS_PER_SECOND if solves
+                               else 0.0)
         for name in ("hashrate", "solver_steps_per_second"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
         if self.hashrate <= 0:
             raise ConfigError("hashrate must be positive")
-        if self.strategy in (Strategy.SOLVER, Strategy.BUBKA):
-            if self.solver_steps_per_second <= 0:
-                raise ConfigError(
-                    f"{self.strategy.value} miner needs "
-                    "solver_steps_per_second > 0")
+        if solves and self.solver_steps_per_second <= 0:
+            raise ConfigError(f"{self.strategy.value} miner needs "
+                              "solver_steps_per_second > 0")
+        if not solves and self.solver_steps_per_second:
+            raise ConfigError("solver_steps_per_second only applies to "
+                              "solving miners")
         if self.strategy is Strategy.BUBKA:
             if self.hoard_target is None or self.hoard_target < 1:
                 raise ConfigError("bubka-attacker needs hoard_target >= 1")
@@ -104,9 +111,13 @@ class MinerState:
 class SimConfig:
     """Full simulation setup; field names match the config-file keys.
 
-    ``initial_dr = None`` resolves to eta * initial_db, and an empty miner
-    list resolves to the stock population: 10 classical miners under the
-    bitcoin baseline, 10 classical plus 10 solvers otherwise.
+    Building a config, ``dataclasses.replace`` included, validates it
+    (raising ConfigError) and fills its defaults: ``initial_dr = None``
+    becomes eta * initial_db, and an empty miner list the stock
+    population (10 classical miners under the bitcoin baseline, 10
+    classical plus 10 solvers otherwise).  They are filled once, so a
+    ``replace`` that changes ``eta``, ``initial_db`` or ``policy`` keeps
+    them unless it passes ``initial_dr=None`` or ``miners=()``.
     """
 
     policy: str
@@ -127,8 +138,7 @@ class SimConfig:
     saturation_window: int = 50
     miners: tuple[MinerSpec, ...] = ()
 
-    def resolve(self) -> "SimConfig":
-        """Fill defaults and validate; raises ConfigError."""
+    def __post_init__(self):
         for name in FLOAT_FIELDS:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -157,19 +167,16 @@ class SimConfig:
         if self.saturation_window < 0:
             raise ConfigError("saturation_window must be >= 0")
 
-        initial_dr = self.initial_dr
-        if initial_dr is None:
-            initial_dr = self.eta * self.initial_db
-        if initial_dr <= 0:
+        if self.initial_dr is None:
+            object.__setattr__(self, "initial_dr", self.eta * self.initial_db)
+        if self.initial_dr <= 0:
             raise ConfigError("initial_dr must be positive")
 
-        miners = self.miners
-        if not miners:
-            miners = default_miners(self.policy)
-        for i, spec in enumerate(miners):
+        object.__setattr__(self, "miners",
+                           tuple(self.miners) or default_miners(self.policy))
+        for i, spec in enumerate(self.miners):
             if spec.id != i:
                 raise ConfigError("miner ids must run 0..m-1 in order")
-        return replace(self, initial_dr=initial_dr, miners=tuple(miners))
 
 
 # The float-valued SimConfig fields, in field order; every SimConfig field
@@ -182,14 +189,10 @@ FLOAT_FIELDS = tuple(name for name, kind
 def default_miners(policy: str) -> tuple[MinerSpec, ...]:
     """Stock population: 10 classical miners, plus 10 solvers when the
     policy actually pays for solutions."""
-    specs = [MinerSpec(id=i, hashrate=DEFAULT_HASHRATE,
-                       strategy=Strategy.CLASSICAL) for i in range(10)]
+    specs = [MinerSpec(id=i, strategy=Strategy.CLASSICAL) for i in range(10)]
     if policy != "bitcoin":
-        specs.extend(
-            MinerSpec(id=10 + i, hashrate=DEFAULT_HASHRATE,
-                      strategy=Strategy.SOLVER,
-                      solver_steps_per_second=DEFAULT_SOLVER_STEPS_PER_SECOND)
-            for i in range(10))
+        specs.extend(MinerSpec(id=10 + i, strategy=Strategy.SOLVER)
+                     for i in range(10))
     return tuple(specs)
 
 
@@ -368,13 +371,12 @@ def _maybe_prove_optimum(problem: ProblemInstance,
         st.hoard[-1].score for st in solverish if st.hoard])
 
 
-def simulate(config: SimConfig, walks: dict | None = None) -> SimResult:
+def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
     """Run the full event loop and return records plus final state.
 
     Runs given the same ``walks`` dict share their search walks (see
     ``SolverCursor``); the results are those of separate runs.
     """
-    cfg = config.resolve()
     policy = DifficultyPolicy(cfg)
     state = DifficultyState(d_b=cfg.initial_db, d_r=cfg.initial_dr)
     mining_rng = _stream_rng(cfg.seed, _MINING_STREAM)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .engine import (
     ConfigError,
-    MinerSpec,
     SimConfig,
     SimRecord,
     SimResult,
@@ -134,10 +133,9 @@ def _sweep_cell_config(base: SimConfig, protocol: str, eta: float,
         return replace(base, policy="v1", eta=float(eta), initial_dr=None,
                        seed=seed)
     # eta is not an independent-policy parameter, so v2 cells must not let
-    # it leak in through the initial condition: every v2 run starts from
-    # the base config's reduced difficulty regardless of the grid value.
-    return replace(base, policy="v2", eta=float(eta),
-                   initial_dr=base.resolve().initial_dr, seed=seed)
+    # it leak in through the initial condition: replace keeps the base
+    # config's filled initial_dr whatever the grid value.
+    return replace(base, policy="v2", eta=float(eta), seed=seed)
 
 
 def _run_seed_group(cells: list[tuple[str, int, int, SimConfig]]
@@ -252,7 +250,7 @@ def _attacker_index(config: SimConfig) -> int:
     return idx[0]
 
 
-def run_bubka_experiment(base_config: SimConfig,
+def run_bubka_experiment(base: SimConfig,
                          hoard_targets=DEFAULT_BUBKA_TARGETS,
                          num_seeds: int = DEFAULT_BUBKA_SEEDS,
                          workers: int = 1) -> BubkaResult:
@@ -264,7 +262,6 @@ def run_bubka_experiment(base_config: SimConfig,
     """
     if num_seeds < 1:
         raise ConfigError("num_seeds must be >= 1")
-    base = base_config.resolve()
     attacker_idx = _attacker_index(base)
     attacker = base.miners[attacker_idx]
     seeds = tuple(derive_seed(base.seed, s) for s in range(num_seeds))
@@ -278,9 +275,8 @@ def run_bubka_experiment(base_config: SimConfig,
             cells.append((f"target={int(target)}", t, s,
                           replace(cfg, seed=seed)))
     honest_specs = list(base.miners)
-    honest_specs[attacker_idx] = MinerSpec(
-        id=attacker.id, hashrate=attacker.hashrate, strategy=Strategy.SOLVER,
-        solver_steps_per_second=attacker.solver_steps_per_second)
+    honest_specs[attacker_idx] = replace(attacker, strategy=Strategy.SOLVER,
+                                         hoard_target=None)
     honest_cfg = replace(base, miners=tuple(honest_specs))
     for s, seed in enumerate(seeds):
         cells.append(("honest", len(hoard_targets), s,

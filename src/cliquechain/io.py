@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 from .clique import INITIAL_BEST_SCORE, Graph
 from .engine import (
-    DEFAULT_HASHRATE,
-    DEFAULT_SOLVER_STEPS_PER_SECOND,
     FLOAT_FIELDS,
     ConfigError,
     MinerSpec,
@@ -42,8 +40,10 @@ CSV_HEADER = ",".join(RECORD_FIELDS)
 # The int-valued config keys, in SimConfig field order.
 _INT_KEYS = tuple(name for name, kind
                   in typing.get_type_hints(SimConfig).items() if kind is int)
-_MINER_ATTRS = ("strategy", "hashrate", "solver_steps_per_second",
-                "hoard_target", "count")
+# The numeric miner attributes and their types; MinerSpec fills in those a
+# miner line leaves out.
+_MINER_NUMBERS = {"hashrate": float, "solver_steps_per_second": float,
+                  "hoard_target": int, "count": int}
 
 
 class ParseError(ConfigError):
@@ -84,7 +84,7 @@ def _parse_miner_entry(raw: str, lineno: int) -> tuple[dict, int]:
             raise ParseError(
                 f"line {lineno}: miner attribute {token!r} needs key=value")
         key, _, value = token.partition("=")
-        if key not in _MINER_ATTRS:
+        if key != "strategy" and key not in _MINER_NUMBERS:
             raise UnknownKey(f"line {lineno}: unknown miner attribute {key!r}")
         if key in attrs:
             raise ParseError(f"line {lineno}: duplicate miner attribute "
@@ -93,29 +93,24 @@ def _parse_miner_entry(raw: str, lineno: int) -> tuple[dict, int]:
     if "strategy" not in attrs:
         raise ParseError(f"line {lineno}: miner entry needs a strategy")
     try:
-        strategy = Strategy(attrs["strategy"])
+        attrs["strategy"] = Strategy(attrs["strategy"])
     except ValueError:
         raise ValidationError(
             f"line {lineno}: unknown strategy {attrs['strategy']!r}") from None
     try:
-        hashrate = float(attrs.get("hashrate", DEFAULT_HASHRATE))
-        count = int(attrs.get("count", 1))
-        steps_default = (DEFAULT_SOLVER_STEPS_PER_SECOND
-                         if strategy is not Strategy.CLASSICAL else 0.0)
-        steps = float(attrs.get("solver_steps_per_second", steps_default))
-        hoard = (int(attrs["hoard_target"]) if "hoard_target" in attrs
-                 else None)
+        for key, kind in _MINER_NUMBERS.items():
+            if key in attrs:
+                attrs[key] = kind(attrs[key])
     except ValueError:
         raise ParseError(f"line {lineno}: bad numeric miner attribute") from None
+    count = attrs.pop("count", 1)
     if count < 1:
         raise ValidationError(f"line {lineno}: miner count must be >= 1")
-    return ({"strategy": strategy, "hashrate": hashrate,
-             "solver_steps_per_second": steps, "hoard_target": hoard},
-            count)
+    return attrs, count
 
 
 def parse_config_text(text: str) -> SimConfig:
-    """Parse flat config text into a resolved SimConfig."""
+    """Parse flat config text into a SimConfig."""
     scalars: dict = {}
     miner_entries: list[tuple[dict, int]] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -149,8 +144,7 @@ def parse_config_text(text: str) -> SimConfig:
         for attrs, count in miner_entries:
             for _ in range(count):
                 specs.append(MinerSpec(id=len(specs), **attrs))
-        config = SimConfig(miners=tuple(specs), **scalars)
-        return config.resolve()
+        return SimConfig(miners=tuple(specs), **scalars)
     except ValidationError:
         raise
     except ConfigError as exc:
@@ -166,9 +160,9 @@ def parse_config(path) -> SimConfig:
     return parse_config_text(text)
 
 
-def render_config(config: SimConfig) -> str:
-    """Canonical flat rendering of a resolved config; parses back equal."""
-    cfg = config.resolve()
+def render_config(cfg: SimConfig) -> str:
+    """Canonical flat rendering of a config, defaults included; parses
+    back equal."""
     lines = [f"policy = {cfg.policy}"]
     for key in _INT_KEYS:
         lines.append(f"{key} = {getattr(cfg, key)}")
@@ -264,8 +258,8 @@ def read_records(path) -> list[SimRecord]:
 class RunManifest:
     """Everything needed to reproduce a run byte for byte.
 
-    ``config_text`` is the canonical rendering of the fully resolved
-    config; feeding it back through ``simulate`` regenerates identical
+    ``config_text`` is the canonical rendering of the config, defaults
+    included; feeding it back through ``simulate`` regenerates identical
     output files.  Wall-clock times are informational only.
     """
 

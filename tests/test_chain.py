@@ -217,7 +217,7 @@ def test_simulated_chain_replays_cleanly(monkeypatch):
         appended.append(block)
 
     monkeypatch.setattr(engine, "append_block", record)
-    cfg = SimConfig(policy="v2", seed=3, max_blocks=150).resolve()
+    cfg = SimConfig(policy="v2", seed=3, max_blocks=150)
     res = simulate(cfg)
     assert [b.height for b in appended] == list(range(cfg.max_blocks))
 

@@ -1,6 +1,8 @@
 """Event-loop mechanics: the exponential block race, solver scheduling,
 attacker bookkeeping, problem replacement, and whole-run invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -267,11 +269,11 @@ def test_bubka_prune_and_release_lifecycle():
 # Configuration
 # ---------------------------------------------------------------------------
 
-def test_resolve_fills_stock_population_and_reduced_difficulty():
-    cfg = SimConfig(policy="v2", seed=1).resolve()
+def test_config_fills_stock_population_and_reduced_difficulty():
+    cfg = SimConfig(policy="v2", seed=1)
     assert cfg.initial_dr == cfg.eta * cfg.initial_db == 5.0
     assert len(cfg.miners) == 20
-    cfg_btc = SimConfig(policy="bitcoin", seed=1).resolve()
+    cfg_btc = SimConfig(policy="bitcoin", seed=1)
     assert len(cfg_btc.miners) == 10
     assert all(m.strategy is Strategy.CLASSICAL for m in cfg_btc.miners)
 
@@ -280,41 +282,50 @@ def test_default_population_split():
     miners = default_miners("v1")
     assert [m.strategy for m in miners[:10]] == [Strategy.CLASSICAL] * 10
     assert [m.strategy for m in miners[10:]] == [Strategy.SOLVER] * 10
+    assert {m.hashrate for m in miners} == {1000.0}
+    assert [m.solver_steps_per_second for m in (miners[0], miners[10])] == [
+        0.0, 100.0]
 
 
-def test_resolve_rejects_bad_configs():
+def test_config_rejects_bad_configs():
     with pytest.raises(ConfigError):
-        SimConfig(policy="v9", seed=1).resolve()
+        SimConfig(policy="v9", seed=1)
     with pytest.raises(ConfigError):
-        SimConfig(policy="v2", seed=-1).resolve()
+        SimConfig(policy="v2", seed=-1)
     with pytest.raises(ConfigError):
-        SimConfig(policy="v2", seed=1, eta=1.5).resolve()
+        SimConfig(policy="v2", seed=1, eta=1.5)
     with pytest.raises(ConfigError):
-        SimConfig(policy="v1", seed=1, n1=0).resolve()
+        SimConfig(policy="v1", seed=1, n1=0)
     with pytest.raises(ConfigError):
-        SimConfig(policy="v2", seed=1, t2_solution=0.0).resolve()
+        SimConfig(policy="v2", seed=1, t2_solution=0.0)
     with pytest.raises(ConfigError):
-        SimConfig(policy="v2", seed=1, max_update_factor=1.0).resolve()
+        SimConfig(policy="v2", seed=1, max_update_factor=1.0)
     with pytest.raises(ConfigError):
-        SimConfig(policy="v2", seed=1, graph_p=1.0).resolve()
+        SimConfig(policy="v2", seed=1, graph_p=1.0)
     with pytest.raises(ConfigError):
-        SimConfig(policy="v2", seed=1, initial_dr=-3.0).resolve()
+        SimConfig(policy="v2", seed=1, initial_dr=-3.0)
     with pytest.raises(ConfigError):
         SimConfig(policy="v2", seed=1,
-                  miners=(classical_spec(0), classical_spec(2))).resolve()
+                  miners=(classical_spec(0), classical_spec(2)))
+    with pytest.raises(ConfigError):
+        dataclasses.replace(SimConfig(policy="v1", seed=1), n1=0)
 
 
 def test_miner_spec_validation():
     with pytest.raises(ConfigError):
         MinerSpec(id=0, hashrate=0.0, strategy=Strategy.CLASSICAL)
     with pytest.raises(ConfigError):
-        MinerSpec(id=0, hashrate=1.0, strategy=Strategy.SOLVER)
+        MinerSpec(id=0, hashrate=1.0, strategy=Strategy.SOLVER,
+                  solver_steps_per_second=0.0)
     with pytest.raises(ConfigError):
         MinerSpec(id=0, hashrate=1.0, strategy=Strategy.BUBKA,
                   solver_steps_per_second=10.0)
     with pytest.raises(ConfigError):
         MinerSpec(id=0, hashrate=1.0, strategy=Strategy.CLASSICAL,
                   hoard_target=2)
+    with pytest.raises(ConfigError):
+        MinerSpec(id=0, strategy=Strategy.CLASSICAL,
+                  solver_steps_per_second=50.0)
 
 
 def test_derive_seed_is_pure_and_spreads():

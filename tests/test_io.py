@@ -2,6 +2,7 @@
 re-validation."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,8 @@ from cliquechain.io import (
     write_manifest,
     write_records,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = "policy = bitcoin\nseed = 1\n"
 
@@ -103,10 +106,15 @@ def test_parse_rejects_invalid_values():
                                     "solver_steps_per_second=10\n")
     with pytest.raises(ValidationError):
         parse_config_text(MINIMAL + "miner = strategy=classical count=0\n")
+    with pytest.raises(ValidationError):
+        parse_config_text(MINIMAL + "miner = strategy=classical "
+                                    "solver_steps_per_second=50\n")
 
 
 def test_render_parse_round_trip():
-    for text in (MINIMAL, FULL):
+    shipped = sorted(CONFIG_DIR.glob("*.cfg"))
+    assert shipped
+    for text in [MINIMAL, FULL] + [p.read_text() for p in shipped]:
         cfg = parse_config_text(text)
         rendered = render_config(cfg)
         assert parse_config_text(rendered) == cfg
