@@ -6,8 +6,7 @@ Exit codes:
 * 2: bad arguments, or a config file that is missing, does not parse, or
   sets a value the simulator rejects (NaN and inf included).
 * 3: a records or graphs file that is missing, malformed or fails
-  re-validation, a failed selftest, or a run stopped by a ValueError
-  (such as a difficulty driven down to zero).
+  re-validation, or a failed selftest.
 * 1: anything else; that is a bug and comes with a traceback.
 """
 
@@ -173,9 +172,14 @@ def _bubka(args, cfg: SimConfig) -> tuple[dict, str]:
     return outputs, "\n".join(lines)
 
 
-_RUNS = {"simulate": _simulate, "growth": _growth,
-         "difficulty": _difficulty, "eta-sweep": _eta_sweep,
-         "bubka": _bubka}
+# The run commands: name -> (run function, help line).
+_RUNS = {
+    "simulate": (_simulate, "run one chain and write records"),
+    "growth": (_growth, "cumulative block-growth experiment"),
+    "difficulty": (_difficulty, "difficulty trajectory experiment"),
+    "eta-sweep": (_eta_sweep, "solution fraction vs eta, both protocols"),
+    "bubka": (_bubka, "hoard-and-release attacker sweep"),
+}
 
 
 def _cmd_run(args) -> int:
@@ -184,7 +188,7 @@ def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    outputs, message = _RUNS[args.command](args, cfg)
+    outputs, message = args.run(args, cfg)
     manifest = RunManifest(version=__version__,
                            command=" ".join(sys.argv) if sys.argv else "",
                            seed=cfg.seed, config_text=render_config(cfg),
@@ -197,7 +201,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify_chain(args) -> int:
     records = read_records(args.records)
-    graphs = read_graphs(args.graphs)
+    try:
+        graphs = read_graphs(args.graphs)
+    except ValueError as exc:
+        raise ReplayError(str(exc)) from None
     verify_record_stream(records, graphs)
     print(f"ok: {len(records)} records over {len(graphs)} problem graphs")
     return 0
@@ -253,16 +260,6 @@ def _int_in(low: int, high: float = float("inf")):
     return parse
 
 
-def _add_run_options(sub) -> None:
-    sub.add_argument("config", help="flat key=value config file")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the config seed")
-    sub.add_argument("--out-dir", default="out",
-                     help="output directory (default: ./out)")
-    sub.add_argument("--format", choices=("csv", "jsonl"), default="csv",
-                     help="record serialization (default: csv)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cliquechain",
@@ -270,41 +267,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("simulate", help="run one chain and write records")
-    _add_run_options(sub)
-    sub.set_defaults(func=_cmd_run)
+    runs = {}
+    for name, (run, text) in _RUNS.items():
+        runs[name] = sub = subs.add_parser(name, help=text)
+        sub.add_argument("config", help="flat key=value config file")
+        sub.add_argument("--seed", type=int, default=None,
+                         help="override the config seed")
+        sub.add_argument("--out-dir", default="out",
+                         help="output directory (default: ./out)")
+        sub.add_argument("--format", choices=("csv", "jsonl"), default="csv",
+                         help="record serialization (default: csv)")
+        sub.set_defaults(func=_cmd_run, run=run)
 
-    sub = subs.add_parser("growth", help="cumulative block-growth experiment")
-    _add_run_options(sub)
-    sub.set_defaults(func=_cmd_run)
-
-    sub = subs.add_parser("difficulty", help="difficulty trajectory experiment")
-    _add_run_options(sub)
-    sub.set_defaults(func=_cmd_run)
-
-    sub = subs.add_parser("eta-sweep",
-                          help="solution fraction vs eta, both protocols")
-    _add_run_options(sub)
-    sub.add_argument("--etas", type=_comma_list(float),
-                     default=DEFAULT_ETA_GRID,
-                     help="comma-separated eta values "
-                          "(default: 10 log-spaced from 1 to 0.001)")
-    sub.add_argument("--instances", type=int, default=10,
-                     help="independent chains per cell (default: 10)")
-    sub.add_argument("--workers", type=_int_in(1), default=1,
-                     help="worker processes (default: 1)")
-    sub.set_defaults(func=_cmd_run)
-
-    sub = subs.add_parser("bubka", help="hoard-and-release attacker sweep")
-    _add_run_options(sub)
-    sub.add_argument("--hoard-targets", type=_comma_list(int),
-                     default=DEFAULT_BUBKA_TARGETS,
-                     help="comma-separated hoard targets (default: 1,2,5)")
-    sub.add_argument("--seeds", type=int, default=DEFAULT_BUBKA_SEEDS,
-                     help="seeded runs per target (default: 20)")
-    sub.add_argument("--workers", type=_int_in(1), default=1,
-                     help="worker processes (default: 1)")
-    sub.set_defaults(func=_cmd_run)
+    sweep, bubka = runs["eta-sweep"], runs["bubka"]
+    sweep.add_argument("--etas", type=_comma_list(float),
+                       default=DEFAULT_ETA_GRID,
+                       help="comma-separated eta values "
+                            "(default: 10 log-spaced from 1 to 0.001)")
+    sweep.add_argument("--instances", type=int, default=10,
+                       help="independent chains per cell (default: 10)")
+    bubka.add_argument("--hoard-targets", type=_comma_list(int),
+                       default=DEFAULT_BUBKA_TARGETS,
+                       help="comma-separated hoard targets (default: 1,2,5)")
+    bubka.add_argument("--seeds", type=int, default=DEFAULT_BUBKA_SEEDS,
+                       help="seeded runs per target (default: 20)")
+    for sub in (sweep, bubka):
+        sub.add_argument("--workers", type=_int_in(1), default=1,
+                         help="worker processes (default: 1)")
 
     sub = subs.add_parser("verify-chain",
                           help="re-validate a records file against its "
@@ -333,7 +322,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ReplayError, ValueError) as exc:
+    except ReplayError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
 

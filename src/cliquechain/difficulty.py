@@ -2,7 +2,7 @@
 
 Three policies share one state type and one clamping rule: every multiplier
 applied to a difficulty is clamped into [1/x, x], x = ``max_update_factor``.
-Each rule reads its parameters from the resolved ``SimConfig``.
+Each rule reads its parameters from the ``SimConfig``.
 
 * bitcoin: one difficulty, retargeted every ``n1`` blocks toward the
   target block time ``target_time``.
@@ -14,11 +14,13 @@ Each rule reads its parameters from the resolved ``SimConfig``.
   solution blocks against ``t2_solution``, each on its own wall-clock
   span.  On top of that sits the drought rule: a run of ``n2_classical``
   consecutive classical blocks drops d_r by the full factor x, making
-  unsolved problems progressively cheaper to claim.
+  unsolved problems progressively cheaper to claim.  No v2 update takes
+  d_r below ``D_R_FLOOR``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -26,6 +28,11 @@ from .chain import Block, BlockKind
 
 if TYPE_CHECKING:
     from .engine import SimConfig
+
+
+# Without a floor, droughts drive a long v2 run's d_r to zero: solutions
+# come no faster as d_r falls, so no rule ever raises it again.
+D_R_FLOOR = sys.float_info.min
 
 
 class NonPositiveFactor(ValueError):
@@ -57,7 +64,7 @@ class DifficultyUpdate:
     name: str            # "d_b" or "d_r"
     old: float
     new: float
-    rule: str            # "retarget" or "drought"
+    rule: str            # "retarget", "drought" or "floor"
 
 
 @dataclass(frozen=True)
@@ -131,6 +138,14 @@ def on_block_v1(state: DifficultyState, cfg: SimConfig,
                          "retarget"),))
 
 
+def _v2_dr_update(height: int, old: float, new: float, rule: str,
+                  ) -> tuple[float, DifficultyUpdate]:
+    """Apply the floor to a v2 d_r update and audit it."""
+    if new < D_R_FLOOR:
+        new, rule = D_R_FLOOR, "floor"
+    return new, DifficultyUpdate(height, "d_r", old, new, rule)
+
+
 def on_block_v2(state: DifficultyState, cfg: SimConfig,
                 block: Block) -> DifficultyState:
     """Apply one block under the independent policy.
@@ -142,7 +157,7 @@ def on_block_v2(state: DifficultyState, cfg: SimConfig,
     reaches ``n2_classical``: d_r is divided by the full clamp factor x
     and the streak restarts, as often as the drought persists.  The
     solution block that ends a streak does not reset the classical epoch
-    count.
+    count.  Either d_r update stops at ``D_R_FLOOR``, audited as "floor".
     """
     x = cfg.max_update_factor
     d_r = state.d_r
@@ -151,11 +166,9 @@ def on_block_v2(state: DifficultyState, cfg: SimConfig,
         streak = state.consecutive_classical + 1
         if streak < cfg.n2_classical:
             return replace(new, consecutive_classical=streak)
-        new_dr = d_r / x
+        new_dr, update = _v2_dr_update(block.height, d_r, d_r / x, "drought")
         return replace(new, d_r=new_dr, consecutive_classical=0,
-                       updates=new.updates + (
-                           DifficultyUpdate(block.height, "d_r", d_r, new_dr,
-                                            "drought"),))
+                       updates=new.updates + (update,))
 
     solution = state.solution_count_in_epoch + 1
     solution_start = state.solution_epoch_start_time
@@ -163,10 +176,8 @@ def on_block_v2(state: DifficultyState, cfg: SimConfig,
     if solution == cfg.n2_solution:
         elapsed = block.sim_time - solution_start
         f_r = _retarget_factor(cfg.n2_solution, cfg.t2_solution, elapsed, x)
-        new_dr = d_r * f_r
-        updates += (DifficultyUpdate(block.height, "d_r", d_r, new_dr,
-                                     "retarget"),)
-        d_r = new_dr
+        d_r, update = _v2_dr_update(block.height, d_r, d_r * f_r, "retarget")
+        updates += (update,)
         solution = 0
         solution_start = block.sim_time
     return replace(state, d_r=d_r,
@@ -179,7 +190,7 @@ _RULES = {"bitcoin": on_block_bitcoin, "v1": on_block_v1, "v2": on_block_v2}
 
 
 class DifficultyPolicy:
-    """The per-block rule of one resolved config.
+    """The per-block rule of one config.
 
     The engine only ever calls ``on_block(state, block)``; the rule named by
     ``cfg.policy`` is looked up once, here.  Under the bitcoin baseline

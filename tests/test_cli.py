@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from cliquechain import cli
 from cliquechain.cli import main
 from cliquechain.io import parse_config, read_manifest
 
@@ -165,6 +166,19 @@ def test_bad_list_arguments_exit_2_and_write_nothing(tmp_path, capsys,
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_stray_value_error_is_not_reported_as_validation(tmp_path,
+                                                         monkeypatch):
+    # A ValueError from inside a run is a bug: main lets it propagate, so
+    # the process exits 1 with a traceback instead of exit 3.
+    def broken(cfg):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(cli, "simulate", broken)
+    cfg = write_cfg(tmp_path, V2_SMALL)
+    with pytest.raises(ValueError, match="bug"):
+        main(["simulate", cfg, "--out-dir", str(tmp_path / "o")])
 
 
 def test_missing_input_files_get_a_message(tmp_path, capsys):

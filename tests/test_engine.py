@@ -15,6 +15,7 @@ from cliquechain.clique import (
     brute_force_max_clique,
     gen_random_graph,
 )
+from cliquechain.difficulty import D_R_FLOOR
 from cliquechain.engine import (
     ConfigError,
     MinerSpec,
@@ -28,6 +29,7 @@ from cliquechain.engine import (
     sample_block_winner,
     simulate,
 )
+from cliquechain.io import verify_record_stream
 
 
 def classical_spec(i, hashrate=1000.0):
@@ -408,3 +410,17 @@ def test_solution_blocks_strictly_raise_best_score():
         else:
             assert r.best_score == prev
         best[r.problem_epoch] = r.best_score
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(policy="v2", seed=1, max_blocks=6000),
+    SimConfig(policy="v2", seed=1, max_blocks=20_000,
+              miners=tuple(classical_spec(i) for i in range(10))),
+], ids=["default-population", "zero-solver"])
+def test_long_v2_runs_hold_d_r_at_the_floor(cfg):
+    # Without the floor, droughts drive d_r to zero and both runs stop.
+    res = simulate(cfg)
+    assert len(res.records) == cfg.max_blocks
+    verify_record_stream(res.records, res.graphs)
+    assert res.records[-1].d_r == D_R_FLOOR
+    assert any(u.rule == "floor" for u in res.final_state.updates)
