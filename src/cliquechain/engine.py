@@ -28,7 +28,7 @@ from .clique import (
     SolverCursor,
     gen_random_graph,
 )
-from .difficulty import DifficultyPolicy, DifficultyState
+from .difficulty import D_R_FLOOR, DifficultyPolicy, DifficultyState
 
 DEFAULT_HASHRATE = 1000.0
 # Full enumeration of a default 60-vertex instance takes ~4800 steps, so at
@@ -169,8 +169,8 @@ class SimConfig:
 
         if self.initial_dr is None:
             object.__setattr__(self, "initial_dr", self.eta * self.initial_db)
-        if self.initial_dr <= 0:
-            raise ConfigError("initial_dr must be positive")
+        if self.initial_dr < D_R_FLOOR:
+            raise ConfigError(f"initial_dr must be at least {D_R_FLOOR}")
 
         object.__setattr__(self, "miners",
                            tuple(self.miners) or default_miners(self.policy))

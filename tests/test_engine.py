@@ -307,6 +307,8 @@ def test_config_rejects_bad_configs():
     with pytest.raises(ConfigError):
         SimConfig(policy="v2", seed=1, initial_dr=-3.0)
     with pytest.raises(ConfigError):
+        SimConfig(policy="v2", seed=1, initial_dr=D_R_FLOOR / 2)
+    with pytest.raises(ConfigError):
         SimConfig(policy="v2", seed=1,
                   miners=(classical_spec(0), classical_spec(2)))
     with pytest.raises(ConfigError):
