@@ -45,7 +45,7 @@ class BlockKind(str, enum.Enum):
     SOLUTION = "solution"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Block:
     height: int
     kind: BlockKind
@@ -55,19 +55,6 @@ class Block:
     problem_epoch: int
     solution: CliqueSolution | None = None
 
-    def __post_init__(self):
-        if self.height < 0:
-            raise ValueError("height must be non-negative")
-        if self.sim_time < 0:
-            raise ValueError("sim_time must be non-negative")
-        if self.difficulty_used <= 0:
-            raise ValueError("difficulty_used must be positive")
-        has_solution = self.solution is not None
-        if (self.kind is BlockKind.SOLUTION) != has_solution:
-            raise ValueError("solution payload must match block kind")
-        if has_solution and self.solution.problem_epoch != self.problem_epoch:
-            raise ValueError("solution epoch must match block epoch")
-
 
 def append_block(parent: Block | None, block: Block,
                  problem: ProblemInstance, state: "DifficultyState") -> None:
@@ -75,18 +62,20 @@ def append_block(parent: Block | None, block: Block,
     first block) and publish its solution, if any.
 
     The difficulty check is exact: the block must have been mined at the
-    policy's current d_b (classical) or d_r (solution).  Solution blocks
-    must target the active problem, be genuine cliques of its graph, and
-    strictly improve its published best, which is then raised to their
-    score.
+    policy's current d_b (classical) or d_r (solution), so it is positive.
+    A block carries a solution exactly when it is a solution block, and
+    the solution must target the active problem, be a genuine clique of
+    its graph, and strictly improve its published best, which is then
+    raised to its score.
     """
     height = 0 if parent is None else parent.height + 1
     if block.height != height:
         raise ChainError(f"expected height {height}, got {block.height}")
-    if parent is not None and block.sim_time <= parent.sim_time:
+    earliest = 0.0 if parent is None else parent.sim_time
+    if block.sim_time < earliest or (parent is not None
+                                     and block.sim_time == earliest):
         raise NonMonotonicTime(
-            f"block time {block.sim_time} does not advance past "
-            f"{parent.sim_time}")
+            f"block time {block.sim_time} does not advance past {earliest}")
     if block.problem_epoch != problem.epoch:
         raise ChainError(
             f"block targets epoch {block.problem_epoch}, "
@@ -98,8 +87,12 @@ def append_block(parent: Block | None, block: Block,
             f"{block.kind.value} block used difficulty "
             f"{block.difficulty_used}, policy state says {expected}")
 
+    if (block.kind is BlockKind.SOLUTION) != (block.solution is not None):
+        raise ChainError("solution payload must match block kind")
     if block.kind is BlockKind.SOLUTION:
         sol = block.solution
+        if sol.problem_epoch != block.problem_epoch:
+            raise ChainError("solution epoch must match block epoch")
         if not is_clique(problem.graph, sol.vertices):
             raise MalformedClique(
                 f"vertices {sol.vertices} are not a clique")

@@ -42,7 +42,6 @@ from .experiments import (
 from .io import (
     ReplayError,
     RunManifest,
-    format_value,
     parse_config,
     read_records,
     render_config,
@@ -70,7 +69,8 @@ def _write_summary(args, payload: dict, header: str = "", rows=()) -> None:
     """Write ``summary.json`` and, given a header, ``summary.csv`` with
     floats at 17 significant digits."""
     if header:
-        lines = [header] + [",".join(map(format_value, row)) for row in rows]
+        lines = [header] + [",".join(format(v, ".17g") if isinstance(v, float)
+                                     else str(v) for v in row) for row in rows]
         with open(os.path.join(args.out_dir, "summary.csv"), "w",
                   encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -20,9 +20,10 @@ Each rule reads its parameters from the ``SimConfig``.
 
 from __future__ import annotations
 
+import math
 import sys
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from .chain import Block, BlockKind
 
@@ -33,6 +34,14 @@ if TYPE_CHECKING:
 # Without a floor, droughts drive a long v2 run's d_r to zero: solutions
 # come no faster as d_r falls, so no rule ever raises it again.
 D_R_FLOOR = sys.float_info.min
+
+
+class ConfigError(Exception):
+    """Simulation configuration is structurally or semantically invalid."""
+
+
+class DifficultyOutOfRange(ConfigError):
+    """A config drove a difficulty out of the finite positive range."""
 
 
 class NonPositiveFactor(ValueError):
@@ -56,8 +65,7 @@ def _retarget_factor(n_blocks: int, target_time: float, elapsed: float,
     return clamp_factor(n_blocks * target_time / elapsed, max_update_factor)
 
 
-@dataclass(frozen=True)
-class DifficultyUpdate:
+class DifficultyUpdate(NamedTuple):
     """One applied difficulty change, for audit and tests."""
 
     height: int
@@ -67,15 +75,15 @@ class DifficultyUpdate:
     rule: str            # "retarget", "drought" or "floor"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DifficultyState:
     """Current difficulties plus the counters the policies run on.
 
-    States are immutable; the on_block transitions return updated copies.
     ``epoch_count`` and ``epoch_start_time`` run the d_b epoch: every block
     counts under bitcoin and v1, classical blocks only under v2.  The
     ``solution_*`` pair runs v2's d_r epoch.  ``updates`` holds every
-    applied change, in order.
+    applied change, in order.  The rules update a state in place, and
+    only through ``set``; ``DifficultyPolicy.on_block`` hands them a copy.
     """
 
     d_b: float
@@ -88,66 +96,74 @@ class DifficultyState:
     updates: tuple[DifficultyUpdate, ...] = ()
 
     def __post_init__(self):
-        if self.d_b <= 0 or self.d_r <= 0:
-            raise ValueError("difficulties must stay positive")
+        if not (0.0 < self.d_b < math.inf and 0.0 < self.d_r < math.inf):
+            raise ValueError("difficulties must be finite and positive")
+
+    def copy(self) -> DifficultyState:
+        return DifficultyState(self.d_b, self.d_r, self.epoch_count,
+                               self.epoch_start_time,
+                               self.solution_count_in_epoch,
+                               self.solution_epoch_start_time,
+                               self.consecutive_classical, self.updates)
+
+    def set(self, name: str, new: float, height: int, rule: str,
+            floor: float = 0.0) -> None:
+        """Set difficulty ``name`` ("d_b" or "d_r") to ``new``, or to
+        ``floor`` (audited as "floor") if ``new`` is below it, and audit
+        the change; a value that is not finite and positive is refused."""
+        if new < floor:
+            new, rule = floor, "floor"
+        if not 0.0 < new < math.inf:
+            raise DifficultyOutOfRange(
+                f"height {height}: {rule} takes {name} to {new!r}, outside "
+                "the finite positive range")
+        self.updates += (DifficultyUpdate(height, name, getattr(self, name),
+                                          new, rule),)
+        setattr(self, name, new)
 
 
 def _db_epoch(state: DifficultyState, block: Block, n: int,
-              target_time: float, x: float) -> DifficultyState:
+              target_time: float, x: float) -> bool:
     """Count ``block`` toward the d_b epoch of ``n`` blocks; the epoch's
     last block retargets d_b on the epoch's wall-clock span against
-    ``target_time``."""
-    count = state.epoch_count + 1
-    if count < n:
-        return replace(state, epoch_count=count)
+    ``target_time``.  Return whether it did."""
+    state.epoch_count += 1
+    if state.epoch_count < n:
+        return False
     elapsed = block.sim_time - state.epoch_start_time
-    new_db = state.d_b * _retarget_factor(n, target_time, elapsed, x)
-    return replace(state, d_b=new_db,
-                   epoch_count=0, epoch_start_time=block.sim_time,
-                   updates=state.updates + (
-                       DifficultyUpdate(block.height, "d_b", state.d_b,
-                                        new_db, "retarget"),))
+    state.set("d_b", state.d_b * _retarget_factor(n, target_time, elapsed, x),
+              block.height, "retarget")
+    state.epoch_count = 0
+    state.epoch_start_time = block.sim_time
+    return True
 
 
 def on_block_bitcoin(state: DifficultyState, cfg: SimConfig,
-                     block: Block) -> DifficultyState:
+                     block: Block) -> None:
     """Apply one block under the single-difficulty baseline.
 
     Every block counts toward the ``n1``-block epoch, which retargets d_b
     on its wall-clock span against ``target_time``; d_r is never touched.
     """
-    return _db_epoch(state, block, cfg.n1, cfg.target_time,
-                     cfg.max_update_factor)
+    _db_epoch(state, block, cfg.n1, cfg.target_time, cfg.max_update_factor)
 
 
 def on_block_v1(state: DifficultyState, cfg: SimConfig,
-                block: Block) -> DifficultyState:
+                block: Block) -> None:
     """Apply one block under the coupled policy.
 
     d_b runs the bitcoin epoch of ``n1`` blocks.  On the block that
     retargets it, d_r then takes one clamped multiplicative step toward
     eta * d_b_new.  Solution and classical blocks count alike.
     """
-    new = on_block_bitcoin(state, cfg, block)
-    if new.epoch_count:
-        return new
-    f_r = clamp_factor(cfg.eta * new.d_b / state.d_r, cfg.max_update_factor)
-    new_dr = state.d_r * f_r
-    return replace(new, d_r=new_dr, updates=new.updates + (
-        DifficultyUpdate(block.height, "d_r", state.d_r, new_dr,
-                         "retarget"),))
-
-
-def _v2_dr_update(height: int, old: float, new: float, rule: str,
-                  ) -> tuple[float, DifficultyUpdate]:
-    """Apply the floor to a v2 d_r update and audit it."""
-    if new < D_R_FLOOR:
-        new, rule = D_R_FLOOR, "floor"
-    return new, DifficultyUpdate(height, "d_r", old, new, rule)
+    x = cfg.max_update_factor
+    if _db_epoch(state, block, cfg.n1, cfg.target_time, x):
+        f_r = clamp_factor(cfg.eta * state.d_b / state.d_r, x)
+        state.set("d_r", state.d_r * f_r, block.height, "retarget")
 
 
 def on_block_v2(state: DifficultyState, cfg: SimConfig,
-                block: Block) -> DifficultyState:
+                block: Block) -> None:
     """Apply one block under the independent policy.
 
     Classical blocks feed the ``n2_classical`` d_b epoch (against
@@ -160,30 +176,24 @@ def on_block_v2(state: DifficultyState, cfg: SimConfig,
     count.  Either d_r update stops at ``D_R_FLOOR``, audited as "floor".
     """
     x = cfg.max_update_factor
-    d_r = state.d_r
     if block.kind is BlockKind.CLASSICAL:
-        new = _db_epoch(state, block, cfg.n2_classical, cfg.t2_classical, x)
-        streak = state.consecutive_classical + 1
-        if streak < cfg.n2_classical:
-            return replace(new, consecutive_classical=streak)
-        new_dr, update = _v2_dr_update(block.height, d_r, d_r / x, "drought")
-        return replace(new, d_r=new_dr, consecutive_classical=0,
-                       updates=new.updates + (update,))
+        _db_epoch(state, block, cfg.n2_classical, cfg.t2_classical, x)
+        state.consecutive_classical += 1
+        if state.consecutive_classical >= cfg.n2_classical:
+            state.set("d_r", state.d_r / x, block.height, "drought",
+                      D_R_FLOOR)
+            state.consecutive_classical = 0
+        return
 
-    solution = state.solution_count_in_epoch + 1
-    solution_start = state.solution_epoch_start_time
-    updates = state.updates
-    if solution == cfg.n2_solution:
-        elapsed = block.sim_time - solution_start
+    state.consecutive_classical = 0
+    state.solution_count_in_epoch += 1
+    if state.solution_count_in_epoch == cfg.n2_solution:
+        elapsed = block.sim_time - state.solution_epoch_start_time
         f_r = _retarget_factor(cfg.n2_solution, cfg.t2_solution, elapsed, x)
-        d_r, update = _v2_dr_update(block.height, d_r, d_r * f_r, "retarget")
-        updates += (update,)
-        solution = 0
-        solution_start = block.sim_time
-    return replace(state, d_r=d_r,
-                   solution_count_in_epoch=solution,
-                   solution_epoch_start_time=solution_start,
-                   consecutive_classical=0, updates=updates)
+        state.set("d_r", state.d_r * f_r, block.height, "retarget",
+                  D_R_FLOOR)
+        state.solution_count_in_epoch = 0
+        state.solution_epoch_start_time = block.sim_time
 
 
 _RULES = {"bitcoin": on_block_bitcoin, "v1": on_block_v1, "v2": on_block_v2}
@@ -205,4 +215,7 @@ class DifficultyPolicy:
 
     def on_block(self, state: DifficultyState, block: Block,
                  ) -> DifficultyState:
-        return self.rule(state, self.cfg, block)
+        """Return the state after ``block``; ``state`` is left as it was."""
+        new = state.copy()
+        self.rule(new, self.cfg, block)
+        return new

@@ -28,7 +28,8 @@ from .clique import (
     SolverCursor,
     gen_random_graph,
 )
-from .difficulty import D_R_FLOOR, DifficultyPolicy, DifficultyState
+from .difficulty import (D_R_FLOOR, ConfigError, DifficultyPolicy,
+                         DifficultyState)
 
 DEFAULT_HASHRATE = 1000.0
 # Full enumeration of a default 60-vertex instance takes ~4800 steps, so at
@@ -37,10 +38,6 @@ DEFAULT_HASHRATE = 1000.0
 DEFAULT_SOLVER_STEPS_PER_SECOND = 100.0
 DEFAULT_ETA = 1.0 / 200.0
 DEFAULT_MAX_UPDATE_FACTOR = 4.0
-
-
-class ConfigError(Exception):
-    """Simulation configuration is structurally or semantically invalid."""
 
 
 class Strategy(str, enum.Enum):
@@ -196,8 +193,7 @@ def default_miners(policy: str) -> tuple[MinerSpec, ...]:
     return tuple(specs)
 
 
-@dataclass(frozen=True)
-class SimRecord:
+class SimRecord(typing.NamedTuple):
     """One per-block log row; difficulties are post-update values."""
 
     height: int
@@ -251,21 +247,25 @@ def _solver_order(master: int, miner_id: int, epoch: int, n: int) -> list[int]:
 # Core operations
 # ---------------------------------------------------------------------------
 
-def sample_block_winner(miners: list[MinerState], d_b: float, d_r: float,
+def sample_block_winner(miners: list[MinerState], hashrates: np.ndarray,
+                        solvers: list[int], d_b: float, d_r: float,
                         rng: np.random.Generator,
                         ) -> tuple[int, BlockKind, float]:
     """Run one exponential race and return (miner_id, kind, waiting time).
 
     Each miner's time is exponential with mean difficulty/hashrate, where
     the difficulty is d_r for miners currently working a held solution and
-    d_b otherwise.  Ties go to the lowest miner id.
+    d_b otherwise.  ``hashrates`` holds the miners' hashrates as float64,
+    ``solvers`` the indices of the miners whose strategy can solve (only
+    they are asked).  Ties go to the lowest miner id.
     """
-    reduced = [st.mines_reduced() for st in miners]
-    scales = np.array([(d_r if red else d_b) / st.spec.hashrate
-                       for st, red in zip(miners, reduced)])
-    times = rng.standard_exponential(len(scales)) * scales
-    idx = int(np.argmin(times))
-    kind = BlockKind.SOLUTION if reduced[idx] else BlockKind.CLASSICAL
+    reduced = [i for i in solvers if miners[i].mines_reduced()]
+    scales = d_b / hashrates
+    if reduced:
+        scales[reduced] = d_r / hashrates[reduced]
+    times = rng.standard_exponential(len(miners)) * scales
+    idx = int(times.argmin())
+    kind = BlockKind.SOLUTION if idx in reduced else BlockKind.CLASSICAL
     return miners[idx].spec.id, kind, float(times[idx])
 
 
@@ -387,6 +387,9 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
                                int(problem_rng.integers(0, 2 ** 63))),
         epoch=0)
     miners = [MinerState(spec=spec) for spec in cfg.miners]
+    hashrates = np.array([spec.hashrate for spec in cfg.miners], np.float64)
+    solvers = [i for i, spec in enumerate(cfg.miners)
+               if spec.strategy is not Strategy.CLASSICAL]
     if policy.uses_solutions:
         _reseed_solvers(miners, problem, cfg.seed, walks)
 
@@ -398,8 +401,8 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
     parent = None
 
     for height in range(cfg.max_blocks):
-        miner_id, kind, dt = sample_block_winner(miners, state.d_b,
-                                                 state.d_r, mining_rng)
+        miner_id, kind, dt = sample_block_winner(
+            miners, hashrates, solvers, state.d_b, state.d_r, mining_rng)
         # Long droughts can push d_r so low that a waiting time drops under
         # the clock's float resolution; advance by at least one ulp so block
         # times stay strictly increasing.
@@ -411,11 +414,9 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
         solution = (miners[miner_id].hoard.pop(0)
                     if kind is BlockKind.SOLUTION else None)
 
-        block = Block(height=height, kind=kind, miner_id=miner_id,
-                      sim_time=now,
-                      difficulty_used=(state.d_r if kind is BlockKind.SOLUTION
-                                       else state.d_b),
-                      problem_epoch=problem.epoch, solution=solution)
+        block = Block(height, kind, miner_id, now,
+                      state.d_b if solution is None else state.d_r,
+                      problem.epoch, solution)
         append_block(parent, block, problem, state)
         parent = block
 
@@ -426,11 +427,9 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
                 bubka_strategy_step(st, solution.score)
 
         state = policy.on_block(state, block)
-        records.append(SimRecord(
-            height=height, sim_time=now, kind=kind.value, miner_id=miner_id,
-            d_b=state.d_b, d_r=state.d_r, best_score=problem.best_score,
-            problem_epoch=problem.epoch,
-            cum_classical=height + 1 - cum_solution, cum_solution=cum_solution))
+        records.append(SimRecord(height, now, kind.value, miner_id, state.d_b,
+                                 state.d_r, problem.best_score, problem.epoch,
+                                 height + 1 - cum_solution, cum_solution))
 
         fresh = check_saturation_and_replace(problem, height, cfg, problem_rng)
         if fresh is not None:

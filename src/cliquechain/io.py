@@ -19,6 +19,7 @@ import dataclasses
 import json
 import typing
 from dataclasses import dataclass
+from itertools import repeat
 
 from .clique import INITIAL_BEST_SCORE, Graph
 from .engine import (
@@ -32,10 +33,11 @@ from .engine import (
 
 # The record schema is SimRecord's: its fields, in order, are the columns,
 # and each field's type parses its column back.
-RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(SimRecord))
+RECORD_FIELDS = SimRecord._fields
 _RECORD_TYPES = tuple(typing.get_type_hints(SimRecord)[f]
                       for f in RECORD_FIELDS)
 CSV_HEADER = ",".join(RECORD_FIELDS)
+_JSON_ROW = json.JSONEncoder(separators=(",", ":")).encode
 
 # The int-valued config keys, in SimConfig field order.
 _INT_KEYS = tuple(name for name, kind
@@ -184,26 +186,17 @@ def render_config(cfg: SimConfig) -> str:
 # Record serialization
 # ---------------------------------------------------------------------------
 
-def format_value(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def records_to_csv(records: list[SimRecord]) -> str:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join(format_value(getattr(r, f))
-                              for f in RECORD_FIELDS))
-    return "\n".join(lines) + "\n"
+    """Format column by column: floats at 17 significant digits."""
+    columns = [map(format, column, repeat(".17g")) if kind is float
+               else map(str, column)
+               for column, kind in zip(zip(*records), _RECORD_TYPES)]
+    return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 
 def records_to_jsonl(records: list[SimRecord]) -> str:
-    lines = []
-    for r in records:
-        obj = {f: getattr(r, f) for f in RECORD_FIELDS}
-        lines.append(json.dumps(obj, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+    return "\n".join([_JSON_ROW(dict(zip(RECORD_FIELDS, r)))
+                      for r in records]) + "\n"
 
 
 def write_records(records: list[SimRecord], path, fmt: str = "csv") -> None:

@@ -61,20 +61,26 @@ def solution(height, t, vertices, miner=1, epoch=0):
 
 
 # ---------------------------------------------------------------------------
-# Block construction invariants
+# Block payload invariants
 # ---------------------------------------------------------------------------
 
 def test_block_kind_payload_coherence():
     sol = CliqueSolution(problem_epoch=0, vertices=(0, 1), score=2)
-    with pytest.raises(ValueError):
-        Block(height=0, kind=BlockKind.CLASSICAL, miner_id=0, sim_time=0.0,
-              difficulty_used=D_B, problem_epoch=0, solution=sol)
-    with pytest.raises(ValueError):
-        Block(height=0, kind=BlockKind.SOLUTION, miner_id=0, sim_time=0.0,
-              difficulty_used=D_R, problem_epoch=0)
-    with pytest.raises(ValueError):
-        Block(height=0, kind=BlockKind.SOLUTION, miner_id=0, sim_time=0.0,
-              difficulty_used=D_R, problem_epoch=1, solution=sol)
+    with pytest.raises(ChainError, match="payload must match"):
+        append_block(None, Block(height=0, kind=BlockKind.CLASSICAL,
+                                 miner_id=0, sim_time=0.0, difficulty_used=D_B,
+                                 problem_epoch=0, solution=sol),
+                     mk_problem(K3), mk_state())
+    with pytest.raises(ChainError, match="payload must match"):
+        append_block(None, Block(height=0, kind=BlockKind.SOLUTION,
+                                 miner_id=0, sim_time=0.0, difficulty_used=D_R,
+                                 problem_epoch=0),
+                     mk_problem(K3), mk_state())
+    with pytest.raises(ChainError, match="solution epoch must match"):
+        append_block(None, Block(height=0, kind=BlockKind.SOLUTION,
+                                 miner_id=0, sim_time=0.0, difficulty_used=D_R,
+                                 problem_epoch=1, solution=sol),
+                     mk_problem(K3, epoch=1), mk_state())
 
 
 def test_solution_payload_shape_is_checked():
@@ -164,6 +170,8 @@ def test_append_rejects_non_monotonic_time():
         append_block(b0, classical(1, 1.0), problem, state)
     with pytest.raises(NonMonotonicTime):
         append_block(b0, classical(1, 0.5), problem, state)
+    with pytest.raises(NonMonotonicTime, match="does not advance past 0.0"):
+        append_block(None, classical(0, -1e-9), problem, state)
 
 
 def test_append_rejects_wrong_difficulty():

@@ -148,6 +148,19 @@ def test_non_finite_config_numbers_exit_2(tmp_path, line):
     assert main(["simulate", cfg, "--out-dir", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("text,height", [
+    # d_b overflows to inf at the first retarget.
+    ("policy = bitcoin\ninitial_db = 1e308\ntarget_time = 1e308\n", 9),
+    # A 1e300 clamp drives d_b to 0 once the clock has outrun it.
+    ("policy = v1\ninitial_db = 1e307\neta = 1\n"
+     "max_update_factor = 1e300\n", 29),
+], ids=["bitcoin-overflow", "v1-underflow"])
+def test_difficulty_out_of_range_exits_2(tmp_path, capsys, text, height):
+    cfg = write_cfg(tmp_path, f"seed = 1\nmax_blocks = 40\n{text}")
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"height {height}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,option,value", [
     ("eta-sweep", "--etas", "0.5,x"),
     ("bubka", "--hoard-targets", "1,y"),

@@ -7,6 +7,8 @@ import pytest
 from cliquechain.chain import Block, BlockKind
 from cliquechain.clique import CliqueSolution
 from cliquechain.difficulty import (
+    ConfigError,
+    DifficultyOutOfRange,
     DifficultyPolicy,
     DifficultyState,
     NonPositiveFactor,
@@ -26,9 +28,16 @@ def blk(kind, t, height=0):
                  difficulty_used=1.0, problem_epoch=0, solution=solution)
 
 
+def step(rule, state, params, block):
+    """Apply ``rule`` to a copy of ``state`` and return the copy."""
+    new = state.copy()
+    rule(new, params, block)
+    return new
+
+
 def feed_v2(state, params, kinds, times, start=0):
     for i, (kind, t) in enumerate(zip(kinds, times), start):
-        state = on_block_v2(state, params, blk(kind, t, height=i))
+        state = step(on_block_v2, state, params, blk(kind, t, height=i))
     return state
 
 
@@ -70,7 +79,8 @@ V1 = SimConfig(policy="v1", seed=0, eta=0.005, n1=4, target_time=0.1)
 def run_v1(times, d_b=100.0, d_r=0.5, start=0.0):
     state = DifficultyState(d_b=d_b, d_r=d_r, epoch_start_time=start)
     for i, t in enumerate(times):
-        state = on_block_v1(state, V1, blk(BlockKind.CLASSICAL, t, height=i))
+        state = step(on_block_v1, state, V1,
+                     blk(BlockKind.CLASSICAL, t, height=i))
     return state
 
 
@@ -121,8 +131,8 @@ def test_v1_ratio_relaxes_toward_eta():
     state = DifficultyState(d_b=100.0, d_r=50.0)
     trajectory = []
     for i in range(24):
-        state = on_block_v1(state, params, blk(BlockKind.CLASSICAL,
-                                               0.25 * (i + 1)))
+        state = step(on_block_v1, state, params,
+                     blk(BlockKind.CLASSICAL, 0.25 * (i + 1)))
         if state.epoch_count == 0:
             trajectory.append(state.d_r)
     assert state.d_b == 100.0
@@ -216,7 +226,7 @@ BTC = SimConfig(policy="bitcoin", seed=0, n1=10, target_time=0.1)
 def run_bitcoin(times, d_b=1000.0):
     state = DifficultyState(d_b=d_b, d_r=5.0)
     for t in times:
-        state = on_block_bitcoin(state, BTC, blk(BlockKind.CLASSICAL, t))
+        state = step(on_block_bitcoin, state, BTC, blk(BlockKind.CLASSICAL, t))
     return state
 
 
@@ -254,16 +264,57 @@ def test_policy_wrapper_dispatch_matches_free_functions():
     block = blk(BlockKind.CLASSICAL, 0.07)
 
     p1 = DifficultyPolicy(V1)
-    assert p1.on_block(state, block) == on_block_v1(state, V1, block)
+    assert p1.on_block(state, block) == step(on_block_v1, state, V1, block)
     assert p1.uses_solutions
 
     p2 = DifficultyPolicy(V2)
-    assert p2.on_block(state, block) == on_block_v2(state, V2, block)
+    assert p2.on_block(state, block) == step(on_block_v2, state, V2, block)
     assert p2.uses_solutions
 
     pb = DifficultyPolicy(BTC)
-    assert pb.on_block(state, block) == on_block_bitcoin(state, BTC, block)
+    assert pb.on_block(state, block) == step(on_block_bitcoin, state, BTC,
+                                             block)
     assert not pb.uses_solutions
+
+
+@pytest.mark.parametrize("cfg", [BTC, V1, V2], ids=lambda c: c.policy)
+def test_on_block_returns_a_new_state_and_leaves_its_argument(cfg):
+    # Counters past every epoch length make each block end an epoch, so
+    # every call appends updates.
+    policy = DifficultyPolicy(cfg)
+    state = DifficultyState(d_b=100.0, d_r=0.5, epoch_count=20,
+                            consecutive_classical=20)
+    for height in range(3):
+        before = state.copy()
+        block = blk(BlockKind.CLASSICAL, 0.05 * (height + 1), height)
+        result = policy.on_block(state, block)
+        assert result is not state
+        assert state == before
+        assert result.updates[:len(state.updates)] == state.updates
+        assert len(result.updates) > len(state.updates)
+        state = result
+        state.epoch_count = state.consecutive_classical = 20
+
+
+def test_update_leaving_the_finite_positive_range_names_its_height():
+    # A fast epoch at d_b = 1e308 quadruples d_b past the largest float.
+    state = DifficultyState(d_b=1e308, d_r=1.0)
+    times = [1e-6 * (i + 1) for i in range(10)]
+    with pytest.raises(DifficultyOutOfRange,
+                       match=r"height 9: retarget takes d_b to inf"):
+        for i, t in enumerate(times):
+            on_block_bitcoin(state, BTC, blk(BlockKind.CLASSICAL, t, i))
+    assert state.d_b == 1e308 and state.updates == ()
+    assert issubclass(DifficultyOutOfRange, ConfigError)
+
+    # A clamp of 1e300 per epoch drives d_b under the smallest float.
+    wide = SimConfig(policy="v1", seed=0, eta=1.0, n1=1, target_time=1.0,
+                     max_update_factor=1e300, initial_db=1.0)
+    state = DifficultyState(d_b=1e-300, d_r=1e-300)
+    with pytest.raises(DifficultyOutOfRange, match=r"height 4: .* to 0\.0"):
+        on_block_v1(state, wide, blk(BlockKind.CLASSICAL, 1e300, 4))
+    with pytest.raises(ValueError):
+        DifficultyState(d_b=float("inf"), d_r=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +333,9 @@ def test_random_walks_respect_clamp_and_positivity():
         for i in range(400):
             kind = BlockKind.SOLUTION if kinds[i] else BlockKind.CLASSICAL
             block = blk(kind, float(times[i]), height=i)
-            v1_state = on_block_v1(v1_state, V1, block)
-            v2_state = on_block_v2(v2_state, V2, block)
-            btc_state = on_block_bitcoin(btc_state, BTC, block)
+            on_block_v1(v1_state, V1, block)
+            on_block_v2(v2_state, V2, block)
+            on_block_bitcoin(btc_state, BTC, block)
         for state in (v1_state, v2_state, btc_state):
             assert state.d_b > 0 and state.d_r > 0
             for u in state.updates:

@@ -46,6 +46,16 @@ def bubka_spec(i, target, hashrate=1000.0, speed=100.0):
                      solver_steps_per_second=speed, hoard_target=target)
 
 
+def race_inputs(miners):
+    """``sample_block_winner``'s per-run inputs, built as ``simulate``
+    builds them: the hashrates as float64 and the solving miners'
+    indices."""
+    hashrates = np.array([st.spec.hashrate for st in miners], np.float64)
+    solvers = [i for i, st in enumerate(miners)
+               if st.spec.strategy is not Strategy.CLASSICAL]
+    return hashrates, solvers
+
+
 def sol(score, epoch=0):
     return CliqueSolution(problem_epoch=epoch, vertices=tuple(range(score)),
                           score=score)
@@ -58,7 +68,8 @@ def sol(score, epoch=0):
 def test_waiting_time_mean_matches_difficulty_over_hashrate():
     miners = [MinerState(spec=classical_spec(0, hashrate=10.0))]
     rng = np.random.default_rng(1)
-    times = [sample_block_winner(miners, 100.0, 5.0, rng)[2]
+    times = [sample_block_winner(miners, *race_inputs(miners), 100.0, 5.0,
+                                 rng)[2]
              for _ in range(10_000)]
     assert abs(np.mean(times) - 10.0) < 0.5        # within 5% of d/h = 10
 
@@ -66,7 +77,8 @@ def test_waiting_time_mean_matches_difficulty_over_hashrate():
 def test_equal_miners_split_wins_evenly():
     miners = [MinerState(spec=classical_spec(i)) for i in range(2)]
     rng = np.random.default_rng(2)
-    wins = sum(sample_block_winner(miners, 1000.0, 5.0, rng)[0] == 0
+    wins = sum(sample_block_winner(miners, *race_inputs(miners), 1000.0, 5.0,
+                                   rng)[0] == 0
                for _ in range(10_000))
     sigma = (10_000 * 0.25) ** 0.5
     assert abs(wins - 5_000) < 4 * sigma
@@ -75,12 +87,13 @@ def test_equal_miners_split_wins_evenly():
 def test_held_solution_switches_kind_and_dominates_race():
     holder = MinerState(spec=solver_spec(0), hoard=[sol(2)])
     rival = MinerState(spec=classical_spec(1))
+    miners = [holder, rival]
     rng = np.random.default_rng(3)
     rounds = 10_000
     wins = 0
     for _ in range(rounds):
-        miner_id, kind, _ = sample_block_winner([holder, rival], 1000.0, 5.0,
-                                                rng)
+        miner_id, kind, _ = sample_block_winner(miners, *race_inputs(miners),
+                                                1000.0, 5.0, rng)
         if miner_id == 0:
             wins += 1
             assert kind is BlockKind.SOLUTION
@@ -115,11 +128,22 @@ def test_race_draws_match_the_exponential_oracle():
     difficulties = np.random.default_rng(10).uniform(-300, 10.4, (4000, 2))
     kinds = set()
     for d_b, d_r in 10.0 ** difficulties:
-        got = sample_block_winner(miners, d_b, d_r, ours)
+        got = sample_block_winner(miners, *race_inputs(miners), d_b, d_r,
+                                  ours)
         assert got == oracle(miners, d_b, d_r, ref)
         kinds.add(got[1])
     assert kinds == {BlockKind.CLASSICAL, BlockKind.SOLUTION}
     assert ours.random() == ref.random()            # streams stay in step
+
+    # With no miner reduced the race takes its d_b-only path.
+    for st in miners:
+        st.hoard.clear()
+    for d_b, d_r in 10.0 ** difficulties[:500]:
+        got = sample_block_winner(miners, *race_inputs(miners), d_b, d_r,
+                                  ours)
+        assert got == oracle(miners, d_b, d_r, ref)
+        assert got[1] is BlockKind.CLASSICAL
+    assert ours.random() == ref.random()
 
 
 def test_attacker_mines_reduced_only_while_releasing():

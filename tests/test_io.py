@@ -1,7 +1,6 @@
 """Config parsing, record serialization, manifests, and stream
 re-validation."""
 
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -215,7 +214,7 @@ def test_verify_rejects_corrupted_streams():
 
     def corrupt(i, **changes):
         out = list(records)
-        out[i] = dataclasses.replace(out[i], **changes)
+        out[i] = out[i]._replace(**changes)
         return out
 
     solution_idx = next(i for i, r in enumerate(records)
@@ -247,8 +246,7 @@ def test_verify_rejects_corrupted_streams():
     verify_record_stream(records, graphs)
 
     def relabel(new_epoch):
-        return [dataclasses.replace(r,
-                                    problem_epoch=new_epoch(r.problem_epoch))
+        return [r._replace(problem_epoch=new_epoch(r.problem_epoch))
                 for r in records]
 
     for bad in (relabel(lambda e: max(e, 1)),             # starts at 1
