@@ -34,9 +34,7 @@ from .experiments import (
     DEFAULT_BUBKA_SEEDS,
     DEFAULT_BUBKA_TARGETS,
     DEFAULT_ETA_GRID,
-    run_block_growth_experiment,
     run_bubka_experiment,
-    run_difficulty_trajectories,
     run_eta_sweep,
 )
 from .io import (
@@ -98,7 +96,12 @@ def _simulate(args, cfg: SimConfig) -> tuple[dict, str]:
 
 
 def _growth(args, cfg: SimConfig) -> tuple[dict, str]:
-    result = run_block_growth_experiment(cfg)
+    if cfg.policy != "v2":
+        raise ConfigError("block-growth experiment runs the v2 policy")
+    if cfg.saturation_window < 1:
+        raise ConfigError("block-growth experiment needs problem "
+                          "replacement (saturation_window >= 1)")
+    result = simulate(cfg)
     recs = result.records
     records = _write_records(args, "records", recs)
     _write_summary(args, {
@@ -111,7 +114,9 @@ def _growth(args, cfg: SimConfig) -> tuple[dict, str]:
 
 
 def _difficulty(args, cfg: SimConfig) -> tuple[dict, str]:
-    result = run_difficulty_trajectories(cfg)
+    if cfg.policy not in ("v1", "v2"):
+        raise ConfigError("difficulty trajectories need policy v1 or v2")
+    result = simulate(cfg)
     recs = result.records
     records = _write_records(args, "records", recs)
     _write_summary(args, {**_columns(recs, "height", "d_b", "d_r"),
@@ -134,8 +139,8 @@ def _eta_sweep(args, cfg: SimConfig) -> tuple[dict, str]:
     _write_summary(
         args,
         {"eta_values": list(sweep.eta_values),
-         "instances": sweep.instances,
-         "chain_height": sweep.chain_height,
+         "instances": args.instances,
+         "chain_height": cfg.max_blocks,
          "v1_mean": list(v1_mean), "v1_sd": list(v1_sd),
          "v2_mean": list(v2_mean), "v2_sd": list(v2_sd),
          "v2_mean_line": sweep.v2_mean_line},
@@ -144,7 +149,7 @@ def _eta_sweep(args, cfg: SimConfig) -> tuple[dict, str]:
     outputs["summary"] = "summary.csv"
     return (outputs,
             f"eta sweep over {len(sweep.eta_values)} values x "
-            f"{sweep.instances} instances, v2 mean fraction "
+            f"{args.instances} instances, v2 mean fraction "
             f"{sweep.v2_mean_line:.4f}")
 
 
@@ -157,18 +162,18 @@ def _bubka(args, cfg: SimConfig) -> tuple[dict, str]:
         outputs[f"{c.protocol}/{c.instance}"] = _write_records(
             args, stem, c.records)
     columns = ("hoard_target", "win_fraction", "max_consecutive")
-    rows = [[getattr(row, f) for f in columns] for row in result.rows]
+    rows = [[target, float(np.mean(result.win_fractions(i))),
+             float(np.mean(result.max_consecutives(i)))]
+            for i, target in enumerate(result.hoard_targets)]
+    honest = float(np.mean(result.win_fractions(len(rows))))
     _write_summary(args, {"rows": [dict(zip(columns, r)) for r in rows],
-                          "honest_win_fraction": result.honest_win_fraction,
+                          "honest_win_fraction": honest,
                           "attacker_id": result.attacker_id},
                    ",".join(columns), rows)
     outputs["summary"] = "summary.csv"
-    lines = [f"hoard_target={row.hoard_target}: "
-             f"win_fraction={row.win_fraction:.4f}, "
-             f"max_consecutive={row.max_consecutive:.2f}"
-             for row in result.rows]
-    lines.append("honest baseline win_fraction="
-                 f"{result.honest_win_fraction:.4f}")
+    lines = [f"hoard_target={target}: win_fraction={win:.4f}, "
+             f"max_consecutive={streak:.2f}" for target, win, streak in rows]
+    lines.append(f"honest baseline win_fraction={honest:.4f}")
     return outputs, "\n".join(lines)
 
 

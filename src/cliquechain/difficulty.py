@@ -56,13 +56,20 @@ def clamp_factor(raw: float, max_update_factor: float) -> float:
     return min(max(raw, 1.0 / x), x)
 
 
+def _ratio_factor(num: float, den: float, x: float) -> float:
+    """Clamp ``num / den``, both positive, into [1/x, x].  The ratio reads
+    0.0 only when it underflows, far below 1/x, so the factor is 1/x."""
+    ratio = num / den
+    return clamp_factor(ratio, x) if ratio else 1.0 / x
+
+
 def _retarget_factor(n_blocks: int, target_time: float, elapsed: float,
                      max_update_factor: float) -> float:
     # A degenerate epoch (elapsed <= 0) means blocks came absurdly fast;
     # treat it as the hardest possible upward correction.
     if elapsed <= 0:
         return max_update_factor
-    return clamp_factor(n_blocks * target_time / elapsed, max_update_factor)
+    return _ratio_factor(n_blocks * target_time, elapsed, max_update_factor)
 
 
 class DifficultyUpdate(NamedTuple):
@@ -158,7 +165,7 @@ def on_block_v1(state: DifficultyState, cfg: SimConfig,
     """
     x = cfg.max_update_factor
     if _db_epoch(state, block, cfg.n1, cfg.target_time, x):
-        f_r = clamp_factor(cfg.eta * state.d_b / state.d_r, x)
+        f_r = _ratio_factor(cfg.eta * state.d_b, state.d_r, x)
         state.set("d_r", state.d_r * f_r, block.height, "retarget")
 
 

@@ -38,6 +38,13 @@ DEFAULT_HASHRATE = 1000.0
 DEFAULT_SOLVER_STEPS_PER_SECOND = 100.0
 DEFAULT_ETA = 1.0 / 200.0
 DEFAULT_MAX_UPDATE_FACTOR = 4.0
+# A solver's step budget per block, far above any search tree, so an
+# overflowing budget still means "search to exhaustion".
+MAX_STEP_BUDGET = 2.0 ** 63
+
+
+class ClockOverflow(ConfigError):
+    """A config's waiting times overflow the simulated clock."""
 
 
 class Strategy(str, enum.Enum):
@@ -272,7 +279,7 @@ def sample_block_winner(miners: list[MinerState], hashrates: np.ndarray,
 def advance_solvers(miners: list[MinerState], dt: float,
                     problem: ProblemInstance) -> None:
     """Advance every solving miner by floor(steps_per_second * dt + carry)
-    enumeration steps, preserving the fractional carry.
+    enumeration steps, at most MAX_STEP_BUDGET, preserving the carry.
 
     A solver banks each improvement it finds in its hoard: an honest
     solver's find replaces the one it held, an attacker's is appended.  The
@@ -285,7 +292,8 @@ def advance_solvers(miners: list[MinerState], dt: float,
     for st in miners:
         if st.cursor is None:
             continue
-        total = st.spec.solver_steps_per_second * dt + st.carry
+        total = min(st.spec.solver_steps_per_second * dt + st.carry,
+                    MAX_STEP_BUDGET)
         budget = int(math.floor(total))
         st.carry = total - budget
         while budget > 0 and not st.cursor.exhausted:
@@ -407,6 +415,8 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
         # the clock's float resolution; advance by at least one ulp so block
         # times stay strictly increasing.
         now = max(now + dt, math.nextafter(now, math.inf))
+        if now == math.inf:
+            raise ClockOverflow(f"height {height}: block time overflows")
         if policy.uses_solutions:
             advance_solvers(miners, dt, problem)
             _maybe_prove_optimum(problem, miners)

@@ -23,7 +23,6 @@ from .engine import (
     ConfigError,
     SimConfig,
     SimRecord,
-    SimResult,
     Strategy,
     derive_seed,
     simulate,
@@ -57,32 +56,6 @@ def max_consecutive_wins(records: Sequence[SimRecord], miner_id: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Single-run trajectory experiments
-# ---------------------------------------------------------------------------
-
-def run_block_growth_experiment(config: SimConfig) -> SimResult:
-    """Run the independent policy with problem replacement active.
-
-    The growth curves are the ``cum_classical`` and ``cum_solution``
-    columns of the returned records.
-    """
-    if config.policy != "v2":
-        raise ConfigError("block-growth experiment runs the v2 policy")
-    if config.saturation_window < 1:
-        raise ConfigError("block-growth experiment needs problem "
-                          "replacement (saturation_window >= 1)")
-    return simulate(config)
-
-
-def run_difficulty_trajectories(config: SimConfig) -> SimResult:
-    """Run either retargeting policy; the trajectories are the ``d_b`` and
-    ``d_r`` columns of the returned records."""
-    if config.policy not in ("v1", "v2"):
-        raise ConfigError("difficulty trajectories need policy v1 or v2")
-    return simulate(config)
-
-
-# ---------------------------------------------------------------------------
 # Eta sweep
 # ---------------------------------------------------------------------------
 
@@ -98,23 +71,25 @@ class SweepCell:
 
 @dataclass
 class EtaSweepResult:
-    """Solution-block fractions for both protocols over an eta grid.
+    """The cells of an eta sweep in the order they were built: v1 then
+    v2, eta by eta, instance by instance.
 
-    ``v1_fractions[i][j]`` is instance j at eta_values[i]; same shape for
-    v2.  ``v2_mean_line`` pools every v2 cell, the reference line the v1
-    curve should approach as eta shrinks.
+    ``fractions(protocol)[i][j]`` is instance j at eta_values[i].
+    ``v2_mean_line`` pools every v2 cell, the reference line the v1 curve
+    should approach as eta shrinks.
     """
 
     eta_values: tuple[float, ...]
-    instances: int
-    chain_height: int
-    v1_fractions: tuple[tuple[float, ...], ...]
-    v2_fractions: tuple[tuple[float, ...], ...]
     cells: tuple[SweepCell, ...]
+
+    def fractions(self, protocol: str) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(c.fraction for c in self.cells
+                           if c.protocol == protocol and c.eta_index == i)
+                     for i in range(len(self.eta_values)))
 
     def mean_sd(self, protocol: str) -> tuple[tuple[float, ...],
                                               tuple[float, ...]]:
-        rows = self.v1_fractions if protocol == "v1" else self.v2_fractions
+        rows = self.fractions(protocol)
         means = tuple(float(np.mean(row)) for row in rows)
         sds = tuple(float(np.std(row, ddof=1)) if len(row) > 1 else 0.0
                     for row in rows)
@@ -122,7 +97,8 @@ class EtaSweepResult:
 
     @property
     def v2_mean_line(self) -> float:
-        return float(np.mean([f for row in self.v2_fractions for f in row]))
+        return float(np.mean([c.fraction for c in self.cells
+                              if c.protocol == "v2"]))
 
 
 def _sweep_cell_config(base: SimConfig, protocol: str, eta: float,
@@ -197,57 +173,35 @@ def run_eta_sweep(base_config: SimConfig,
                 cells.append((protocol, i, j,
                               _sweep_cell_config(base_config, protocol,
                                                  eta, seed)))
-    outputs = _run_cells(cells, workers)
-
-    fractions = [c.fraction for c in outputs]
-    rows = tuple(tuple(fractions[k:k + instances])
-                 for k in range(0, len(fractions), instances))
-    return EtaSweepResult(eta_values=eta_values, instances=instances,
-                          chain_height=base_config.max_blocks,
-                          v1_fractions=rows[:len(eta_values)],
-                          v2_fractions=rows[len(eta_values):],
-                          cells=tuple(outputs))
+    return EtaSweepResult(eta_values=eta_values,
+                          cells=tuple(_run_cells(cells, workers)))
 
 
 # ---------------------------------------------------------------------------
 # Hoard-and-release attacker
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BubkaRow:
-    hoard_target: int
-    win_fraction: float
-    max_consecutive: float
-    win_fractions: tuple[float, ...]
-    max_consecutives: tuple[int, ...]
-
-
 @dataclass
 class BubkaResult:
-    """Attacker statistics per hoard target, plus an honest baseline.
+    """The cells of the attacker sweep, seed by seed for each hoard target
+    in turn, then for the honest baseline.
 
-    The baseline swaps the attacker for an honest solver with the same
-    hashrate and solver speed, run on the same seeds.
+    Target index ``i`` reads ``hoard_targets[i]``; the index after the
+    last target is the baseline, which swaps the attacker for an honest
+    solver with the same hashrate and solver speed, run on the same seeds.
     """
 
-    rows: tuple[BubkaRow, ...]
-    honest_win_fractions: tuple[float, ...]
+    hoard_targets: tuple[int, ...]
     attacker_id: int
-    seeds: tuple[int, ...]
     cells: tuple[SweepCell, ...]
 
-    @property
-    def honest_win_fraction(self) -> float:
-        return float(np.mean(self.honest_win_fractions))
+    def win_fractions(self, i: int) -> tuple[float, ...]:
+        return tuple(win_fraction(c.records, self.attacker_id)
+                     for c in self.cells if c.eta_index == i)
 
-
-def _attacker_index(config: SimConfig) -> int:
-    idx = [i for i, m in enumerate(config.miners)
-           if m.strategy is Strategy.BUBKA]
-    if len(idx) != 1:
-        raise ConfigError("bubka experiment needs exactly one "
-                          "bubka-attacker in the miner list")
-    return idx[0]
+    def max_consecutives(self, i: int) -> tuple[int, ...]:
+        return tuple(max_consecutive_wins(c.records, self.attacker_id)
+                     for c in self.cells if c.eta_index == i)
 
 
 def run_bubka_experiment(base: SimConfig,
@@ -257,46 +211,28 @@ def run_bubka_experiment(base: SimConfig,
     """Sweep the attacker's hoard target over a set of seeded runs.
 
     All hoard targets and the honest baseline share the same per-seed
-    random numbers.  Reports the attacker's win fraction and its longest
-    consecutive block run, averaged over seeds.
+    random numbers.  A cell's ``eta_index`` holds its target index.
     """
     if num_seeds < 1:
         raise ConfigError("num_seeds must be >= 1")
-    attacker_idx = _attacker_index(base)
-    attacker = base.miners[attacker_idx]
+    idx = [i for i, m in enumerate(base.miners)
+           if m.strategy is Strategy.BUBKA]
+    if len(idx) != 1:
+        raise ConfigError("bubka experiment needs exactly one "
+                          "bubka-attacker in the miner list")
+    attacker = base.miners[idx[0]]
+    hoard_targets = tuple(int(t) for t in hoard_targets)
+    variants = [(f"target={t}", replace(attacker, hoard_target=t))
+                for t in hoard_targets]
+    variants.append(("honest", replace(attacker, strategy=Strategy.SOLVER,
+                                       hoard_target=None)))
     seeds = tuple(derive_seed(base.seed, s) for s in range(num_seeds))
-
     cells = []
-    for t, target in enumerate(hoard_targets):
+    for t, (label, spec) in enumerate(variants):
         specs = list(base.miners)
-        specs[attacker_idx] = replace(attacker, hoard_target=int(target))
+        specs[idx[0]] = spec
         cfg = replace(base, miners=tuple(specs))
         for s, seed in enumerate(seeds):
-            cells.append((f"target={int(target)}", t, s,
-                          replace(cfg, seed=seed)))
-    honest_specs = list(base.miners)
-    honest_specs[attacker_idx] = replace(attacker, strategy=Strategy.SOLVER,
-                                         hoard_target=None)
-    honest_cfg = replace(base, miners=tuple(honest_specs))
-    for s, seed in enumerate(seeds):
-        cells.append(("honest", len(hoard_targets), s,
-                      replace(honest_cfg, seed=seed)))
-
-    outputs = _run_cells(cells, workers)
-
-    rows = []
-    for t, target in enumerate(hoard_targets):
-        runs = outputs[t * num_seeds:(t + 1) * num_seeds]
-        fracs = tuple(win_fraction(c.records, attacker.id) for c in runs)
-        streaks = tuple(max_consecutive_wins(c.records, attacker.id)
-                        for c in runs)
-        rows.append(BubkaRow(hoard_target=int(target),
-                             win_fraction=float(np.mean(fracs)),
-                             max_consecutive=float(np.mean(streaks)),
-                             win_fractions=fracs,
-                             max_consecutives=streaks))
-    honest = tuple(win_fraction(c.records, attacker.id)
-                   for c in outputs[len(hoard_targets) * num_seeds:])
-    return BubkaResult(rows=tuple(rows), honest_win_fractions=honest,
-                       attacker_id=attacker.id, seeds=seeds,
-                       cells=tuple(outputs))
+            cells.append((label, t, s, replace(cfg, seed=seed)))
+    return BubkaResult(hoard_targets=hoard_targets, attacker_id=attacker.id,
+                       cells=tuple(_run_cells(cells, workers)))

@@ -6,6 +6,7 @@ single [PASS]/[FAIL] line with the observed numbers before asserting, so a
 full run reads as a checklist.
 """
 
+import json
 import math
 import time
 from pathlib import Path
@@ -23,7 +24,6 @@ from cliquechain.clique import (
 from cliquechain.engine import MinerSpec, SimConfig, Strategy, simulate
 from cliquechain.experiments import (
     DEFAULT_ETA_GRID,
-    run_block_growth_experiment,
     run_bubka_experiment,
     run_eta_sweep,
 )
@@ -188,23 +188,24 @@ def test_v2_drought_monotonicity(report):
 #    below it once solutions appear, growth resumes after each replacement
 # ---------------------------------------------------------------------------
 
-def test_block_growth_shape(report):
-    cfg = parse_config(str(CONFIG_DIR / "growth.cfg"))
+def test_block_growth_shape(tmp_path, report):
     t0 = time.perf_counter()
-    result = run_block_growth_experiment(cfg)
+    rc = main(["growth", str(CONFIG_DIR / "growth.cfg"),
+               "--out-dir", str(tmp_path)])
     elapsed = time.perf_counter() - t0
+    summary = json.loads((tmp_path / "summary.json").read_text())
 
-    n = len(result.records)
-    cum_classical = [r.cum_classical for r in result.records]
-    cum_solution = [r.cum_solution for r in result.records]
+    cum_classical = summary["cum_classical"]
+    cum_solution = summary["cum_solution"]
+    n = len(cum_classical)
     on_diagonal = all(cum_classical[h] + cum_solution[h] == h + 1
                       for h in range(n))
     first_sol = next(h for h in range(n) if cum_solution[h] > 0)
     below = all(cum_classical[h] < h + 1 for h in range(first_sol, n))
-    reps = list(result.replacement_heights)
+    reps = summary["replacement_heights"]
     resumes = all(any(cum_solution[h] > cum_solution[rh]
                       for h in range(rh + 1, n)) for rh in reps)
-    ok = (on_diagonal and below and len(reps) >= 2 and resumes
+    ok = (rc == 0 and on_diagonal and below and len(reps) >= 2 and resumes
           and elapsed < 60.0)
     report("criterion 5 (block growth shape)", ok,
            f"totals on diagonal={on_diagonal}, classical below after "
@@ -228,12 +229,13 @@ def test_eta_sweep_statistics(report):
     rho_v1 = float(spearmanr([1.0 / e for e in sweep.eta_values],
                              v1_means).statistic)
 
-    v2_x = [eta for eta in sweep.eta_values for _ in range(sweep.instances)]
-    v2_y = [f for row in sweep.v2_fractions for f in row]
+    v2_rows = sweep.fractions("v2")
+    v2_x = [eta for eta, row in zip(sweep.eta_values, v2_rows) for _ in row]
+    v2_y = [f for row in v2_rows for f in row]
     rho_v2 = float(spearmanr(v2_x, v2_y).statistic)
 
     i_small = int(np.argmin(sweep.eta_values))
-    v1_small = np.asarray(sweep.v1_fractions[i_small])
+    v1_small = np.asarray(sweep.fractions("v1")[i_small])
     v2_all = np.asarray(v2_y)
     n1, n2 = len(v1_small), len(v2_all)
     pooled = math.sqrt(((n1 - 1) * v1_small.var(ddof=1)
@@ -299,11 +301,11 @@ def test_attacker_hoard_monotonicity(report):
     base = parse_config(str(CONFIG_DIR / "bubka.cfg"))
     result = run_bubka_experiment(base, hoard_targets=(1, 2, 5),
                                   num_seeds=20, workers=4)
-    runs = [row.max_consecutive for row in result.rows]
+    runs = [float(np.mean(result.max_consecutives(i))) for i in range(3)]
     monotone = all(a <= b for a, b in zip(runs, runs[1:]))
 
-    attacker = np.asarray(result.rows[0].win_fractions)
-    honest = np.asarray(result.honest_win_fractions)
+    attacker = np.asarray(result.win_fractions(0))
+    honest = np.asarray(result.win_fractions(3))      # the honest baseline
     sigma = math.sqrt(attacker.var(ddof=1) / len(attacker)
                       + honest.var(ddof=1) / len(honest))
     gap = abs(float(attacker.mean()) - float(honest.mean()))

@@ -161,6 +161,38 @@ def test_difficulty_out_of_range_exits_2(tmp_path, capsys, text, height):
     assert f"height {height}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,code,message", [
+    # The retarget ratio underflows to 0.0: each of the three retargets
+    # takes the factor 1/x, so d_b ends at 1e300 / 4**3.
+    ("policy = bitcoin\nseed = 1\nmax_blocks = 30\ntarget_time = 1e-300\n"
+     "initial_db = 1e300\n", 0, "final d_b=1.5625e+298"),
+    # The v1 pull toward eta * d_b underflows to 0.0: the factor is 1/x
+    # at each retarget, so d_r ends at 1e200 / 4**3.
+    ("policy = v1\nseed = 1\nmax_blocks = 30\neta = 0.001\n"
+     "initial_db = 1e-200\ninitial_dr = 1e200\n", 0, "d_r=1.5625e+198"),
+    # A waiting time of 1e311 overflows the clock at the first block.
+    ("policy = bitcoin\nseed = 1\nmax_blocks = 5\ninitial_db = 1e308\n"
+     "miner = strategy=classical hashrate=0.001 count=2\n", 2,
+     "height 0: block time overflows"),
+    # The attacker's step budget for block 0 is infinite; it searches to
+    # exhaustion, and the clock overflows one block later.
+    ("policy = v1\nseed = 27\nmax_blocks = 84\ngraph_n = 1\n"
+     "initial_db = 1e308\ninitial_dr = 1e300\nn1 = 100\n"
+     "saturation_window = 1\nminer = strategy=classical hashrate=1e-200\n"
+     "miner = strategy=bubka-attacker hashrate=1.0 "
+     "solver_steps_per_second=200 hoard_target=1\n", 2,
+     "height 1: block time overflows"),
+], ids=["retarget-underflow", "v1-pull-underflow", "clock-overflow",
+        "step-budget-overflow"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_extreme_configs_run_or_exit_2(tmp_path, capsys, text, code,
+                                       message):
+    cfg = write_cfg(tmp_path, text)
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "o")]) == code
+    captured = capsys.readouterr()
+    assert message in (captured.err if code else captured.out)
+
+
 @pytest.mark.parametrize("command,option,value", [
     ("eta-sweep", "--etas", "0.5,x"),
     ("bubka", "--hoard-targets", "1,y"),
@@ -293,6 +325,7 @@ def test_eta_sweep_outputs(tmp_path):
                     "v2_eta00_inst00.csv", "v2_eta01_inst00.csv"]
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["eta_values"] == [0.5, 0.01]
+    assert (summary["instances"], summary["chain_height"]) == (1, 40)
     assert 0.0 <= summary["v2_mean_line"] <= 1.0
 
 

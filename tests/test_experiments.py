@@ -1,8 +1,11 @@
-"""Experiment drivers: trajectory extraction, the eta sweep with common
-random numbers, and the hoard-and-release attacker sweep."""
+"""Experiment drivers: the growth and difficulty commands, the eta sweep
+with common random numbers, and the hoard-and-release attacker sweep."""
+
+import json
 
 import pytest
 
+from cliquechain.cli import main
 from cliquechain.engine import (
     ConfigError,
     MinerSpec,
@@ -14,18 +17,29 @@ from cliquechain.engine import (
 )
 from cliquechain.experiments import (
     max_consecutive_wins,
-    run_block_growth_experiment,
     run_bubka_experiment,
-    run_difficulty_trajectories,
     run_eta_sweep,
     solution_fraction,
     win_fraction,
 )
+from cliquechain.io import render_config
 
 
 def classical_team(n):
     return tuple(MinerSpec(id=i, hashrate=1000.0,
                            strategy=Strategy.CLASSICAL) for i in range(n))
+
+
+def run_command(tmp_path, command, cfg, *options):
+    """Run a command on ``cfg`` through ``cli.main``; return its exit code
+    and, on success, its summary.json."""
+    path = tmp_path / "run.cfg"
+    path.write_text(render_config(cfg))
+    out = tmp_path / "out"
+    code = main([command, str(path), "--out-dir", str(out), *options])
+    if code:
+        return code, None
+    return code, json.loads((out / "summary.json").read_text())
 
 
 def rec(i, miner, kind="classical", cum_s=0):
@@ -53,35 +67,42 @@ def test_summary_statistics_on_synthetic_records():
 
 
 # ---------------------------------------------------------------------------
-# Trajectories
+# Growth and difficulty commands
 # ---------------------------------------------------------------------------
 
-def test_block_growth_without_solvers_tracks_the_diagonal():
+def test_block_growth_without_solvers_tracks_the_diagonal(tmp_path):
     cfg = SimConfig(policy="v2", seed=21, max_blocks=120,
                     miners=classical_team(10))
-    result = run_block_growth_experiment(cfg)
-    assert [r.cum_solution for r in result.records] == [0] * 120
-    assert ([r.cum_classical for r in result.records]
-            == [r.height + 1 for r in result.records])
-    assert result.replacement_heights == [49, 99]
+    code, summary = run_command(tmp_path, "growth", cfg)
+    assert code == 0
+    assert summary["cum_solution"] == [0] * 120
+    assert (summary["cum_classical"] == summary["diagonal"]
+            == [h + 1 for h in summary["height"]])
+    assert summary["replacement_heights"] == [49, 99]
 
 
-def test_block_growth_requires_the_independent_policy():
-    with pytest.raises(ConfigError):
-        run_block_growth_experiment(SimConfig(policy="v1", seed=1))
-    with pytest.raises(ConfigError):
-        run_block_growth_experiment(
-            SimConfig(policy="v2", seed=1, saturation_window=0))
+def test_block_growth_requires_the_independent_policy(tmp_path, capsys):
+    for cfg, message in (
+            (SimConfig(policy="v1", seed=1),
+             "block-growth experiment runs the v2 policy"),
+            (SimConfig(policy="v2", seed=1, saturation_window=0),
+             "needs problem replacement (saturation_window >= 1)")):
+        assert run_command(tmp_path, "growth", cfg) == (2, None)
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
-def test_difficulty_trajectories_match_records():
+def test_difficulty_trajectories_match_records(tmp_path, capsys):
     cfg = SimConfig(policy="v1", seed=6, max_blocks=100)
-    records = run_difficulty_trajectories(cfg).records
+    code, summary = run_command(tmp_path, "difficulty", cfg)
     plain = simulate(cfg).records
-    assert [r.d_b for r in records] == [r.d_b for r in plain]
-    assert [r.d_r for r in records] == [r.d_r for r in plain]
-    with pytest.raises(ConfigError):
-        run_difficulty_trajectories(SimConfig(policy="bitcoin", seed=1))
+    assert code == 0
+    assert summary["d_b"] == [r.d_b for r in plain]
+    assert summary["d_r"] == [r.d_r for r in plain]
+    bitcoin = SimConfig(policy="bitcoin", seed=1)
+    assert run_command(tmp_path, "difficulty", bitcoin) == (2, None)
+    assert ("difficulty trajectories need policy v1 or v2"
+            in capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +116,14 @@ SWEEP_ETAS = (0.5, 0.01)
 def test_eta_sweep_shapes_and_cell_bookkeeping():
     res = run_eta_sweep(SWEEP_BASE, SWEEP_ETAS, instances=2)
     assert res.eta_values == (0.5, 0.01)
-    assert len(res.v1_fractions) == len(res.v2_fractions) == 2
-    assert all(len(row) == 2 for row in res.v1_fractions)
     assert len(res.cells) == 8
+    for protocol in ("v1", "v2"):
+        rows = res.fractions(protocol)
+        assert len(rows) == 2
+        assert all(len(row) == 2 for row in rows)
+        for i, row in enumerate(rows):
+            assert row == tuple(c.fraction for c in res.cells
+                                if (c.protocol, c.eta_index) == (protocol, i))
     for cell in res.cells:
         assert cell.fraction == (cell.records[-1].cum_solution
                                  / len(cell.records))
@@ -190,11 +216,11 @@ def test_shared_walks_run_fewer_steps_with_the_same_records(monkeypatch):
 def test_eta_sweep_summary_math():
     res = run_eta_sweep(SWEEP_BASE, SWEEP_ETAS, instances=2)
     means, sds = res.mean_sd("v1")
-    for row, mean, sd in zip(res.v1_fractions, means, sds):
+    for row, mean, sd in zip(res.fractions("v1"), means, sds):
         assert mean == pytest.approx(sum(row) / 2)
         var = sum((f - mean) ** 2 for f in row)          # ddof=1 with n=2
         assert sd == pytest.approx(var ** 0.5)
-    pooled = [f for row in res.v2_fractions for f in row]
+    pooled = [f for row in res.fractions("v2") for f in row]
     assert res.v2_mean_line == pytest.approx(sum(pooled) / len(pooled))
 
 
@@ -217,19 +243,32 @@ def attacker_base(n_classical=4, target=1):
                      miners=tuple(miners))
 
 
-def test_bubka_experiment_shapes_and_seeds():
-    res = run_bubka_experiment(attacker_base(), hoard_targets=(1, 2),
-                               num_seeds=3)
-    assert [row.hoard_target for row in res.rows] == [1, 2]
+def test_bubka_experiment_shapes_and_seeds(tmp_path):
+    base = attacker_base()
+    res = run_bubka_experiment(base, hoard_targets=(1, 2), num_seeds=3)
+    assert res.hoard_targets == (1, 2)
     assert res.attacker_id == 4
-    assert res.seeds == tuple(derive_seed(7, s) for s in range(3))
-    assert len(res.honest_win_fractions) == 3
-    for row in res.rows:
-        assert len(row.win_fractions) == len(row.max_consecutives) == 3
-        assert row.win_fraction == pytest.approx(
-            sum(row.win_fractions) / 3)
-        assert row.max_consecutive == pytest.approx(
-            sum(row.max_consecutives) / 3)
+    assert len(res.cells) == 9
+    seeds = [derive_seed(7, s) for s in range(3)]
+    for t in range(3):                     # both targets, then the baseline
+        runs = [c for c in res.cells if c.eta_index == t]
+        assert [c.seed for c in runs] == seeds
+        assert res.win_fractions(t) == tuple(
+            win_fraction(c.records, 4) for c in runs)
+        assert res.max_consecutives(t) == tuple(
+            max_consecutive_wins(c.records, 4) for c in runs)
+
+    code, summary = run_command(tmp_path, "bubka", base,
+                                "--hoard-targets", "1,2", "--seeds", "3")
+    assert code == 0
+    assert [row["hoard_target"] for row in summary["rows"]] == [1, 2]
+    for t, row in enumerate(summary["rows"]):
+        assert row["win_fraction"] == pytest.approx(
+            sum(res.win_fractions(t)) / 3)
+        assert row["max_consecutive"] == pytest.approx(
+            sum(res.max_consecutives(t)) / 3)
+    assert summary["honest_win_fraction"] == pytest.approx(
+        sum(res.win_fractions(2)) / 3)
 
 
 def test_bubka_experiment_is_reproducible_in_parallel():
