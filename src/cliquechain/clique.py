@@ -431,6 +431,10 @@ def write_graphs(graphs, path) -> None:
             fh.write(graph_to_edge_list(graph))
 
 
+# The next non-blank line from a position on, stripped.
+_NEXT_LINE = re.compile(r"\S(?:[^\n]*\S)?")
+
+
 def read_graphs(path) -> list[Graph]:
     """Parse edge-list sections back into graphs.
 
@@ -438,32 +442,39 @@ def read_graphs(path) -> list[Graph]:
     listed.  When a section carries a non-negative seed it is re-drawn from
     (n, edge_prob, seed) and must match the listed edges bit for bit;
     a mismatch means the file does not belong to its manifest.  A section
-    whose stripped lines are the re-drawn graph's rendering is taken as it,
-    unparsed.  Every problem with the file raises ValueError naming it.
+    whose text after its header line is exactly the re-drawn graph's
+    rendering is taken as it, unparsed.  Every problem with the file raises
+    ValueError naming it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [s for ln in fh.read().split("\n") if (s := ln.strip())]
-        graphs = []
-        i = 0
-        while i < len(lines):
-            head = lines[i].split()
+            text = fh.read()
+        graphs, pos = [], 0
+        while line := _NEXT_LINE.search(text, pos):
+            head, pos = line[0].split(), line.end() + 1
             if len(head) != 4:
-                raise ValueError(f"bad edge-list header: {lines[i]!r}")
+                raise ValueError(f"bad edge-list header: {line[0]!r}")
             n, m, seed = int(head[0]), int(head[1]), int(head[2])
             edge_prob = float(head[3])
-            i += 1
-            if i + m > len(lines):
-                raise ValueError(f"section {len(graphs)} lists "
-                                 f"{len(lines) - i} of its {m} edges")
-            body, i = lines[i:i + max(m, 0)], i + max(m, 0)
             regen = None
             if seed >= 0:
                 with contextlib.suppress(InvalidParams):  # raised below
                     regen = gen_random_graph(n, edge_prob, seed)
-            if regen and regen.num_edges == m and body == _edge_lines(regen):
-                graphs.append(regen)
-                continue
+            if regen and regen.num_edges == m:
+                rendered = "\n".join(_edge_lines(regen))
+                end = pos + len(rendered)
+                if (text.startswith(rendered, pos)
+                        and text[end:end + 1] in ("\n", "")):
+                    graphs.append(regen)
+                    pos = end
+                    continue
+            body = []
+            while len(body) < m and (line := _NEXT_LINE.search(text, pos)):
+                body.append(line[0])
+                pos = line.end() + 1
+            if len(body) < m:
+                raise ValueError(f"section {len(graphs)} lists "
+                                 f"{len(body)} of its {m} edges")
             edges = [(int(u), int(v)) for u, v in map(str.split, body)]
             graph = Graph.from_edges(n, edges, seed=seed,
                                      edge_prob=edge_prob)

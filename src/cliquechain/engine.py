@@ -379,6 +379,7 @@ def _maybe_prove_optimum(problem: ProblemInstance,
         st.hoard[-1].score for st in solverish if st.hoard])
 
 
+@np.errstate(over="ignore")  # a race time of inf just never wins
 def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
     """Run the full event loop and return records plus final state.
 

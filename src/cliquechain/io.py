@@ -20,6 +20,7 @@ import json
 import typing
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 
 from .clique import INITIAL_BEST_SCORE, Graph
 from .engine import (
@@ -212,6 +213,9 @@ def write_records(records: list[SimRecord], path, fmt: str = "csv") -> None:
         fh.write(text)
 
 
+_BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
+
+
 def read_records(path) -> list[SimRecord]:
     """Read records back from either serialization (sniffed, not by
     extension)."""
@@ -225,22 +229,37 @@ def read_records(path) -> list[SimRecord]:
     jsonl = lines[0].startswith("{")
     if not jsonl and lines[0] != CSV_HEADER:
         raise ReplayError(f"{path}: unexpected header {lines[0]!r}")
-    records = []
-    for ln in lines if jsonl else lines[1:]:
-        try:
-            if jsonl:
-                obj = json.loads(ln)
-                values = [obj[f] for f in RECORD_FIELDS]
-            else:
-                values = ln.split(",")
-                if len(values) != len(RECORD_FIELDS):
-                    raise ReplayError(f"{path}: bad row {ln!r}")
-            records.append(SimRecord(*[parse(v) for parse, v
-                                       in zip(_RECORD_TYPES, values)]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ReplayError(f"{path}: bad record {ln!r} "
-                              f"({type(exc).__name__}: {exc})") from None
-    return records
+    body = lines if jsonl else lines[1:]
+    try:
+        return _records(body, jsonl) if body else []
+    except _BAD_VALUE:
+        for ln in body:  # only a bad file pays for finding its first bad line
+            try:
+                _records([ln], jsonl)
+            except _BAD_VALUE as exc:
+                raise ReplayError(f"{path}: bad record {ln!r} "
+                                  f"({type(exc).__name__}: {exc})") from None
+        raise
+
+
+def _records(lines: list[str], jsonl: bool) -> list[SimRecord]:
+    """Parse nonempty body lines one column at a time."""
+    if jsonl:
+        columns = list(zip(*map(itemgetter(*RECORD_FIELDS),
+                                map(json.loads, lines))))
+        for field, kind, column in zip(RECORD_FIELDS, _RECORD_TYPES, columns):
+            # A bool is not an int; a float field takes any JSON number.
+            if set(map(type, column)) - {kind, int if kind is float else kind}:
+                raise TypeError(f"{field} must be a JSON " + {
+                    int: "integer", float: "number", str: "string"}[kind])
+    else:
+        width = len(RECORD_FIELDS)
+        # Per line, so that a long row cannot make up for a short one.
+        if set(map(str.count, lines, repeat(","))) != {width - 1}:
+            raise ValueError(f"a row needs {width} fields")
+        values = ",".join(lines).split(",")
+        columns = [values[i::width] for i in range(width)]
+    return list(map(SimRecord._make, zip(*map(map, _RECORD_TYPES, columns))))
 
 
 # ---------------------------------------------------------------------------

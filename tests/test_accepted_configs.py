@@ -74,7 +74,6 @@ def _config(rng: random.Random) -> SimConfig:
             continue
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_generated_configs_run_or_exit_2(tmp_path, capsys):
     rng = random.Random(MASTER_SEED)
     path = tmp_path / "run.cfg"

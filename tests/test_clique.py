@@ -498,18 +498,8 @@ def _rewrite_edges(text, change):
     return "\n".join([head, *change(edges)]) + "\n"
 
 
-@pytest.mark.parametrize("change", [
-    lambda edges: edges[::-1],
-    lambda edges: [" ".join(e.split()[::-1]) for e in edges],
-    lambda edges: [e.replace(" ", "  ") for e in edges],
-    lambda edges: [x for e in edges for x in (e, "", "  ")],
-], ids=["reordered", "as-v-u", "double-spaced", "blank-lines"])
-def test_seeded_sections_read_back_however_laid_out(tmp_path, monkeypatch,
-                                                    change):
-    graphs = [gen_random_graph(30, 0.5, 5), gen_random_graph(12, 0.3, 6)]
-    path = tmp_path / "graphs.edges"
-    path.write_text("".join(_rewrite_edges(graph_to_edge_list(g), change)
-                            for g in graphs))
+def _count_regenerations(monkeypatch):
+    """The list that each later gen_random_graph call appends its args to."""
     calls = []
 
     def counting_gen(*args):
@@ -517,8 +507,67 @@ def test_seeded_sections_read_back_however_laid_out(tmp_path, monkeypatch,
         return gen_random_graph(*args)
 
     monkeypatch.setattr(clique, "gen_random_graph", counting_gen)
+    return calls
+
+
+def _per_section(change):
+    """A layout that rewrites each section's edge lines with ``change``."""
+    return lambda sections: "".join(_rewrite_edges(s, change)
+                                    for s in sections)
+
+
+# The middle section has no edges, so its header line is followed directly
+# by the next section's header.
+LAID_OUT = [gen_random_graph(30, 0.5, 5), gen_random_graph(1, 0.5, 7),
+            gen_random_graph(12, 0.3, 6)]
+
+
+@pytest.mark.parametrize("layout", [
+    _per_section(lambda edges: edges[::-1]),
+    _per_section(lambda edges: [" ".join(e.split()[::-1]) for e in edges]),
+    _per_section(lambda edges: [e.replace(" ", "  ") for e in edges]),
+    _per_section(lambda edges: [x for e in edges for x in (e, "", "  ")]),
+    "".join,
+    lambda sections: "".join(sections).replace("\n", "\r\n"),
+    lambda sections: "".join(sections).replace("\n", " \t \n"),
+    lambda sections: "".join(sections).replace(" 0.5\n", " 0.50\n"),
+    lambda sections: "".join(sections).rstrip("\n"),
+    lambda sections: "\n \n".join(sections),
+], ids=["reordered", "as-v-u", "double-spaced", "blank-lines", "as-written",
+        "crlf", "trailing-spaces", "header-0.50", "no-final-newline",
+        "blank-lines-between-sections"])
+def test_seeded_sections_read_back_however_laid_out(tmp_path, monkeypatch,
+                                                    layout):
+    path = tmp_path / "graphs.edges"
+    path.write_bytes(layout([graph_to_edge_list(g)
+                             for g in LAID_OUT]).encode())
+    calls = _count_regenerations(monkeypatch)
+    assert read_graphs(path) == LAID_OUT
+    assert len(calls) == len(LAID_OUT)      # one regeneration per section
+
+
+def test_canonical_sections_are_taken_without_parsing(tmp_path, monkeypatch):
+    graphs = [gen_random_graph(30, 0.5, 5), gen_random_graph(12, 0.3, 6)]
+    path = tmp_path / "graphs.edges"
+    write_graphs(graphs, path)
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("a canonical section was parsed")
+
+    monkeypatch.setattr(Graph, "from_edges", no_parse)
     assert read_graphs(path) == graphs
-    assert len(calls) == len(graphs)        # one regeneration per section
+
+
+def test_rendering_must_end_at_a_line_end(tmp_path):
+    # The rendering is a prefix of this section's text, but its last edge
+    # line goes on: the section is parsed, and the stray edge rejected.
+    g = gen_random_graph(12, 0.5, 21)
+    last = graph_to_edge_list(g).splitlines()[-1]
+    path = tmp_path / "graph.edges"
+    path.write_text(graph_to_edge_list(g).rstrip("\n") + "0\n")
+    with pytest.raises(ValueError, match=rf"bad edge \({last.split()[0]}, "
+                                         rf"{last.split()[1]}0\)"):
+        read_graphs(path)
 
 
 def test_tampered_seeded_section_regenerates_once(tmp_path, monkeypatch):
@@ -528,13 +577,7 @@ def test_tampered_seeded_section_regenerates_once(tmp_path, monkeypatch):
     header[1] = str(int(header[1]) - 1)
     path = tmp_path / "graph.edges"
     path.write_text("\n".join([" ".join(header)] + lines[2:]) + "\n")
-    calls = []
-
-    def counting_gen(*args):
-        calls.append(args)
-        return gen_random_graph(*args)
-
-    monkeypatch.setattr(clique, "gen_random_graph", counting_gen)
+    calls = _count_regenerations(monkeypatch)
     with pytest.raises(ValueError, match="regeneration"):
         read_graphs(path)
     assert calls == [(12, 0.5, 21)]
@@ -548,6 +591,8 @@ def test_tampered_seeded_section_regenerates_once(tmp_path, monkeypatch):
     ("4 1 7 0.5\n0 9\n", r"bad edge \(0, 9\) for n=4"),
     ("1 -3 0 0.5\n", "header says -3 edges, lists 0 distinct"),
     ("2 0 3 0.5\n", "does not match regeneration"),
+    ("2 3 5 0.5\n0 1\n", "section 0 lists 1 of its 3 edges"),
+    ("3 1 5 0.5 x\n0 1\n", "bad edge-list header"),
 ])
 def test_seeded_section_errors_keep_their_messages(tmp_path, text, message):
     # A section the re-drawn graph cannot match gets the parse path's error,

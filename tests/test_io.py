@@ -1,6 +1,7 @@
 """Config parsing, record serialization, manifests, and stream
 re-validation."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,66 @@ def test_read_records_rejects_garbage(tmp_path):
     empty.write_text("")
     with pytest.raises(ReplayError):
         read_records(empty)
+
+
+def test_csv_rows_are_checked_one_by_one(tmp_path):
+    # Moving one field from the head of a row to the end of the one before
+    # leaves the joined values of a valid file; each row must still have
+    # every field.
+    header, first, second = records_to_csv(sample_records()).splitlines()
+    height, rest = second.split(",", 1)
+    long_row = f"{first},{height}"
+    path = tmp_path / "shifted.csv"
+    path.write_text("\n".join([header, long_row, rest]) + "\n")
+    with pytest.raises(ReplayError, match="a row needs 10 fields") as exc:
+        read_records(path)
+    assert repr(long_row) in str(exc.value)
+
+
+def test_bad_csv_value_names_its_line(tmp_path):
+    lines = records_to_csv(sample_records()).splitlines()
+    lines[2] = lines[2].replace(",11,", ",eleven,")
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ReplayError, match="invalid literal") as exc:
+        read_records(path)
+    assert repr(lines[2]) in str(exc.value)
+
+
+def _jsonl_with(tmp_path, **changes):
+    """A 5-block bitcoin run as JSONL, with record 1's fields changed."""
+    records = simulate(SimConfig(policy="bitcoin", seed=1,
+                                 max_blocks=5)).records
+    path = tmp_path / "records.jsonl"
+    write_records(records, path, fmt="jsonl")
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), **changes})
+    path.write_text("\n".join(lines) + "\n")
+    return path, lines[1]
+
+
+@pytest.mark.parametrize("changes", [
+    {"height": 1.9, "miner_id": True, "best_score": 1.5},
+    {"height": 1.0},
+    {"miner_id": True},
+    {"best_score": "1"},
+    {"kind": 1},
+    {"d_b": True},
+    {"sim_time": "0.5"},
+], ids=["fraction-bool-fraction", "int-as-float", "bool-as-int",
+        "string-as-int", "int-as-string", "bool-as-float", "string-as-float"])
+def test_jsonl_values_must_have_their_field_type(tmp_path, changes):
+    path, line = _jsonl_with(tmp_path, **changes)
+    with pytest.raises(ReplayError, match="must be") as exc:
+        read_records(path)
+    assert repr(line) in str(exc.value)
+
+
+def test_jsonl_float_fields_take_any_json_number(tmp_path):
+    path, _ = _jsonl_with(tmp_path, d_b=1000, d_r=2)
+    record = read_records(path)[1]
+    assert (record.d_b, record.d_r) == (1000.0, 2.0)
+    assert type(record.d_b) is float and type(record.d_r) is float
 
 
 # ---------------------------------------------------------------------------
