@@ -28,6 +28,11 @@ INITIAL_BEST_SCORE = 1
 # Sentinel seed for hand-built graphs that were not drawn from G(n, p).
 HANDCRAFTED_SEED = -1
 
+# The most vertices a config or a graphs file may name: gen_random_graph
+# holds n(n-1)/2 float64 draws and n-by-n bool matrices at once, about
+# 100 MB at 4,096 vertices, and the need grows with n squared.
+MAX_GRAPH_N = 4096
+
 
 class InvalidParams(ValueError):
     """Rejected graph-generation parameters."""
@@ -194,10 +199,13 @@ class Walk:
 
     Each stack frame is a list ``[r, p, x, ext]``: the clique so far,
     candidate and excluded sets, all bitmasks of ranks, and the children
-    left to visit, with ``ext = -1`` until expanded.  Expanding costs one
-    step: the pivot is the first vertex of P | X, scanning from the lowest
-    bit, with the most neighbours in P, and ``ext`` becomes P \\ N(pivot),
-    visited lowest bit first.  ``steps`` counts the expansions so far.
+    left to visit.  The stack holds just the frames with a child left,
+    each the parent of the one above.  One step pops the top frame's
+    lowest child (and the frame with its last) and expands it: the pivot
+    is the first vertex of P | X, from the lowest bit, with the most
+    neighbours in P, and the child is pushed if its ``ext``, P \\ N(pivot),
+    is nonzero.  The root is the only child of a sentinel frame over an
+    extra vertex ``n`` adjacent to all.  ``steps`` counts the expansions.
 
     A shared walk (``record=True``) also keeps the size and the clique of
     its ``k``-th expansion, from 0, in ``sizes[k]`` and ``cliques[k]``, so
@@ -209,8 +217,9 @@ class Walk:
     __slots__ = ("masks", "stack", "steps", "sizes", "cliques")
 
     def __init__(self, masks: list[int], record: bool = False):
-        self.masks = masks
-        self.stack: list[list] = [[0, (1 << len(masks)) - 1, 0, -1]]
+        n = len(masks)
+        self.masks = [*masks, (1 << n) - 1]
+        self.stack: list[list] = [[1 << n, (1 << n) - 1, 0, 1 << n]]
         self.steps = 0
         self.sizes = bytearray() if record else None
         self.cliques: list[int] | None = [] if record else None
@@ -225,42 +234,41 @@ class Walk:
         sizes = self.sizes
         cliques = self.cliques
         step = self.steps
-        found = None
         while step < end and stack:
-            fr = stack[-1]
-            r, p, x, ext = fr
-            if ext < 0:
-                step += 1
-                ext = 0
-                if p:
-                    best_count = -1
-                    cand = p | x
-                    while cand:
-                        low = cand & -cand
-                        cand ^= low
-                        count = (p & masks[low.bit_length() - 1]).bit_count()
-                        if count > best_count:
-                            best_count, pivot = count, low
-                    ext = p & ~masks[pivot.bit_length() - 1]
-                fr[3] = ext
-                size = r.bit_count()
-                if sizes is not None:
-                    sizes.append(size)
-                    cliques.append(r)
-                if size > threshold:
-                    found = r
-                    break
-            elif ext:
-                low = ext & -ext
-                mv = masks[low.bit_length() - 1]
+            r, p, x, ext = fr = stack[-1]
+            low = ext & -ext
+            if ext == low:
+                stack.pop()
+            else:
                 fr[1] = p ^ low
                 fr[2] = x | low
                 fr[3] = ext ^ low
-                stack.append([r | low, p & mv, x & mv, -1])
-            else:
-                stack.pop()
+            mv = masks[low.bit_length() - 1]
+            r ^= low
+            p &= mv
+            step += 1
+            if p:
+                x &= mv
+                best_count = -1
+                cand = p | x
+                while cand:
+                    v = cand & -cand
+                    cand ^= v
+                    count = (p & masks[v.bit_length() - 1]).bit_count()
+                    if count > best_count:
+                        best_count, pivot = count, v
+                ext = p & ~masks[pivot.bit_length() - 1]
+                if ext:
+                    stack.append([r, p, x, ext])
+            size = r.bit_count()
+            if sizes is not None:
+                sizes.append(size)
+                cliques.append(r)
+            if size > threshold:
+                self.steps = step
+                return r
         self.steps = step
-        return found
+        return None
 
 
 class SolverCursor:
@@ -342,8 +350,8 @@ class SolverCursor:
             pos = walk.steps
         self.steps_consumed = pos
         if clique is None:
-            # A frame stays on the stack after every expansion, so the
-            # search exhausts only in a call with budget left past it.
+            # The walk stops at ``end`` before it looks at its stack, so
+            # the search exhausts only in a call with budget left past it.
             if walk.steps < end:
                 self.exhausted = True
             return None
@@ -455,6 +463,9 @@ def read_graphs(path) -> list[Graph]:
             if len(head) != 4:
                 raise ValueError(f"bad edge-list header: {line[0]!r}")
             n, m, seed = int(head[0]), int(head[1]), int(head[2])
+            if n > MAX_GRAPH_N:
+                raise ValueError(f"section {len(graphs)} has {n} vertices, "
+                                 f"more than {MAX_GRAPH_N}")
             edge_prob = float(head[3])
             regen = None
             if seed >= 0:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .chain import Block, BlockKind, append_block
 from .clique import (
+    MAX_GRAPH_N,
     CliqueSolution,
     Graph,
     ProblemInstance,
@@ -162,8 +163,8 @@ class SimConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.max_update_factor <= 1.0:
             raise ConfigError("max_update_factor must exceed 1")
-        if self.graph_n < 1:
-            raise ConfigError("graph_n must be >= 1")
+        if not 1 <= self.graph_n <= MAX_GRAPH_N:
+            raise ConfigError(f"graph_n must lie in [1, {MAX_GRAPH_N}]")
         if not 0.0 < self.graph_p < 1.0:
             raise ConfigError("graph_p must lie strictly between 0 and 1")
         if self.max_blocks < 1:

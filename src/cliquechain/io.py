@@ -20,6 +20,7 @@ import json
 import typing
 from dataclasses import dataclass
 from itertools import repeat
+from math import inf
 from operator import itemgetter
 
 from .clique import INITIAL_BEST_SCORE, Graph
@@ -304,11 +305,12 @@ def verify_record_stream(records: list[SimRecord],
     """Re-validate a recorded chain against its problem graphs.
 
     Checks the structural invariants a chain must satisfy: consecutive
-    heights, strictly increasing times, positive difficulties, the
-    classical/solution partition, epochs from 0 up by at most one a block
-    (and at most one graph past the last), and strictly improving scores
-    bounded by the epoch's graph size.  Raises ReplayError on the first
-    violation.  (The record schema stores scores, not solution vertices.)
+    heights, strictly increasing finite times, finite positive
+    difficulties, the classical/solution partition, epochs from 0 up by at
+    most one a block (and at most one graph past the last), and strictly
+    improving scores bounded by the epoch's graph size.  Raises ReplayError
+    on the first violation.  (The record schema stores scores, not
+    solution vertices.)
     """
     if not records:
         raise ReplayError("no records to verify")
@@ -320,10 +322,13 @@ def verify_record_stream(records: list[SimRecord],
         where = f"height {r.height}"
         if r.height != cum_c + cum_s:
             raise ReplayError(f"{where}: heights must be consecutive from 0")
-        if r.sim_time <= prev_time:
-            raise ReplayError(f"{where}: sim_time does not increase")
-        if r.d_b <= 0 or r.d_r <= 0:
-            raise ReplayError(f"{where}: non-positive difficulty")
+        # Written so that NaN fails every test and inf the upper bound.
+        if not prev_time < r.sim_time < inf:
+            raise ReplayError(f"{where}: sim_time does not increase "
+                              "to a finite time")
+        if not (0 < r.d_b < inf and 0 < r.d_r < inf):
+            raise ReplayError(f"{where}: difficulty is not finite and "
+                              "positive")
         if r.kind not in ("classical", "solution"):
             raise ReplayError(f"{where}: unknown kind {r.kind!r}")
         if r.problem_epoch != prev_epoch and (

@@ -10,6 +10,7 @@ import pytest
 
 from cliquechain import cli
 from cliquechain.cli import main
+from cliquechain.clique import MAX_GRAPH_N
 from cliquechain.io import parse_config, read_manifest
 
 V2_SMALL = "policy = v2\nseed = 3\nmax_blocks = 120\n"
@@ -94,6 +95,56 @@ def test_verify_chain_rejects_impossible_epochs(tmp_path, capsys, new_epoch):
     assert main(["verify-chain", records,
                  os.path.join(out, "graphs.edges")]) == 3
     assert "does not follow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt,field,value", [
+    ("csv", "sim_time", "nan"),
+    ("csv", "d_b", "nan"),
+    ("csv", "d_r", "inf"),
+    ("csv", "sim_time", "inf"),
+    ("jsonl", "d_r", "NaN"),
+])
+def test_verify_chain_rejects_non_finite_floats(tmp_path, capsys, fmt,
+                                                field, value):
+    # Every comparison with NaN is false, so each bound must be one that
+    # NaN fails; inf must fail the upper bound.
+    cfg = write_cfg(tmp_path, "policy = bitcoin\nseed = 1\nmax_blocks = 5\n")
+    out = str(tmp_path / "out")
+    assert main(["simulate", cfg, "--out-dir", out, "--format", fmt]) == 0
+    records = os.path.join(out, f"records.{fmt}")
+    lines = open(records).read().splitlines()
+    if fmt == "csv":
+        row = lines[2].split(",")
+        row[lines[0].split(",").index(field)] = value
+        lines[2] = ",".join(row)
+    else:
+        row = json.loads(lines[1])
+        row[field] = float(value)
+        lines[1] = json.dumps(row)
+        assert value in lines[1]
+    with open(records, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify-chain", records,
+                 os.path.join(out, "graphs.edges")]) == 3
+    assert "height 1: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,code", [(MAX_GRAPH_N + 1, 3), (MAX_GRAPH_N, 0)])
+def test_verify_chain_bounds_the_graph_header(tmp_path, capsys, n, code):
+    # A hand-built edgeless section allocates nothing of size n squared,
+    # so the bound itself reads back in-process.
+    cfg = write_cfg(tmp_path, "policy = bitcoin\nseed = 1\nmax_blocks = 5\n")
+    out = str(tmp_path / "out")
+    assert main(["simulate", cfg, "--out-dir", out]) == 0
+    graphs = str(tmp_path / "big.edges")
+    with open(graphs, "w") as fh:
+        fh.write(f"{n} 0 -1 0\n")
+    capsys.readouterr()
+    assert main(["verify-chain", os.path.join(out, "records.csv"),
+                 graphs]) == code
+    if code:
+        assert f"{n} vertices" in capsys.readouterr().err
 
 
 def test_seed_override_is_recorded_and_changes_output(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from cliquechain import clique
 from cliquechain.clique import (
+    MAX_GRAPH_N,
     CursorGraphMismatch,
     Graph,
     InvalidParams,
@@ -407,6 +408,61 @@ def test_private_walk_keeps_no_per_step_record():
     assert walk.sizes is None and walk.cliques is None and not walk.stack
 
 
+def reference_preorder(graph, order):
+    """Every clique of the recursive Bron-Kerbosch search with the Tomita
+    pivot, in preorder, as vertex sets of the graph's own labels.
+
+    The pivot is the first vertex of P | X in visit order with the most
+    neighbours in P, and the children P \\ N(pivot) are taken in visit
+    order, each moving from P to X once its subtree is done.
+    """
+    rank = {v: i for i, v in enumerate(order)}
+    nbrs = [{u for u in range(graph.n) if graph.has_edge(u, v)}
+            for v in range(graph.n)]
+    out = []
+
+    def expand(r, p, x):
+        out.append(r)
+        if not p:
+            return
+        pivot = max(sorted(p | x, key=rank.get),
+                    key=lambda u: len(p & nbrs[u]))
+        for v in sorted(p - nbrs[pivot], key=rank.get):
+            expand(r | {v}, p & nbrs[v], x & nbrs[v])
+            p = p - {v}
+            x = x | {v}
+
+    expand(frozenset(), frozenset(range(graph.n)), frozenset())
+    return out
+
+
+def _reference_cases():
+    probs = (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95)
+    for n in (1, 2, 5, 12, 30, 60):
+        for i, p in enumerate(probs if n <= 30 else probs[:4]):
+            for kind in GOLDEN_ORDERS:
+                yield n, p, 100 * n + i, kind
+    yield 255, 0.05, 255, "random"
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 30, 60, 255])
+def test_recorded_walk_is_the_reference_search_tree(n):
+    cases = [case for case in _reference_cases() if case[0] == n]
+    for _, edge_prob, seed, kind in cases:
+        graph = gen_random_graph(n, edge_prob, seed)
+        order = _visit_order(kind, n, seed)
+        walks = {}
+        cursor = SolverCursor(graph, order=order, walks=walks)
+        assert cursor.advance(graph, 10 ** 9, n) is None
+        assert cursor.exhausted
+        (walk,) = walks.values()
+        expect = reference_preorder(graph, order)
+        assert [frozenset(order[i] for i in clique._bits(c))
+                for c in walk.cliques] == expect
+        assert list(walk.sizes) == [len(c) for c in expect]
+        assert walk.steps == cursor.steps_consumed == len(expect)
+
+
 def test_shared_cursor_rejects_wrong_graph():
     g = gen_random_graph(10, 0.5, 4)
     walks = {}
@@ -601,3 +657,19 @@ def test_seeded_section_errors_keep_their_messages(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         read_graphs(path)
+
+
+@pytest.mark.parametrize("n", [MAX_GRAPH_N + 1, 100_000])
+def test_oversized_section_is_refused_before_any_allocation(
+        tmp_path, monkeypatch, n):
+    path = tmp_path / "graph.edges"
+    path.write_text(graph_to_edge_list(gen_random_graph(5, 0.5, 3))
+                    + f"{n} 0 5 0.5\n")
+    calls = _count_regenerations(monkeypatch)
+    built = []
+    monkeypatch.setattr(Graph, "from_edges",
+                        lambda *args, **kwargs: built.append(args))
+    with pytest.raises(ValueError,
+                       match=rf"graph.edges: section 1 has {n} vertices"):
+        read_graphs(path)
+    assert calls == [(5, 0.5, 3)] and built == []

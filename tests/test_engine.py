@@ -9,6 +9,7 @@ from scipy import stats
 
 from cliquechain.chain import BlockKind
 from cliquechain.clique import (
+    MAX_GRAPH_N,
     CliqueSolution,
     ProblemInstance,
     SolverCursor,
@@ -337,6 +338,16 @@ def test_config_rejects_bad_configs():
                   miners=(classical_spec(0), classical_spec(2)))
     with pytest.raises(ConfigError):
         dataclasses.replace(SimConfig(policy="v1", seed=1), n1=0)
+
+
+def test_graph_n_is_bounded_at_build_time():
+    # Building a config allocates no graph, so the bound itself is cheap
+    # to accept; one vertex more is refused before any run starts.
+    assert SimConfig(policy="v2", seed=1, graph_n=MAX_GRAPH_N).graph_n == (
+        MAX_GRAPH_N)
+    for n in (MAX_GRAPH_N + 1, 100_000, 0):
+        with pytest.raises(ConfigError, match="graph_n"):
+            SimConfig(policy="v2", seed=1, graph_n=n)
 
 
 def test_miner_spec_validation():
