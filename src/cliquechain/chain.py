@@ -10,7 +10,6 @@ for that instance, so the per-epoch score sequence is strictly increasing.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -40,15 +39,11 @@ class NonMonotonicTime(ChainError):
     """Block timestamp does not advance past its parent."""
 
 
-class BlockKind(str, enum.Enum):
-    CLASSICAL = "classical"
-    SOLUTION = "solution"
-
-
 @dataclass(slots=True)
 class Block:
+    """A block is a solution block exactly when it carries a solution."""
+
     height: int
-    kind: BlockKind
     miner_id: int
     sim_time: float
     difficulty_used: float
@@ -61,19 +56,18 @@ def append_block(parent: Block | None, block: Block,
     """Validate ``block`` as the child of ``parent`` (``None`` for the
     first block) and publish its solution, if any.
 
-    The difficulty check is exact: the block must have been mined at the
-    policy's current d_b (classical) or d_r (solution), so it is positive.
-    A block carries a solution exactly when it is a solution block, and
-    the solution must target the active problem, be a genuine clique of
-    its graph, and strictly improve its published best, which is then
-    raised to its score.
+    A block's time must exceed its parent's, and the first block's must
+    exceed 0.  The difficulty check is exact: the block must have been
+    mined at the policy's current d_r if it carries a solution and at d_b
+    otherwise, so it is positive.  The solution must be a genuine clique
+    of the active problem's graph and strictly improve its published
+    best, which is then raised to its score.
     """
     height = 0 if parent is None else parent.height + 1
     if block.height != height:
         raise ChainError(f"expected height {height}, got {block.height}")
     earliest = 0.0 if parent is None else parent.sim_time
-    if block.sim_time < earliest or (parent is not None
-                                     and block.sim_time == earliest):
+    if not earliest < block.sim_time:
         raise NonMonotonicTime(
             f"block time {block.sim_time} does not advance past {earliest}")
     if block.problem_epoch != problem.epoch:
@@ -81,18 +75,14 @@ def append_block(parent: Block | None, block: Block,
             f"block targets epoch {block.problem_epoch}, "
             f"active epoch is {problem.epoch}")
 
-    expected = state.d_r if block.kind is BlockKind.SOLUTION else state.d_b
+    sol = block.solution
+    expected = state.d_b if sol is None else state.d_r
     if block.difficulty_used != expected:
         raise InvalidDifficulty(
-            f"{block.kind.value} block used difficulty "
-            f"{block.difficulty_used}, policy state says {expected}")
-
-    if (block.kind is BlockKind.SOLUTION) != (block.solution is not None):
-        raise ChainError("solution payload must match block kind")
-    if block.kind is BlockKind.SOLUTION:
-        sol = block.solution
-        if sol.problem_epoch != block.problem_epoch:
-            raise ChainError("solution epoch must match block epoch")
+            f"{'classical' if sol is None else 'solution'} block used "
+            f"difficulty {block.difficulty_used}, policy state says "
+            f"{expected}")
+    if sol is not None:
         if not is_clique(problem.graph, sol.vertices):
             raise MalformedClique(
                 f"vertices {sol.vertices} are not a clique")

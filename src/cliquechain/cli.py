@@ -229,7 +229,7 @@ def _cmd_selftest(args) -> int:
         cursor = SolverCursor(graph, order=order_rng.permutation(n).tolist())
         best = 0
         while not cursor.exhausted:
-            found = cursor.advance(graph, 10 ** 9, best)
+            found = cursor.advance(10 ** 9, best)
             if found is not None:
                 best = found.score
         if best != expect:

@@ -42,27 +42,21 @@ class TooLarge(ValueError):
     """Instance exceeds the brute-force oracle's size guard."""
 
 
-class CursorGraphMismatch(ValueError):
-    """A cursor was advanced against a graph it was not created for."""
-
-
 @dataclass(frozen=True)
 class CliqueSolution:
-    """A clique witness tied to one problem instance.
+    """A clique witness: its vertices, sorted so equal cliques compare
+    equal and serialize identically.  The block that carries it names
+    its problem instance."""
 
-    Vertices are kept sorted so equal cliques compare equal and serialize
-    identically.
-    """
-
-    problem_epoch: int
     vertices: tuple[int, ...]
-    score: int
 
     def __post_init__(self):
         if list(self.vertices) != sorted(set(self.vertices)):
             raise ValueError("solution vertices must be sorted and distinct")
-        if self.score != len(self.vertices):
-            raise ValueError("solution score must equal its vertex count")
+
+    @property
+    def score(self) -> int:
+        return len(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -272,7 +266,7 @@ class Walk:
 
 
 class SolverCursor:
-    """Pausable Bron-Kerbosch enumeration over one graph.
+    """Pausable Bron-Kerbosch enumeration over the graph it is built for.
 
     ``order`` permutes the exploration so independently seeded solvers walk
     the same tree in different directions; the default is vertex order.
@@ -294,16 +288,13 @@ class SolverCursor:
     vertices, the cursor runs a private walk that records nothing.
     """
 
-    def __init__(self, graph: Graph, problem_epoch: int = 0,
-                 order: list[int] | None = None,
+    def __init__(self, graph: Graph, order: list[int] | None = None,
                  walks: dict | None = None):
         n = graph.n
         if order is None:
             order = list(range(n))
         if sorted(order) != list(range(n)):
             raise InvalidParams("order must be a permutation of the vertices")
-        self.problem_epoch = problem_epoch
-        self._graph_masks = graph.neighbor_masks
         self._order = tuple(order)
         self.steps_consumed = 0
         self.exhausted = False
@@ -316,11 +307,7 @@ class SolverCursor:
             self._walk = walks[key] = Walk(
                 _relabel(graph.neighbor_masks, order), record=True)
 
-    def matches(self, graph: Graph) -> bool:
-        masks = graph.neighbor_masks
-        return masks is self._graph_masks or masks == self._graph_masks
-
-    def advance(self, graph: Graph, step_budget: int,
+    def advance(self, step_budget: int,
                 threshold: int) -> CliqueSolution | None:
         """Run up to ``step_budget`` expansions; return the first clique
         strictly larger than ``threshold``, or None.
@@ -329,9 +316,6 @@ class SolverCursor:
         up beneath the reported frame and never reports the same clique
         twice.  The visit sequence does not depend on the budget split.
         """
-        if not self.matches(graph):
-            raise CursorGraphMismatch(
-                "cursor was created for a different graph")
         walk = self._walk
         pos = self.steps_consumed
         end = pos + step_budget
@@ -355,9 +339,8 @@ class SolverCursor:
             if walk.steps < end:
                 self.exhausted = True
             return None
-        vertices = tuple(sorted(self._order[i] for i in _bits(clique)))
-        return CliqueSolution(problem_epoch=self.problem_epoch,
-                              vertices=vertices, score=len(vertices))
+        return CliqueSolution(
+            tuple(sorted(self._order[i] for i in _bits(clique))))
 
 
 def brute_force_max_clique(graph: Graph) -> int:

@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .chain import Block, BlockKind
+from .chain import Block
 
 if TYPE_CHECKING:
     from .engine import SimConfig
@@ -183,7 +183,7 @@ def on_block_v2(state: DifficultyState, cfg: SimConfig,
     count.  Either d_r update stops at ``D_R_FLOOR``, audited as "floor".
     """
     x = cfg.max_update_factor
-    if block.kind is BlockKind.CLASSICAL:
+    if block.solution is None:
         _db_epoch(state, block, cfg.n2_classical, cfg.t2_classical, x)
         state.consecutive_classical += 1
         if state.consecutive_classical >= cfg.n2_classical:

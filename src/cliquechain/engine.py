@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import Block, BlockKind, append_block
+from .chain import Block, append_block
 from .clique import (
     MAX_GRAPH_N,
     CliqueSolution,
@@ -56,10 +56,10 @@ class Strategy(str, enum.Enum):
 
 @dataclass(frozen=True)
 class MinerSpec:
-    """One miner, validated when built.  A solving miner's speed defaults
-    to DEFAULT_SOLVER_STEPS_PER_SECOND; a classical miner's is always 0."""
+    """One miner, validated when built; its id is its index in
+    ``SimConfig.miners``.  A solving miner's speed defaults to
+    DEFAULT_SOLVER_STEPS_PER_SECOND; a classical miner's is always 0."""
 
-    id: int
     strategy: Strategy
     hashrate: float = DEFAULT_HASHRATE
     solver_steps_per_second: float | None = None
@@ -179,9 +179,6 @@ class SimConfig:
 
         object.__setattr__(self, "miners",
                            tuple(self.miners) or default_miners(self.policy))
-        for i, spec in enumerate(self.miners):
-            if spec.id != i:
-                raise ConfigError("miner ids must run 0..m-1 in order")
 
 
 # The float-valued SimConfig fields, in field order; every SimConfig field
@@ -194,10 +191,9 @@ FLOAT_FIELDS = tuple(name for name, kind
 def default_miners(policy: str) -> tuple[MinerSpec, ...]:
     """Stock population: 10 classical miners, plus 10 solvers when the
     policy actually pays for solutions."""
-    specs = [MinerSpec(id=i, strategy=Strategy.CLASSICAL) for i in range(10)]
+    specs = [MinerSpec(strategy=Strategy.CLASSICAL)] * 10
     if policy != "bitcoin":
-        specs.extend(MinerSpec(id=10 + i, strategy=Strategy.SOLVER)
-                     for i in range(10))
+        specs += [MinerSpec(strategy=Strategy.SOLVER)] * 10
     return tuple(specs)
 
 
@@ -258,8 +254,9 @@ def _solver_order(master: int, miner_id: int, epoch: int, n: int) -> list[int]:
 def sample_block_winner(miners: list[MinerState], hashrates: np.ndarray,
                         solvers: list[int], d_b: float, d_r: float,
                         rng: np.random.Generator,
-                        ) -> tuple[int, BlockKind, float]:
-    """Run one exponential race and return (miner_id, kind, waiting time).
+                        ) -> tuple[int, bool, float]:
+    """Run one exponential race and return (miner id, whether it mined at
+    d_r, waiting time).
 
     Each miner's time is exponential with mean difficulty/hashrate, where
     the difficulty is d_r for miners currently working a held solution and
@@ -273,8 +270,7 @@ def sample_block_winner(miners: list[MinerState], hashrates: np.ndarray,
         scales[reduced] = d_r / hashrates[reduced]
     times = rng.standard_exponential(len(miners)) * scales
     idx = int(times.argmin())
-    kind = BlockKind.SOLUTION if idx in reduced else BlockKind.CLASSICAL
-    return miners[idx].spec.id, kind, float(times[idx])
+    return idx, idx in reduced, float(times[idx])
 
 
 def advance_solvers(miners: list[MinerState], dt: float,
@@ -302,7 +298,7 @@ def advance_solvers(miners: list[MinerState], dt: float,
             if st.hoard:
                 threshold = max(threshold, st.hoard[-1].score)
             before = st.cursor.steps_consumed
-            found = st.cursor.advance(problem.graph, budget, threshold)
+            found = st.cursor.advance(budget, threshold)
             budget -= st.cursor.steps_consumed - before
             if found is None:
                 break
@@ -357,12 +353,11 @@ def check_saturation_and_replace(problem: ProblemInstance, height: int,
 
 def _reseed_solvers(miners: list[MinerState], problem: ProblemInstance,
                     master_seed: int, walks: dict | None) -> None:
-    for st in miners:
+    for miner_id, st in enumerate(miners):
         if st.spec.strategy in (Strategy.SOLVER, Strategy.BUBKA):
-            order = _solver_order(master_seed, st.spec.id, problem.epoch,
+            order = _solver_order(master_seed, miner_id, problem.epoch,
                                   problem.graph.n)
-            st.cursor = SolverCursor(problem.graph, problem.epoch, order,
-                                     walks)
+            st.cursor = SolverCursor(problem.graph, order, walks)
             st.hoard.clear()
             st.releasing = False
 
@@ -411,7 +406,7 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
     parent = None
 
     for height in range(cfg.max_blocks):
-        miner_id, kind, dt = sample_block_winner(
+        miner_id, at_d_r, dt = sample_block_winner(
             miners, hashrates, solvers, state.d_b, state.d_r, mining_rng)
         # Long droughts can push d_r so low that a waiting time drops under
         # the clock's float resolution; advance by at least one ulp so block
@@ -423,23 +418,22 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
             advance_solvers(miners, dt, problem)
             _maybe_prove_optimum(problem, miners)
 
-        solution = (miners[miner_id].hoard.pop(0)
-                    if kind is BlockKind.SOLUTION else None)
-
-        block = Block(height, kind, miner_id, now,
-                      state.d_b if solution is None else state.d_r,
-                      problem.epoch, solution)
+        solution = miners[miner_id].hoard.pop(0) if at_d_r else None
+        block = Block(height, miner_id, now,
+                      state.d_r if at_d_r else state.d_b, problem.epoch,
+                      solution)
         append_block(parent, block, problem, state)
         parent = block
 
-        if kind is BlockKind.SOLUTION:
+        if at_d_r:
             cum_solution += 1
             problem.last_improvement_height = height
             for st in miners:
                 bubka_strategy_step(st, solution.score)
 
         state = policy.on_block(state, block)
-        records.append(SimRecord(height, now, kind.value, miner_id, state.d_b,
+        kind = "solution" if at_d_r else "classical"
+        records.append(SimRecord(height, now, kind, miner_id, state.d_b,
                                  state.d_r, problem.best_score, problem.epoch,
                                  height + 1 - cum_solution, cum_solution))
 

@@ -234,5 +234,5 @@ def run_bubka_experiment(base: SimConfig,
         cfg = replace(base, miners=tuple(specs))
         for s, seed in enumerate(seeds):
             cells.append((label, t, s, replace(cfg, seed=seed)))
-    return BubkaResult(hoard_targets=hoard_targets, attacker_id=attacker.id,
+    return BubkaResult(hoard_targets=hoard_targets, attacker_id=idx[0],
                        cells=tuple(_run_cells(cells, workers)))

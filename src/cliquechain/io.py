@@ -147,7 +147,7 @@ def parse_config_text(text: str) -> SimConfig:
     try:
         for attrs, count in miner_entries:
             for _ in range(count):
-                specs.append(MinerSpec(id=len(specs), **attrs))
+                specs.append(MinerSpec(**attrs))
         return SimConfig(miners=tuple(specs), **scalars)
     except ValidationError:
         raise
@@ -300,12 +300,16 @@ def read_manifest(path) -> RunManifest:
 # Replay verification
 # ---------------------------------------------------------------------------
 
+def _fault(r: SimRecord, why: str) -> ReplayError:
+    return ReplayError(f"height {r.height}: {why}")
+
+
 def verify_record_stream(records: list[SimRecord],
                          graphs: list[Graph]) -> None:
     """Re-validate a recorded chain against its problem graphs.
 
     Checks the structural invariants a chain must satisfy: consecutive
-    heights, strictly increasing finite times, finite positive
+    heights, finite times increasing strictly from 0, finite positive
     difficulties, the classical/solution partition, epochs from 0 up by at
     most one a block (and at most one graph past the last), and strictly
     improving scores bounded by the epoch's graph size.  Raises ReplayError
@@ -315,45 +319,39 @@ def verify_record_stream(records: list[SimRecord],
     if not records:
         raise ReplayError("no records to verify")
     best: dict[int, int] = {}
-    prev_time = -1.0
+    prev_time = 0.0
     prev_epoch = 0
     cum_c = cum_s = 0
     for r in records:
-        where = f"height {r.height}"
         if r.height != cum_c + cum_s:
-            raise ReplayError(f"{where}: heights must be consecutive from 0")
+            raise _fault(r, "heights must be consecutive from 0")
         # Written so that NaN fails every test and inf the upper bound.
         if not prev_time < r.sim_time < inf:
-            raise ReplayError(f"{where}: sim_time does not increase "
-                              "to a finite time")
+            raise _fault(r, "sim_time does not increase to a finite time")
         if not (0 < r.d_b < inf and 0 < r.d_r < inf):
-            raise ReplayError(f"{where}: difficulty is not finite and "
-                              "positive")
+            raise _fault(r, "difficulty is not finite and positive")
         if r.kind not in ("classical", "solution"):
-            raise ReplayError(f"{where}: unknown kind {r.kind!r}")
+            raise _fault(r, f"unknown kind {r.kind!r}")
         if r.problem_epoch != prev_epoch and (
                 r.problem_epoch != prev_epoch + 1 or not r.height):
-            raise ReplayError(f"{where}: epoch does not follow {prev_epoch}")
+            raise _fault(r, f"epoch does not follow {prev_epoch}")
         if r.problem_epoch >= len(graphs):
-            raise ReplayError(f"{where}: no graph for epoch "
-                              f"{r.problem_epoch}")
+            raise _fault(r, f"no graph for epoch {r.problem_epoch}")
         epoch_best = best.get(r.problem_epoch, INITIAL_BEST_SCORE)
         if r.kind == "solution":
             cum_s += 1
             if r.best_score <= epoch_best:
-                raise ReplayError(
-                    f"{where}: solution score {r.best_score} does not beat "
-                    f"{epoch_best}")
+                raise _fault(r, f"solution score {r.best_score} does not "
+                                f"beat {epoch_best}")
             if r.best_score > graphs[r.problem_epoch].n:
-                raise ReplayError(f"{where}: score exceeds graph size")
+                raise _fault(r, "score exceeds graph size")
             best[r.problem_epoch] = r.best_score
         else:
             cum_c += 1
             if r.best_score != epoch_best:
-                raise ReplayError(
-                    f"{where}: classical block moved best score")
+                raise _fault(r, "classical block moved best score")
         if r.cum_classical != cum_c or r.cum_solution != cum_s:
-            raise ReplayError(f"{where}: cumulative counters inconsistent")
+            raise _fault(r, "cumulative counters inconsistent")
         prev_time = r.sim_time
         prev_epoch = r.problem_epoch
     if len(graphs) > prev_epoch + 2:

@@ -52,16 +52,14 @@ def _exhaust_best(graph) -> int:
     cursor = SolverCursor(graph)
     best = 0
     while not cursor.exhausted:
-        found = cursor.advance(graph, 10 ** 9, best)
+        found = cursor.advance(10 ** 9, best)
         if found is not None:
             best = found.score
     return best
 
 
 def _classical_miners(count: int) -> tuple[MinerSpec, ...]:
-    return tuple(MinerSpec(id=i, hashrate=1000.0,
-                           strategy=Strategy.CLASSICAL)
-                 for i in range(count))
+    return (MinerSpec(hashrate=1000.0, strategy=Strategy.CLASSICAL),) * count
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +91,9 @@ def test_search_agrees_with_brute_force(report):
 
 def test_difficulty_updates_respect_clamp(report):
     mixed = tuple(
-        [MinerSpec(id=i, hashrate=1000.0, strategy=Strategy.CLASSICAL)
-         for i in range(5)]
-        + [MinerSpec(id=5 + i, hashrate=1000.0, strategy=Strategy.SOLVER,
-                     solver_steps_per_second=500.0) for i in range(5)])
+        [MinerSpec(hashrate=1000.0, strategy=Strategy.CLASSICAL)] * 5
+        + [MinerSpec(hashrate=1000.0, strategy=Strategy.SOLVER,
+                     solver_steps_per_second=500.0)] * 5)
     arms = {
         "bitcoin": SimConfig(policy="bitcoin", seed=42, max_blocks=10_000),
         "v1": SimConfig(policy="v1", seed=42, max_blocks=10_000),

@@ -32,11 +32,11 @@ def _miners(rng: random.Random) -> tuple[MinerSpec, ...]:
     if rng.random() < 0.3:
         return ()                                   # the stock population
     specs = []
-    for i in range(rng.randint(1, 4)):
+    for _ in range(rng.randint(1, 4)):
         strategy = rng.choice(list(Strategy))
         solves = strategy is not Strategy.CLASSICAL
         specs.append(MinerSpec(
-            id=i, strategy=strategy, hashrate=_positive(rng),
+            strategy=strategy, hashrate=_positive(rng),
             solver_steps_per_second=_positive(rng) if solves else None,
             hoard_target=(rng.randint(1, 4) if strategy is Strategy.BUBKA
                           else None)))

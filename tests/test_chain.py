@@ -6,7 +6,6 @@ import pytest
 from cliquechain import engine
 from cliquechain.chain import (
     Block,
-    BlockKind,
     ChainError,
     InvalidDifficulty,
     MalformedClique,
@@ -48,16 +47,14 @@ def publish(graph, best, vertices):
 
 
 def classical(height, t, miner=0, epoch=0):
-    return Block(height=height, kind=BlockKind.CLASSICAL, miner_id=miner,
-                 sim_time=t, difficulty_used=D_B, problem_epoch=epoch)
+    return Block(height=height, miner_id=miner, sim_time=t,
+                 difficulty_used=D_B, problem_epoch=epoch)
 
 
 def solution(height, t, vertices, miner=1, epoch=0):
-    sol = CliqueSolution(problem_epoch=epoch, vertices=tuple(vertices),
-                         score=len(vertices))
-    return Block(height=height, kind=BlockKind.SOLUTION, miner_id=miner,
-                 sim_time=t, difficulty_used=D_R, problem_epoch=epoch,
-                 solution=sol)
+    return Block(height=height, miner_id=miner, sim_time=t,
+                 difficulty_used=D_R, problem_epoch=epoch,
+                 solution=CliqueSolution(tuple(vertices)))
 
 
 # ---------------------------------------------------------------------------
@@ -65,31 +62,31 @@ def solution(height, t, vertices, miner=1, epoch=0):
 # ---------------------------------------------------------------------------
 
 def test_block_kind_payload_coherence():
-    sol = CliqueSolution(problem_epoch=0, vertices=(0, 1), score=2)
-    with pytest.raises(ChainError, match="payload must match"):
-        append_block(None, Block(height=0, kind=BlockKind.CLASSICAL,
-                                 miner_id=0, sim_time=0.0, difficulty_used=D_B,
-                                 problem_epoch=0, solution=sol),
-                     mk_problem(K3), mk_state())
-    with pytest.raises(ChainError, match="payload must match"):
-        append_block(None, Block(height=0, kind=BlockKind.SOLUTION,
-                                 miner_id=0, sim_time=0.0, difficulty_used=D_R,
-                                 problem_epoch=0),
-                     mk_problem(K3), mk_state())
-    with pytest.raises(ChainError, match="solution epoch must match"):
-        append_block(None, Block(height=0, kind=BlockKind.SOLUTION,
-                                 miner_id=0, sim_time=0.0, difficulty_used=D_R,
-                                 problem_epoch=1, solution=sol),
-                     mk_problem(K3, epoch=1), mk_state())
+    # The payload alone makes a block a solution block: carrying a clique
+    # it must be mined at d_r, without one at d_b.
+    problem = mk_problem(K3)
+    sol = CliqueSolution((0, 1))
+    with pytest.raises(InvalidDifficulty, match="^solution block used "
+                                                f"difficulty {D_B}"):
+        append_block(None, Block(height=0, miner_id=0, sim_time=0.1,
+                                 difficulty_used=D_B, problem_epoch=0,
+                                 solution=sol),
+                     problem, mk_state())
+    with pytest.raises(InvalidDifficulty, match="^classical block used "
+                                                f"difficulty {D_R}"):
+        append_block(None, Block(height=0, miner_id=0, sim_time=0.1,
+                                 difficulty_used=D_R, problem_epoch=0),
+                     problem, mk_state())
+    assert problem.best_score == 1
 
 
 def test_solution_payload_shape_is_checked():
     with pytest.raises(ValueError):
-        CliqueSolution(problem_epoch=0, vertices=(1, 0), score=2)
+        CliqueSolution((1, 0))
     with pytest.raises(ValueError):
-        CliqueSolution(problem_epoch=0, vertices=(0, 0), score=2)
-    with pytest.raises(ValueError):
-        CliqueSolution(problem_epoch=0, vertices=(0, 1), score=3)
+        CliqueSolution((0, 0))
+    assert CliqueSolution((0, 2, 5)).score == 3
+    assert CliqueSolution(()).score == 0
 
 
 # ---------------------------------------------------------------------------
@@ -170,21 +167,24 @@ def test_append_rejects_non_monotonic_time():
         append_block(b0, classical(1, 1.0), problem, state)
     with pytest.raises(NonMonotonicTime):
         append_block(b0, classical(1, 0.5), problem, state)
-    with pytest.raises(NonMonotonicTime, match="does not advance past 0.0"):
-        append_block(None, classical(0, -1e-9), problem, state)
+    # The first block's time must exceed 0, as verify-chain requires.
+    for t in (-1e-9, 0.0):
+        with pytest.raises(NonMonotonicTime,
+                           match="does not advance past 0.0"):
+            append_block(None, classical(0, t), problem, state)
+    append_block(None, classical(0, 5e-324), problem, state)
 
 
 def test_append_rejects_wrong_difficulty():
     problem = mk_problem(K3)
     state = mk_state()
-    bad_classical = Block(height=0, kind=BlockKind.CLASSICAL, miner_id=0,
-                          sim_time=0.1, difficulty_used=D_R, problem_epoch=0)
+    bad_classical = Block(height=0, miner_id=0, sim_time=0.1,
+                          difficulty_used=D_R, problem_epoch=0)
     with pytest.raises(InvalidDifficulty):
         append_block(None, bad_classical, problem, state)
-    sol = CliqueSolution(problem_epoch=0, vertices=(0, 1), score=2)
-    bad_solution = Block(height=0, kind=BlockKind.SOLUTION, miner_id=0,
-                         sim_time=0.1, difficulty_used=D_B, problem_epoch=0,
-                         solution=sol)
+    bad_solution = Block(height=0, miner_id=0, sim_time=0.1,
+                         difficulty_used=D_B, problem_epoch=0,
+                         solution=CliqueSolution((0, 1)))
     with pytest.raises(InvalidDifficulty):
         append_block(None, bad_solution, problem, state)
 
@@ -244,7 +244,7 @@ def test_simulated_chain_replays_cleanly(monkeypatch):
     # Published scores rise strictly within every epoch.
     by_epoch = {}
     for block in appended:
-        if block.kind is BlockKind.SOLUTION:
+        if block.solution is not None:
             prev = by_epoch.get(block.problem_epoch, 1)
             assert block.solution.score > prev
             by_epoch[block.problem_epoch] = block.solution.score

@@ -432,6 +432,6 @@ def test_shipped_configs_parse():
     assert (growth.t2_classical, growth.t2_solution) == (0.1, 0.1)
     assert by_name["difficulty_v1.cfg"].policy == "v1"
     assert by_name["difficulty_v2.cfg"].policy == "v2"
-    attacker = [m for m in by_name["bubka.cfg"].miners
+    attacker = [i for i, m in enumerate(by_name["bubka.cfg"].miners)
                 if m.hoard_target is not None]
-    assert len(attacker) == 1 and attacker[0].id == 10
+    assert attacker == [10]

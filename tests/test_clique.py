@@ -9,7 +9,6 @@ import pytest
 from cliquechain import clique
 from cliquechain.clique import (
     MAX_GRAPH_N,
-    CursorGraphMismatch,
     Graph,
     InvalidParams,
     SolverCursor,
@@ -43,7 +42,7 @@ def exhaust(graph, order=None, chunk=10 ** 9):
     cursor = SolverCursor(graph, order=order)
     best = 0
     while not cursor.exhausted:
-        found = cursor.advance(graph, chunk, best)
+        found = cursor.advance(chunk, best)
         if found is not None:
             best = found.score
     return best, cursor
@@ -141,7 +140,7 @@ def test_brute_force_size_guard():
 def test_search_reports_immediately_on_k5():
     g = complete_graph(5)
     cursor = SolverCursor(g)
-    found = cursor.advance(g, 10 ** 6, 0)
+    found = cursor.advance(10 ** 6, 0)
     assert found is not None and found.score >= 1
     assert cursor.steps_consumed <= 3
 
@@ -149,7 +148,7 @@ def test_search_reports_immediately_on_k5():
 def test_search_finds_nothing_above_c5_optimum():
     g = cycle_graph(5)
     cursor = SolverCursor(g)
-    found = cursor.advance(g, 10 ** 6, 2)
+    found = cursor.advance(10 ** 6, 2)
     assert found is None
     assert cursor.exhausted
 
@@ -157,11 +156,11 @@ def test_search_finds_nothing_above_c5_optimum():
 def test_petersen_threshold_behavior():
     g = Graph.from_edges(10, PETERSEN_EDGES)
     cursor = SolverCursor(g)
-    found = cursor.advance(g, 10 ** 6, 1)
+    found = cursor.advance(10 ** 6, 1)
     assert found is not None and found.score == 2
 
     cursor2 = SolverCursor(g)
-    found2 = cursor2.advance(g, 10 ** 6, 2)
+    found2 = cursor2.advance(10 ** 6, 2)
     assert found2 is None and cursor2.exhausted
 
 
@@ -186,7 +185,7 @@ def test_reported_cliques_are_cliques():
     cursor = SolverCursor(g)
     best = 0
     while not cursor.exhausted:
-        found = cursor.advance(g, 10 ** 9, best)
+        found = cursor.advance(10 ** 9, best)
         if found is not None:
             assert is_clique(g, found.vertices)
             assert found.score > best
@@ -196,30 +195,8 @@ def test_reported_cliques_are_cliques():
 def test_zero_budget_is_a_noop():
     g = gen_random_graph(10, 0.5, 4)
     cursor = SolverCursor(g)
-    found = cursor.advance(g, 0, 0)
+    found = cursor.advance(0, 0)
     assert found is None and cursor.steps_consumed == 0
-
-
-def test_cursor_rejects_wrong_graph():
-    g = gen_random_graph(10, 0.5, 4)
-    other = gen_random_graph(10, 0.5, 5)
-    cursor = SolverCursor(g)
-    with pytest.raises(CursorGraphMismatch):
-        cursor.advance(other, 10, 0)
-
-
-def test_cursor_rejects_other_handcrafted_graph():
-    # Hand-built graphs all carry (n, -1, 0.0), so only the adjacency
-    # tells K5 from C5.
-    cursor = SolverCursor(complete_graph(5))
-    with pytest.raises(CursorGraphMismatch):
-        cursor.advance(cycle_graph(5), 10, 0)
-
-
-def test_cursor_accepts_an_equal_graph():
-    g = gen_random_graph(10, 0.5, 4)
-    cursor = SolverCursor(g)
-    assert cursor.matches(gen_random_graph(10, 0.5, 4))
 
 
 def test_relabel_matches_per_pair_reference():
@@ -244,7 +221,7 @@ def _collect_reports(graph, threshold, budgets):
     while not cursor.exhausted:
         budget = budgets[i % len(budgets)] if budgets else 10 ** 9
         i += 1
-        found = cursor.advance(graph, budget, threshold)
+        found = cursor.advance(budget, threshold)
         if found is not None:
             reports.append(found.vertices)
     return reports, cursor.steps_consumed
@@ -264,7 +241,7 @@ def test_resume_never_rereports():
     cursor = SolverCursor(g)
     seen = []
     while not cursor.exhausted:
-        found = cursor.advance(g, 1, 0)
+        found = cursor.advance(1, 0)
         if found is not None:
             seen.append(found.vertices)
     assert len(seen) == len(set(seen))
@@ -295,11 +272,11 @@ def _state(cursor, found):
     return found, cursor.steps_consumed, cursor.exhausted
 
 
-def _advance_both(graph, live, shared, budget, threshold):
+def _advance_both(live, shared, budget, threshold):
     """One call on each cursor; both must answer alike.  ``live`` runs a
     private walk, ``shared`` one from a ``walks`` dict."""
-    expect = _state(live, live.advance(graph, budget, threshold))
-    assert _state(shared, shared.advance(graph, budget, threshold)) == expect
+    expect = _state(live, live.advance(budget, threshold))
+    assert _state(shared, shared.advance(budget, threshold)) == expect
     return expect[0]
 
 
@@ -323,7 +300,7 @@ def test_shared_walk_replays_the_live_search(n):
                     if live.exhausted and call % 5 == 0:
                         break
                     threshold = best if mode == "rising" else mode
-                    found = _advance_both(graph, live, shared,
+                    found = _advance_both(live, shared,
                                           budgets[call % len(budgets)],
                                           threshold)
                     if found is not None:
@@ -335,7 +312,7 @@ def test_zero_budget_records_nothing():
     g = gen_random_graph(10, 0.5, 4)
     walks = {}
     cursor = SolverCursor(g, walks=walks)
-    assert cursor.advance(g, 0, -1) is None
+    assert cursor.advance(0, -1) is None
     assert cursor.steps_consumed == 0 and not cursor.exhausted
     (walk,) = walks.values()
     assert len(walk.sizes) == 0
@@ -350,16 +327,16 @@ def test_budget_ending_on_the_last_step_leaves_exhausted_unset(
     walks = {}
     if recorded_first:
         exhaust_shared = SolverCursor(g, walks=walks)
-        exhaust_shared.advance(g, total + 1, g.n)
+        exhaust_shared.advance(total + 1, g.n)
         assert exhaust_shared.exhausted
     live = SolverCursor(g)
     shared = SolverCursor(g, walks=walks)
-    assert _advance_both(g, live, shared, total, g.n) is None
+    assert _advance_both(live, shared, total, g.n) is None
     assert shared.steps_consumed == total and not shared.exhausted
     # Nor does a zero budget; the next step of budget does.
-    assert _advance_both(g, live, shared, 0, g.n) is None
+    assert _advance_both(live, shared, 0, g.n) is None
     assert not shared.exhausted
-    assert _advance_both(g, live, shared, 1, g.n) is None
+    assert _advance_both(live, shared, 1, g.n) is None
     assert shared.steps_consumed == total and shared.exhausted
 
 
@@ -375,7 +352,7 @@ def test_interleaved_consumers_of_one_walk_match_live_cursors():
         live, shared = pairs[int(rng.integers(2))]
         budget = int(rng.choice([0, 1, 3, 40]))
         threshold = int(rng.integers(-1, 7))
-        _advance_both(g, live, shared, budget, threshold)
+        _advance_both(live, shared, budget, threshold)
         a, b = (shared.steps_consumed for _, shared in pairs)
         lead = max(lead, abs(a - b))
     assert len(walks) == 1
@@ -392,7 +369,7 @@ def test_graphs_above_255_vertices_are_not_shared():
     shared = SolverCursor(g, walks=walks)
     assert len(walks) == 1
     for budget, threshold in ((1, -1), (5, 3), (50, 0), (200, 6)):
-        _advance_both(g, live, shared, budget, threshold)
+        _advance_both(live, shared, budget, threshold)
     assert len(walks) == 1
     assert shared._walk.sizes is None
 
@@ -402,7 +379,7 @@ def test_private_walk_keeps_no_per_step_record():
     cursor = SolverCursor(g, order=_visit_order("random", 60, 3))
     reports = 0
     while not cursor.exhausted:
-        reports += cursor.advance(g, 500, 4) is not None
+        reports += cursor.advance(500, 4) is not None
     walk = cursor._walk
     assert reports > 0 and walk.steps == cursor.steps_consumed > 1000
     assert walk.sizes is None and walk.cliques is None and not walk.stack
@@ -453,7 +430,7 @@ def test_recorded_walk_is_the_reference_search_tree(n):
         order = _visit_order(kind, n, seed)
         walks = {}
         cursor = SolverCursor(graph, order=order, walks=walks)
-        assert cursor.advance(graph, 10 ** 9, n) is None
+        assert cursor.advance(10 ** 9, n) is None
         assert cursor.exhausted
         (walk,) = walks.values()
         expect = reference_preorder(graph, order)
@@ -461,16 +438,6 @@ def test_recorded_walk_is_the_reference_search_tree(n):
                 for c in walk.cliques] == expect
         assert list(walk.sizes) == [len(c) for c in expect]
         assert walk.steps == cursor.steps_consumed == len(expect)
-
-
-def test_shared_cursor_rejects_wrong_graph():
-    g = gen_random_graph(10, 0.5, 4)
-    walks = {}
-    cursor = SolverCursor(g, walks=walks)
-    assert cursor.advance(g, 3, g.n) is None
-    with pytest.raises(CursorGraphMismatch):
-        cursor.advance(gen_random_graph(10, 0.5, 5), 10, 0)
-    assert cursor.steps_consumed == 3
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ recomputed by hand."""
 import numpy as np
 import pytest
 
-from cliquechain.chain import Block, BlockKind
+from cliquechain.chain import Block
 from cliquechain.clique import CliqueSolution
 from cliquechain.difficulty import (
     ConfigError,
@@ -19,13 +19,15 @@ from cliquechain.difficulty import (
 )
 from cliquechain.engine import SimConfig
 
-DUMMY_SOLUTION = CliqueSolution(problem_epoch=0, vertices=(0,), score=1)
+DUMMY_SOLUTION = CliqueSolution((0,))
+# A block's kind is whether it carries a solution.
+CLASSICAL, SOLUTION = "classical", "solution"
 
 
 def blk(kind, t, height=0):
-    solution = DUMMY_SOLUTION if kind is BlockKind.SOLUTION else None
-    return Block(height=height, kind=kind, miner_id=0, sim_time=t,
-                 difficulty_used=1.0, problem_epoch=0, solution=solution)
+    solution = DUMMY_SOLUTION if kind == SOLUTION else None
+    return Block(height=height, miner_id=0, sim_time=t, difficulty_used=1.0,
+                 problem_epoch=0, solution=solution)
 
 
 def step(rule, state, params, block):
@@ -80,7 +82,7 @@ def run_v1(times, d_b=100.0, d_r=0.5, start=0.0):
     state = DifficultyState(d_b=d_b, d_r=d_r, epoch_start_time=start)
     for i, t in enumerate(times):
         state = step(on_block_v1, state, V1,
-                     blk(BlockKind.CLASSICAL, t, height=i))
+                     blk(CLASSICAL, t, height=i))
     return state
 
 
@@ -132,7 +134,7 @@ def test_v1_ratio_relaxes_toward_eta():
     trajectory = []
     for i in range(24):
         state = step(on_block_v1, state, params,
-                     blk(BlockKind.CLASSICAL, 0.25 * (i + 1)))
+                     blk(CLASSICAL, 0.25 * (i + 1)))
         if state.epoch_count == 0:
             trajectory.append(state.d_r)
     assert state.d_b == 100.0
@@ -158,7 +160,7 @@ V2 = SimConfig(policy="v2", seed=0, n2_classical=10, n2_solution=5,
 def test_v2_drought_quarters_reduced_difficulty():
     state = DifficultyState(d_b=1000.0, d_r=1000.0)
     times = [0.1 * (i + 1) for i in range(10)]
-    state = feed_v2(state, V2, [BlockKind.CLASSICAL] * 10, times)
+    state = feed_v2(state, V2, [CLASSICAL] * 10, times)
     assert state.d_r == 250.0
     assert state.d_b == 1000.0          # epoch exactly on target
     assert state.consecutive_classical == 0
@@ -169,14 +171,13 @@ def test_v2_drought_quarters_reduced_difficulty():
 def test_v2_repeated_droughts_compound():
     state = DifficultyState(d_b=1000.0, d_r=1000.0)
     times = [0.1 * (i + 1) for i in range(30)]
-    state = feed_v2(state, V2, [BlockKind.CLASSICAL] * 30, times)
+    state = feed_v2(state, V2, [CLASSICAL] * 30, times)
     assert state.d_r == 1000.0 / 4 ** 3
     assert len([u for u in state.updates if u.rule == "drought"]) == 3
 
 
 def test_v2_solution_breaks_streak_but_not_classical_epoch():
-    kinds = ([BlockKind.CLASSICAL] * 9 + [BlockKind.SOLUTION]
-             + [BlockKind.CLASSICAL] * 10)
+    kinds = [CLASSICAL] * 9 + [SOLUTION] + [CLASSICAL] * 10
     times = [0.1 * (i + 1) for i in range(20)]
     state = DifficultyState(d_b=1000.0, d_r=1000.0)
     mid = feed_v2(state, V2, kinds[:10], times[:10])
@@ -194,11 +195,11 @@ def test_v2_solution_breaks_streak_but_not_classical_epoch():
 
 def test_v2_solution_epoch_retargets_on_its_own_clock():
     state = DifficultyState(d_b=1000.0, d_r=100.0)
-    on_target = feed_v2(state, V2, [BlockKind.SOLUTION] * 5,
+    on_target = feed_v2(state, V2, [SOLUTION] * 5,
                         [0.1 * (i + 1) for i in range(5)])
     assert on_target.d_r == 100.0
 
-    fast = feed_v2(state, V2, [BlockKind.SOLUTION] * 5,
+    fast = feed_v2(state, V2, [SOLUTION] * 5,
                    [0.05 * (i + 1) for i in range(5)])
     assert fast.d_r == 200.0            # raw 5*0.1/0.25 = 2
     assert fast.d_b == 1000.0
@@ -209,7 +210,7 @@ def test_v2_drought_and_retarget_fire_together():
     # 10 consecutive classical blocks spanning 0.5s: the d_b epoch doubles
     # d_b and the drought rule quarters d_r on the same block.
     state = DifficultyState(d_b=1000.0, d_r=1000.0)
-    state = feed_v2(state, V2, [BlockKind.CLASSICAL] * 10,
+    state = feed_v2(state, V2, [CLASSICAL] * 10,
                     [0.05 * (i + 1) for i in range(10)])
     assert state.d_b == 2000.0
     assert state.d_r == 250.0
@@ -226,7 +227,7 @@ BTC = SimConfig(policy="bitcoin", seed=0, n1=10, target_time=0.1)
 def run_bitcoin(times, d_b=1000.0):
     state = DifficultyState(d_b=d_b, d_r=5.0)
     for t in times:
-        state = step(on_block_bitcoin, state, BTC, blk(BlockKind.CLASSICAL, t))
+        state = step(on_block_bitcoin, state, BTC, blk(CLASSICAL, t))
     return state
 
 
@@ -261,7 +262,7 @@ def test_bitcoin_clamped_epochs_compound_exactly():
 
 def test_policy_wrapper_dispatch_matches_free_functions():
     state = DifficultyState(d_b=100.0, d_r=0.5)
-    block = blk(BlockKind.CLASSICAL, 0.07)
+    block = blk(CLASSICAL, 0.07)
 
     p1 = DifficultyPolicy(V1)
     assert p1.on_block(state, block) == step(on_block_v1, state, V1, block)
@@ -286,7 +287,7 @@ def test_on_block_returns_a_new_state_and_leaves_its_argument(cfg):
                             consecutive_classical=20)
     for height in range(3):
         before = state.copy()
-        block = blk(BlockKind.CLASSICAL, 0.05 * (height + 1), height)
+        block = blk(CLASSICAL, 0.05 * (height + 1), height)
         result = policy.on_block(state, block)
         assert result is not state
         assert state == before
@@ -303,7 +304,7 @@ def test_update_leaving_the_finite_positive_range_names_its_height():
     with pytest.raises(DifficultyOutOfRange,
                        match=r"height 9: retarget takes d_b to inf"):
         for i, t in enumerate(times):
-            on_block_bitcoin(state, BTC, blk(BlockKind.CLASSICAL, t, i))
+            on_block_bitcoin(state, BTC, blk(CLASSICAL, t, i))
     assert state.d_b == 1e308 and state.updates == ()
     assert issubclass(DifficultyOutOfRange, ConfigError)
 
@@ -312,7 +313,7 @@ def test_update_leaving_the_finite_positive_range_names_its_height():
                      max_update_factor=1e300, initial_db=1.0)
     state = DifficultyState(d_b=1e-300, d_r=1e-300)
     with pytest.raises(DifficultyOutOfRange, match=r"height 4: .* to 0\.0"):
-        on_block_v1(state, wide, blk(BlockKind.CLASSICAL, 1e300, 4))
+        on_block_v1(state, wide, blk(CLASSICAL, 1e300, 4))
     with pytest.raises(ValueError):
         DifficultyState(d_b=float("inf"), d_r=1.0)
 
@@ -331,7 +332,7 @@ def test_random_walks_respect_clamp_and_positivity():
         v2_state = DifficultyState(d_b=1000.0, d_r=5.0)
         btc_state = DifficultyState(d_b=1000.0, d_r=5.0)
         for i in range(400):
-            kind = BlockKind.SOLUTION if kinds[i] else BlockKind.CLASSICAL
+            kind = SOLUTION if kinds[i] else CLASSICAL
             block = blk(kind, float(times[i]), height=i)
             on_block_v1(v1_state, V1, block)
             on_block_v2(v2_state, V2, block)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cliquechain.chain import BlockKind
 from cliquechain.clique import (
     MAX_GRAPH_N,
     CliqueSolution,
@@ -33,17 +32,17 @@ from cliquechain.engine import (
 from cliquechain.io import verify_record_stream
 
 
-def classical_spec(i, hashrate=1000.0):
-    return MinerSpec(id=i, hashrate=hashrate, strategy=Strategy.CLASSICAL)
+def classical_spec(hashrate=1000.0):
+    return MinerSpec(hashrate=hashrate, strategy=Strategy.CLASSICAL)
 
 
-def solver_spec(i, hashrate=1000.0, speed=100.0):
-    return MinerSpec(id=i, hashrate=hashrate, strategy=Strategy.SOLVER,
+def solver_spec(hashrate=1000.0, speed=100.0):
+    return MinerSpec(hashrate=hashrate, strategy=Strategy.SOLVER,
                      solver_steps_per_second=speed)
 
 
-def bubka_spec(i, target, hashrate=1000.0, speed=100.0):
-    return MinerSpec(id=i, hashrate=hashrate, strategy=Strategy.BUBKA,
+def bubka_spec(target, hashrate=1000.0, speed=100.0):
+    return MinerSpec(hashrate=hashrate, strategy=Strategy.BUBKA,
                      solver_steps_per_second=speed, hoard_target=target)
 
 
@@ -57,9 +56,8 @@ def race_inputs(miners):
     return hashrates, solvers
 
 
-def sol(score, epoch=0):
-    return CliqueSolution(problem_epoch=epoch, vertices=tuple(range(score)),
-                          score=score)
+def sol(score):
+    return CliqueSolution(tuple(range(score)))
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +65,7 @@ def sol(score, epoch=0):
 # ---------------------------------------------------------------------------
 
 def test_waiting_time_mean_matches_difficulty_over_hashrate():
-    miners = [MinerState(spec=classical_spec(0, hashrate=10.0))]
+    miners = [MinerState(spec=classical_spec(hashrate=10.0))]
     rng = np.random.default_rng(1)
     times = [sample_block_winner(miners, *race_inputs(miners), 100.0, 5.0,
                                  rng)[2]
@@ -76,7 +74,7 @@ def test_waiting_time_mean_matches_difficulty_over_hashrate():
 
 
 def test_equal_miners_split_wins_evenly():
-    miners = [MinerState(spec=classical_spec(i)) for i in range(2)]
+    miners = [MinerState(spec=classical_spec()) for _ in range(2)]
     rng = np.random.default_rng(2)
     wins = sum(sample_block_winner(miners, *race_inputs(miners), 1000.0, 5.0,
                                    rng)[0] == 0
@@ -86,20 +84,18 @@ def test_equal_miners_split_wins_evenly():
 
 
 def test_held_solution_switches_kind_and_dominates_race():
-    holder = MinerState(spec=solver_spec(0), hoard=[sol(2)])
-    rival = MinerState(spec=classical_spec(1))
+    holder = MinerState(spec=solver_spec(), hoard=[sol(2)])
+    rival = MinerState(spec=classical_spec())
     miners = [holder, rival]
     rng = np.random.default_rng(3)
     rounds = 10_000
     wins = 0
     for _ in range(rounds):
-        miner_id, kind, _ = sample_block_winner(miners, *race_inputs(miners),
-                                                1000.0, 5.0, rng)
+        miner_id, at_d_r, _ = sample_block_winner(
+            miners, *race_inputs(miners), 1000.0, 5.0, rng)
         if miner_id == 0:
             wins += 1
-            assert kind is BlockKind.SOLUTION
-        else:
-            assert kind is BlockKind.CLASSICAL
+        assert at_d_r is (miner_id == 0)
     # Rates 1000/5 vs 1000/1000: P(holder) = 200/201.
     p = 200.0 / 201.0
     sigma = (rounds * p * (1 - p)) ** 0.5
@@ -113,27 +109,26 @@ def test_race_draws_match_the_exponential_oracle():
         times = rng.exponential([(d_r if red else d_b) / st.spec.hashrate
                                  for st, red in zip(miners, reduced)])
         idx = int(np.argmin(times))
-        kind = BlockKind.SOLUTION if reduced[idx] else BlockKind.CLASSICAL
-        return miners[idx].spec.id, kind, float(times[idx])
+        return idx, reduced[idx], float(times[idx])
 
-    miners = [MinerState(spec=classical_spec(0, 3.0)),
-              MinerState(spec=solver_spec(1, 1000.0), hoard=[sol(2)]),
-              MinerState(spec=solver_spec(2, 250.0)),
-              MinerState(spec=bubka_spec(3, 2, 4e6), hoard=[sol(2)],
+    miners = [MinerState(spec=classical_spec(3.0)),
+              MinerState(spec=solver_spec(1000.0), hoard=[sol(2)]),
+              MinerState(spec=solver_spec(250.0)),
+              MinerState(spec=bubka_spec(2, 4e6), hoard=[sol(2)],
                          releasing=True),
-              MinerState(spec=bubka_spec(4, 2, 0.5), hoard=[sol(2)]),
-              MinerState(spec=classical_spec(5, 1e-3))]
+              MinerState(spec=bubka_spec(2, 0.5), hoard=[sol(2)]),
+              MinerState(spec=classical_spec(1e-3))]
     assert [st.mines_reduced() for st in miners] == [False, True, False,
                                                        True, False, False]
     ours, ref = np.random.default_rng(9), np.random.default_rng(9)
     difficulties = np.random.default_rng(10).uniform(-300, 10.4, (4000, 2))
-    kinds = set()
+    at_d_r = set()
     for d_b, d_r in 10.0 ** difficulties:
         got = sample_block_winner(miners, *race_inputs(miners), d_b, d_r,
                                   ours)
         assert got == oracle(miners, d_b, d_r, ref)
-        kinds.add(got[1])
-    assert kinds == {BlockKind.CLASSICAL, BlockKind.SOLUTION}
+        at_d_r.add(got[1])
+    assert at_d_r == {False, True}
     assert ours.random() == ref.random()            # streams stay in step
 
     # With no miner reduced the race takes its d_b-only path.
@@ -143,12 +138,12 @@ def test_race_draws_match_the_exponential_oracle():
         got = sample_block_winner(miners, *race_inputs(miners), d_b, d_r,
                                   ours)
         assert got == oracle(miners, d_b, d_r, ref)
-        assert got[1] is BlockKind.CLASSICAL
+        assert got[1] is False
     assert ours.random() == ref.random()
 
 
 def test_attacker_mines_reduced_only_while_releasing():
-    st = MinerState(spec=bubka_spec(0, target=2))
+    st = MinerState(spec=bubka_spec(target=2))
     assert not st.mines_reduced()
     st.hoard = [sol(3)]
     assert not st.mines_reduced()
@@ -160,9 +155,9 @@ def test_attacker_mines_reduced_only_while_releasing():
 
 def test_wins_scale_with_hashrate():
     cfg = SimConfig(policy="bitcoin", seed=17, max_blocks=6000,
-                    miners=(classical_spec(0, 1000.0),
-                            classical_spec(1, 2000.0),
-                            classical_spec(2, 3000.0)))
+                    miners=(classical_spec(1000.0),
+                            classical_spec(2000.0),
+                            classical_spec(3000.0)))
     records = simulate(cfg).records
     counts = np.bincount([r.miner_id for r in records], minlength=3)
     expected = np.array([1 / 6, 2 / 6, 3 / 6]) * len(records)
@@ -176,9 +171,9 @@ def test_wins_scale_with_hashrate():
 
 def make_solver(graph, speed=10.0, strategy="solver", target=3):
     if strategy == "solver":
-        spec = solver_spec(0, speed=speed)
+        spec = solver_spec(speed=speed)
     else:
-        spec = bubka_spec(0, target=target, speed=speed)
+        spec = bubka_spec(target=target, speed=speed)
     return MinerState(spec=spec, cursor=SolverCursor(graph))
 
 
@@ -220,7 +215,7 @@ def test_negative_dt_rejected():
 
 def test_non_solvers_and_exhausted_cursors_idle():
     graph = gen_random_graph(10, 0.5, 2)
-    passive = MinerState(spec=classical_spec(0))
+    passive = MinerState(spec=classical_spec())
     worker = make_solver(graph, speed=1e6)
     problem = ProblemInstance(graph=graph, epoch=0)
     advance_solvers([passive, worker], 1.0, problem)
@@ -267,7 +262,7 @@ def test_honest_solver_publishes_its_later_find_and_attacker_both():
     # interval before block 1; there too the finds score 2 then 3.
     published = {}
     for strategy, target in ((Strategy.SOLVER, None), (Strategy.BUBKA, 2)):
-        spec = MinerSpec(id=0, hashrate=1000.0, strategy=strategy,
+        spec = MinerSpec(hashrate=1000.0, strategy=strategy,
                          solver_steps_per_second=1e6, hoard_target=target)
         cfg = SimConfig(policy="v2", seed=0, graph_n=8, max_blocks=4,
                         miners=(spec,))
@@ -279,7 +274,7 @@ def test_honest_solver_publishes_its_later_find_and_attacker_both():
 
 
 def test_bubka_prune_and_release_lifecycle():
-    st = MinerState(spec=bubka_spec(0, target=3))
+    st = MinerState(spec=bubka_spec(target=3))
     st.hoard = [sol(3), sol(4)]
     bubka_strategy_step(st, 2)
     assert [s.score for s in st.hoard] == [3, 4] and not st.releasing
@@ -334,9 +329,6 @@ def test_config_rejects_bad_configs():
     with pytest.raises(ConfigError):
         SimConfig(policy="v2", seed=1, initial_dr=D_R_FLOOR / 2)
     with pytest.raises(ConfigError):
-        SimConfig(policy="v2", seed=1,
-                  miners=(classical_spec(0), classical_spec(2)))
-    with pytest.raises(ConfigError):
         dataclasses.replace(SimConfig(policy="v1", seed=1), n1=0)
 
 
@@ -352,18 +344,18 @@ def test_graph_n_is_bounded_at_build_time():
 
 def test_miner_spec_validation():
     with pytest.raises(ConfigError):
-        MinerSpec(id=0, hashrate=0.0, strategy=Strategy.CLASSICAL)
+        MinerSpec(hashrate=0.0, strategy=Strategy.CLASSICAL)
     with pytest.raises(ConfigError):
-        MinerSpec(id=0, hashrate=1.0, strategy=Strategy.SOLVER,
+        MinerSpec(hashrate=1.0, strategy=Strategy.SOLVER,
                   solver_steps_per_second=0.0)
     with pytest.raises(ConfigError):
-        MinerSpec(id=0, hashrate=1.0, strategy=Strategy.BUBKA,
+        MinerSpec(hashrate=1.0, strategy=Strategy.BUBKA,
                   solver_steps_per_second=10.0)
     with pytest.raises(ConfigError):
-        MinerSpec(id=0, hashrate=1.0, strategy=Strategy.CLASSICAL,
+        MinerSpec(hashrate=1.0, strategy=Strategy.CLASSICAL,
                   hoard_target=2)
     with pytest.raises(ConfigError):
-        MinerSpec(id=0, strategy=Strategy.CLASSICAL,
+        MinerSpec(strategy=Strategy.CLASSICAL,
                   solver_steps_per_second=50.0)
 
 
@@ -408,7 +400,7 @@ def test_every_block_is_counted_once():
 
 def test_stagnation_window_replaces_on_schedule():
     cfg = SimConfig(policy="v2", seed=4, max_blocks=160,
-                    miners=tuple(classical_spec(i) for i in range(10)))
+                    miners=tuple(classical_spec() for _ in range(10)))
     res = simulate(cfg)
     assert res.replacement_heights == [49, 99, 149]
     assert len(res.graphs) == 4
@@ -418,7 +410,7 @@ def test_stagnation_window_replaces_on_schedule():
 
 def test_window_zero_disables_stagnation_replacement():
     cfg = SimConfig(policy="v2", seed=4, max_blocks=120, saturation_window=0,
-                    miners=tuple(classical_spec(i) for i in range(10)))
+                    miners=tuple(classical_spec() for _ in range(10)))
     res = simulate(cfg)
     assert res.replacement_heights == []
     assert len(res.graphs) == 1
@@ -426,7 +418,7 @@ def test_window_zero_disables_stagnation_replacement():
 
 def test_proven_optimum_replaces_before_the_window():
     cfg = SimConfig(policy="v2", seed=12, max_blocks=100, graph_n=8,
-                    miners=(classical_spec(0), solver_spec(1, speed=1000.0)))
+                    miners=(classical_spec(), solver_spec(speed=1000.0)))
     res = simulate(cfg)
     assert res.replacement_heights, "tiny instances should be solved"
     assert res.replacement_heights[0] < 49
@@ -452,7 +444,7 @@ def test_solution_blocks_strictly_raise_best_score():
 @pytest.mark.parametrize("cfg", [
     SimConfig(policy="v2", seed=1, max_blocks=6000),
     SimConfig(policy="v2", seed=1, max_blocks=20_000,
-              miners=tuple(classical_spec(i) for i in range(10))),
+              miners=tuple(classical_spec() for _ in range(10))),
 ], ids=["default-population", "zero-solver"])
 def test_long_v2_runs_hold_d_r_at_the_floor(cfg):
     # Without the floor, droughts drive d_r to zero and both runs stop.

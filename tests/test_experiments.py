@@ -26,8 +26,7 @@ from cliquechain.io import render_config
 
 
 def classical_team(n):
-    return tuple(MinerSpec(id=i, hashrate=1000.0,
-                           strategy=Strategy.CLASSICAL) for i in range(n))
+    return (MinerSpec(hashrate=1000.0, strategy=Strategy.CLASSICAL),) * n
 
 
 def run_command(tmp_path, command, cfg, *options):
@@ -235,8 +234,7 @@ def test_eta_sweep_rejects_bad_instance_count():
 
 def attacker_base(n_classical=4, target=1):
     miners = list(classical_team(n_classical))
-    miners.append(MinerSpec(id=n_classical, hashrate=1000.0,
-                            strategy=Strategy.BUBKA,
+    miners.append(MinerSpec(hashrate=1000.0, strategy=Strategy.BUBKA,
                             solver_steps_per_second=200.0,
                             hoard_target=target))
     return SimConfig(policy="v2", seed=7, max_blocks=50, graph_n=25,
@@ -283,7 +281,7 @@ def test_bubka_experiment_requires_exactly_one_attacker():
             SimConfig(policy="v2", seed=7, miners=classical_team(5)),
             (1,), num_seeds=1)
     two = list(attacker_base().miners)
-    two.append(MinerSpec(id=5, hashrate=1000.0, strategy=Strategy.BUBKA,
+    two.append(MinerSpec(hashrate=1000.0, strategy=Strategy.BUBKA,
                          solver_steps_per_second=200.0, hoard_target=1))
     with pytest.raises(ConfigError):
         run_bubka_experiment(

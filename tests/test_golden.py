@@ -67,7 +67,7 @@ def _trace(graph, order, budgets, threshold):
     calls = 0
     while not cursor.exhausted and calls < MAX_CALLS:
         limit = best if threshold == "rising" else threshold
-        found = cursor.advance(graph, budgets[calls % len(budgets)], limit)
+        found = cursor.advance(budgets[calls % len(budgets)], limit)
         calls += 1
         if found is not None:
             best = max(best, found.score)

@@ -63,7 +63,6 @@ def test_full_config_parses_miners_in_order():
     strategies = [m.strategy for m in cfg.miners]
     assert strategies == [Strategy.CLASSICAL] * 3 + [Strategy.SOLVER,
                                                      Strategy.BUBKA]
-    assert [m.id for m in cfg.miners] == [0, 1, 2, 3, 4]
     assert cfg.miners[0].hashrate == 2000.0
     assert cfg.miners[4].hoard_target == 2
 
@@ -276,11 +275,13 @@ def test_verify_rejects_corrupted_streams():
     def corrupt(i, **changes):
         out = list(records)
         out[i] = out[i]._replace(**changes)
-        return out
+        return i, out
 
     solution_idx = next(i for i, r in enumerate(records)
                         if r.kind == "solution")
     cases = [
+        corrupt(0, sim_time=-0.5),                      # times start above 0
+        corrupt(0, sim_time=0.0),
         corrupt(5, height=7),
         corrupt(5, sim_time=records[4].sim_time),
         corrupt(5, d_r=0.0),
@@ -292,8 +293,9 @@ def test_verify_rejects_corrupted_streams():
     ]
     if records[5].kind == "classical":
         cases.append(corrupt(5, best_score=records[5].best_score + 1))
-    for bad in cases:
-        with pytest.raises(ReplayError):
+    for i, bad in cases:
+        # The message names the height the corrupted record carries.
+        with pytest.raises(ReplayError, match=f"^height {bad[i].height}: "):
             verify_record_stream(bad, graphs)
     with pytest.raises(ReplayError):
         verify_record_stream([], graphs)
