@@ -20,23 +20,7 @@ if TYPE_CHECKING:
 
 
 class ChainError(Exception):
-    """Base class for append-time validation failures."""
-
-
-class InvalidDifficulty(ChainError):
-    """Block difficulty does not match the policy state for its kind."""
-
-
-class StaleSolution(ChainError):
-    """Solution does not strictly improve the published best."""
-
-
-class MalformedClique(ChainError):
-    """Claimed solution is not a clique of the active graph."""
-
-
-class NonMonotonicTime(ChainError):
-    """Block timestamp does not advance past its parent."""
+    """A block fails an append-time check; the message names which."""
 
 
 @dataclass(slots=True)
@@ -68,7 +52,7 @@ def append_block(parent: Block | None, block: Block,
         raise ChainError(f"expected height {height}, got {block.height}")
     earliest = 0.0 if parent is None else parent.sim_time
     if not earliest < block.sim_time:
-        raise NonMonotonicTime(
+        raise ChainError(
             f"block time {block.sim_time} does not advance past {earliest}")
     if block.problem_epoch != problem.epoch:
         raise ChainError(
@@ -78,16 +62,15 @@ def append_block(parent: Block | None, block: Block,
     sol = block.solution
     expected = state.d_b if sol is None else state.d_r
     if block.difficulty_used != expected:
-        raise InvalidDifficulty(
+        raise ChainError(
             f"{'classical' if sol is None else 'solution'} block used "
             f"difficulty {block.difficulty_used}, policy state says "
             f"{expected}")
     if sol is not None:
         if not is_clique(problem.graph, sol.vertices):
-            raise MalformedClique(
-                f"vertices {sol.vertices} are not a clique")
+            raise ChainError(f"vertices {sol.vertices} are not a clique")
         if sol.score <= problem.best_score:
-            raise StaleSolution(
+            raise ChainError(
                 f"score {sol.score} does not beat published best "
                 f"{problem.best_score}")
         problem.best_score = sol.score

@@ -35,11 +35,7 @@ MAX_GRAPH_N = 4096
 
 
 class InvalidParams(ValueError):
-    """Rejected graph-generation parameters."""
-
-
-class TooLarge(ValueError):
-    """Instance exceeds the brute-force oracle's size guard."""
+    """Rejected graph parameters, or too many vertices for brute force."""
 
 
 @dataclass(frozen=True)
@@ -353,7 +349,7 @@ def brute_force_max_clique(graph: Graph) -> int:
     """
     n = graph.n
     if n > 20:
-        raise TooLarge(f"brute force is capped at 20 vertices, got {n}")
+        raise InvalidParams(f"brute force is capped at 20 vertices, got {n}")
     masks = graph.neighbor_masks
     is_clique = bytearray(1 << n)
     is_clique[0] = 1
@@ -370,18 +366,15 @@ def brute_force_max_clique(graph: Graph) -> int:
 
 
 def is_clique(graph: Graph, vertices) -> bool:
-    """Pairwise adjacency check, O(k^2) edge lookups for k vertices."""
+    """Whether ``vertices`` are distinct, pairwise adjacent graph vertices."""
     verts = list(vertices)
     if len(set(verts)) != len(verts):
         return False
-    for v in verts:
-        if not 0 <= v < graph.n:
-            return False
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            if not graph.has_edge(u, v):
-                return False
-    return True
+    if not all(0 <= v < graph.n for v in verts):
+        return False
+    mask = sum(1 << v for v in verts)
+    masks = graph.neighbor_masks
+    return all(mask & ~(masks[v] | 1 << v) == 0 for v in verts)
 
 
 # ---------------------------------------------------------------------------

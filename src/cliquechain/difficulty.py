@@ -37,30 +37,13 @@ D_R_FLOOR = sys.float_info.min
 
 
 class ConfigError(Exception):
-    """Simulation configuration is structurally or semantically invalid."""
-
-
-class DifficultyOutOfRange(ConfigError):
-    """A config drove a difficulty out of the finite positive range."""
-
-
-class NonPositiveFactor(ValueError):
-    """Raw retarget factor was zero or negative."""
+    """A config cannot be read, is invalid, or drives a run out of range."""
 
 
 def clamp_factor(raw: float, max_update_factor: float) -> float:
-    """Clamp a raw multiplicative update into [1/x, x]."""
-    if raw <= 0:
-        raise NonPositiveFactor(f"update factor must be positive, got {raw}")
+    """Clamp a multiplier, even an underflowed 0.0, into [1/x, x]."""
     x = max_update_factor
     return min(max(raw, 1.0 / x), x)
-
-
-def _ratio_factor(num: float, den: float, x: float) -> float:
-    """Clamp ``num / den``, both positive, into [1/x, x].  The ratio reads
-    0.0 only when it underflows, far below 1/x, so the factor is 1/x."""
-    ratio = num / den
-    return clamp_factor(ratio, x) if ratio else 1.0 / x
 
 
 def _retarget_factor(n_blocks: int, target_time: float, elapsed: float,
@@ -69,7 +52,7 @@ def _retarget_factor(n_blocks: int, target_time: float, elapsed: float,
     # treat it as the hardest possible upward correction.
     if elapsed <= 0:
         return max_update_factor
-    return _ratio_factor(n_blocks * target_time, elapsed, max_update_factor)
+    return clamp_factor(n_blocks * target_time / elapsed, max_update_factor)
 
 
 class DifficultyUpdate(NamedTuple):
@@ -121,7 +104,7 @@ class DifficultyState:
         if new < floor:
             new, rule = floor, "floor"
         if not 0.0 < new < math.inf:
-            raise DifficultyOutOfRange(
+            raise ConfigError(
                 f"height {height}: {rule} takes {name} to {new!r}, outside "
                 "the finite positive range")
         self.updates += (DifficultyUpdate(height, name, getattr(self, name),
@@ -165,7 +148,7 @@ def on_block_v1(state: DifficultyState, cfg: SimConfig,
     """
     x = cfg.max_update_factor
     if _db_epoch(state, block, cfg.n1, cfg.target_time, x):
-        f_r = _ratio_factor(cfg.eta * state.d_b, state.d_r, x)
+        f_r = clamp_factor(cfg.eta * state.d_b / state.d_r, x)
         state.set("d_r", state.d_r * f_r, block.height, "retarget")
 
 

@@ -44,10 +44,6 @@ DEFAULT_MAX_UPDATE_FACTOR = 4.0
 MAX_STEP_BUDGET = 2.0 ** 63
 
 
-class ClockOverflow(ConfigError):
-    """A config's waiting times overflow the simulated clock."""
-
-
 class Strategy(str, enum.Enum):
     CLASSICAL = "classical"
     SOLVER = "solver"
@@ -413,7 +409,7 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
         # times stay strictly increasing.
         now = max(now + dt, math.nextafter(now, math.inf))
         if now == math.inf:
-            raise ClockOverflow(f"height {height}: block time overflows")
+            raise ConfigError(f"height {height}: block time overflows")
         if policy.uses_solutions:
             advance_solvers(miners, dt, problem)
             _maybe_prove_optimum(problem, miners)

@@ -50,18 +50,6 @@ _MINER_NUMBERS = {"hashrate": float, "solver_steps_per_second": float,
                   "hoard_target": int, "count": int}
 
 
-class ParseError(ConfigError):
-    """Config text is syntactically broken or a value fails to parse."""
-
-
-class UnknownKey(ConfigError):
-    """Config text names a key this simulator does not define."""
-
-
-class ValidationError(ConfigError):
-    """Config parsed fine but the values violate a constraint."""
-
-
 class ReplayError(Exception):
     """A recorded run fails re-validation."""
 
@@ -77,7 +65,7 @@ def _parse_scalar(key: str, raw: str):
         if key in FLOAT_FIELDS:
             return float(raw)
     except ValueError:
-        raise ParseError(f"bad value for {key}: {raw!r}") from None
+        raise ConfigError(f"bad value for {key}: {raw!r}") from None
     return raw
 
 
@@ -85,31 +73,33 @@ def _parse_miner_entry(raw: str, lineno: int) -> tuple[dict, int]:
     attrs: dict = {}
     for token in raw.split():
         if "=" not in token:
-            raise ParseError(
+            raise ConfigError(
                 f"line {lineno}: miner attribute {token!r} needs key=value")
         key, _, value = token.partition("=")
         if key != "strategy" and key not in _MINER_NUMBERS:
-            raise UnknownKey(f"line {lineno}: unknown miner attribute {key!r}")
+            raise ConfigError(
+                f"line {lineno}: unknown miner attribute {key!r}")
         if key in attrs:
-            raise ParseError(f"line {lineno}: duplicate miner attribute "
-                             f"{key!r}")
+            raise ConfigError(f"line {lineno}: duplicate miner attribute "
+                              f"{key!r}")
         attrs[key] = value
     if "strategy" not in attrs:
-        raise ParseError(f"line {lineno}: miner entry needs a strategy")
+        raise ConfigError(f"line {lineno}: miner entry needs a strategy")
     try:
         attrs["strategy"] = Strategy(attrs["strategy"])
     except ValueError:
-        raise ValidationError(
+        raise ConfigError(
             f"line {lineno}: unknown strategy {attrs['strategy']!r}") from None
     try:
         for key, kind in _MINER_NUMBERS.items():
             if key in attrs:
                 attrs[key] = kind(attrs[key])
     except ValueError:
-        raise ParseError(f"line {lineno}: bad numeric miner attribute") from None
+        raise ConfigError(
+            f"line {lineno}: bad numeric miner attribute") from None
     count = attrs.pop("count", 1)
     if count < 1:
-        raise ValidationError(f"line {lineno}: miner count must be >= 1")
+        raise ConfigError(f"line {lineno}: miner count must be >= 1")
     return attrs, count
 
 
@@ -122,8 +112,8 @@ def parse_config_text(text: str) -> SimConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ParseError(f"line {lineno}: expected 'key = value', "
-                             f"got {raw_line!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', "
+                              f"got {raw_line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
@@ -131,37 +121,38 @@ def parse_config_text(text: str) -> SimConfig:
             miner_entries.append(_parse_miner_entry(value, lineno))
             continue
         if key not in ("policy",) + _INT_KEYS + FLOAT_FIELDS:
-            raise UnknownKey(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in scalars:
-            raise ParseError(f"line {lineno}: duplicate key {key!r}")
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if not value:
-            raise ParseError(f"line {lineno}: key {key!r} has no value")
+            raise ConfigError(f"line {lineno}: key {key!r} has no value")
         scalars[key] = _parse_scalar(key, value)
 
     if "policy" not in scalars:
-        raise ValidationError("config must set a policy")
+        raise ConfigError("config must set a policy")
     if "seed" not in scalars:
-        raise ValidationError("config must set a seed")
+        raise ConfigError("config must set a seed")
 
     specs: list[MinerSpec] = []
+    for attrs, count in miner_entries:
+        for _ in range(count):
+            specs.append(MinerSpec(**attrs))
+    return SimConfig(miners=tuple(specs), **scalars)
+
+
+def _read_text(path, error: type[Exception]) -> str:
+    """Read ``path`` as UTF-8; any failure raises ``error`` naming it."""
     try:
-        for attrs, count in miner_entries:
-            for _ in range(count):
-                specs.append(MinerSpec(**attrs))
-        return SimConfig(miners=tuple(specs), **scalars)
-    except ValidationError:
-        raise
-    except ConfigError as exc:
-        raise ValidationError(str(exc)) from None
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {exc.start} is not UTF-8") from None
 
 
 def parse_config(path) -> SimConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror}") from None
-    return parse_config_text(text)
+    return parse_config_text(_read_text(path, ConfigError))
 
 
 def render_config(cfg: SimConfig) -> str:
@@ -220,11 +211,8 @@ _BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
 def read_records(path) -> list[SimRecord]:
     """Read records back from either serialization (sniffed, not by
     extension)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    except OSError as exc:
-        raise ReplayError(f"{path}: {exc.strerror}") from None
+    lines = [ln for ln in _read_text(path, ReplayError).splitlines()
+             if ln.strip()]
     if not lines:
         raise ReplayError(f"{path}: empty record file")
     jsonl = lines[0].startswith("{")

@@ -8,6 +8,7 @@ uncaught exception) is a bug.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -88,3 +89,15 @@ def test_generated_configs_run_or_exit_2(tmp_path, capsys):
             pytest.fail(f"config {i} raised {exc!r}:\n{text}")
         capsys.readouterr()
     assert set(codes.values()) <= {0, 2}, codes
+
+
+@pytest.mark.parametrize("policy", ["bitcoin", "v1", "v2"])
+def test_largest_max_update_factor_runs_or_exits_2(tmp_path, capsys, policy):
+    # max_update_factor has no cap: a retarget that takes a difficulty to 0
+    # or inf is refused by DifficultyState.set, which exits 2.
+    path = tmp_path / "run.cfg"
+    path.write_text(f"policy = {policy}\nseed = 1\nmax_blocks = 300\n"
+                    f"graph_n = 20\n"
+                    f"max_update_factor = {sys.float_info.max!r}\n")
+    code = main(["simulate", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code in (0, 2), capsys.readouterr().err

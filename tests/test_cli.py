@@ -294,6 +294,27 @@ def test_missing_input_files_get_a_message(tmp_path, capsys):
     assert "absent" in capsys.readouterr().err
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"policy = v2\nseed = 1\n# \xff\xfe\n")
+    out = str(tmp_path / "o")
+    assert main(["simulate", str(cfg), "--out-dir", out]) == 2
+    assert "bad.cfg: byte 23 is not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["records.csv", "graphs.edges"])
+def test_non_utf8_run_file_exits_3(tmp_path, capsys, name):
+    cfg = write_cfg(tmp_path, V2_SMALL)
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
+    with open(out / name, "ab") as fh:
+        fh.write(b"\xff\n")
+    capsys.readouterr()
+    assert main(["verify-chain", str(out / "records.csv"),
+                 str(out / "graphs.edges")]) == 3
+    assert name in capsys.readouterr().err
+
+
 def test_truncated_graph_file_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, V2_SMALL)
     out = str(tmp_path / "out")

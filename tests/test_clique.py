@@ -12,7 +12,6 @@ from cliquechain.clique import (
     Graph,
     InvalidParams,
     SolverCursor,
-    TooLarge,
     _relabel,
     brute_force_max_clique,
     gen_random_graph,
@@ -129,7 +128,7 @@ def test_brute_force_known_graphs():
 
 
 def test_brute_force_size_guard():
-    with pytest.raises(TooLarge):
+    with pytest.raises(InvalidParams, match="capped at 20 vertices"):
         brute_force_max_clique(Graph.from_edges(21, []))
 
 
@@ -190,6 +189,48 @@ def test_reported_cliques_are_cliques():
             assert is_clique(g, found.vertices)
             assert found.score > best
             best = found.score
+
+
+def pairwise_is_clique(graph, vertices):
+    """Reference: distinct vertices of ``graph``, every pair an edge."""
+    vs = list(vertices)
+    return (len(set(vs)) == len(vs) and all(0 <= v < graph.n for v in vs)
+            and all(graph.has_edge(u, v)
+                    for i, u in enumerate(vs) for v in vs[i + 1:]))
+
+
+def test_is_clique_edge_cases():
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+    assert is_clique(g, ())
+    assert is_clique(g, (3,))
+    assert is_clique(g, (2, 0, 1))
+    assert not is_clique(g, (0, 3))
+    # Repeated and out-of-range vertices are refused, never raised on.
+    for bad in [(0, 0), (1, 2, 1), (-1,), (0, -1), (4,), (0, 1, 4)]:
+        assert not is_clique(g, bad), bad
+
+
+def test_is_clique_agrees_with_pairwise_reference():
+    # Sizes straddle the 64-bit word; each graph gets random subsets and
+    # greedily grown cliques, which then take one vertex too many.
+    rng = np.random.Generator(np.random.PCG64(11))
+    outcomes = set()
+    for seed in range(30):
+        n = int(rng.integers(1, 80))
+        g = gen_random_graph(n, float(rng.uniform(0.3, 0.9)), seed)
+        for _ in range(10):
+            k = int(rng.integers(0, min(n, 6) + 1))
+            subsets = [rng.choice(n, size=k, replace=False).tolist()]
+            grown = []
+            for v in rng.permutation(n).tolist():
+                if all(g.has_edge(u, v) for u in grown):
+                    grown.append(v)
+            subsets += [grown, grown + [int(rng.integers(n))]]
+            for vs in subsets:
+                expect = pairwise_is_clique(g, vs)
+                assert is_clique(g, vs) == expect, (seed, vs)
+                outcomes.add(expect)
+    assert outcomes == {True, False}
 
 
 def test_zero_budget_is_a_noop():

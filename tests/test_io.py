@@ -6,14 +6,17 @@ from pathlib import Path
 
 import pytest
 
-from cliquechain.engine import SimConfig, SimRecord, Strategy, simulate
+from cliquechain.engine import (
+    ConfigError,
+    SimConfig,
+    SimRecord,
+    Strategy,
+    simulate,
+)
 from cliquechain.io import (
     CSV_HEADER,
-    ParseError,
     ReplayError,
     RunManifest,
-    UnknownKey,
-    ValidationError,
     parse_config_text,
     read_manifest,
     read_records,
@@ -68,44 +71,44 @@ def test_full_config_parses_miners_in_order():
 
 
 def test_parse_rejects_malformed_lines():
-    with pytest.raises(ParseError):
+    with pytest.raises(ConfigError, match="expected 'key = value'"):
         parse_config_text("policy bitcoin\nseed = 1\n")
-    with pytest.raises(ParseError):
-        parse_config_text(MINIMAL + "seed = 2\n")          # duplicate
-    with pytest.raises(ParseError):
+    with pytest.raises(ConfigError, match="duplicate key 'seed'"):
+        parse_config_text(MINIMAL + "seed = 2\n")
+    with pytest.raises(ConfigError, match="bad value for max_blocks"):
         parse_config_text(MINIMAL + "max_blocks = ten\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ConfigError, match="key 'eta' has no value"):
         parse_config_text(MINIMAL + "eta =\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ConfigError, match="miner entry needs a strategy"):
         parse_config_text(MINIMAL + "miner = hashrate=10\n")
 
 
 def test_parse_rejects_unknown_keys():
-    with pytest.raises(UnknownKey):
+    with pytest.raises(ConfigError, match="unknown key 'difficulty'"):
         parse_config_text(MINIMAL + "difficulty = 3\n")
-    with pytest.raises(UnknownKey):
+    with pytest.raises(ConfigError, match="unknown miner attribute 'color'"):
         parse_config_text(MINIMAL + "miner = strategy=classical color=red\n")
-    with pytest.raises(UnknownKey):
+    with pytest.raises(ConfigError, match="unknown key 'miners'"):
         parse_config_text(MINIMAL + "miners = strategy=classical\n")
 
 
 def test_parse_rejects_invalid_values():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError, match=r"eta must lie in \(0, 1\]"):
         parse_config_text("policy = v2\nseed = 1\neta = 1.5\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError, match="unknown policy 'v9'"):
         parse_config_text("policy = v9\nseed = 1\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError, match="config must set a policy"):
         parse_config_text("seed = 1\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError, match="config must set a seed"):
         parse_config_text("policy = v2\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError, match="unknown strategy 'alchemist'"):
         parse_config_text(MINIMAL + "miner = strategy=alchemist\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError, match="needs hoard_target >= 1"):
         parse_config_text(MINIMAL + "miner = strategy=bubka-attacker "
                                     "solver_steps_per_second=10\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError, match="miner count must be >= 1"):
         parse_config_text(MINIMAL + "miner = strategy=classical count=0\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError, match="only applies to solving miners"):
         parse_config_text(MINIMAL + "miner = strategy=classical "
                                     "solver_steps_per_second=50\n")
 
