@@ -238,6 +238,15 @@ def _stream_rng(master: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
+def _mining_draws(cfg: SimConfig):
+    """Yield the mining substream one block's row at a time, one standard
+    exponential per miner; on PCG64 a (rows, m) draw is rows draws of m."""
+    rng = _stream_rng(cfg.seed, _MINING_STREAM)
+    shape = (min(1024, cfg.max_blocks), len(cfg.miners))
+    while True:
+        yield from rng.standard_exponential(shape).tolist()
+
+
 def _solver_order(master: int, miner_id: int, epoch: int, n: int) -> list[int]:
     rng = _stream_rng(master, _PERMUTATION_STREAM, miner_id, epoch)
     return [int(v) for v in rng.permutation(n)]
@@ -247,26 +256,25 @@ def _solver_order(master: int, miner_id: int, epoch: int, n: int) -> list[int]:
 # Core operations
 # ---------------------------------------------------------------------------
 
-def sample_block_winner(miners: list[MinerState], hashrates: np.ndarray,
-                        solvers: list[int], d_b: float, d_r: float,
-                        rng: np.random.Generator,
+def sample_block_winner(miners: list[MinerState],
+                        hashrates: tuple[float, ...], solvers: list[int],
+                        d_b: float, d_r: float, draws: list[float],
                         ) -> tuple[int, bool, float]:
     """Run one exponential race and return (miner id, whether it mined at
     d_r, waiting time).
 
     Each miner's time is exponential with mean difficulty/hashrate, where
     the difficulty is d_r for miners currently working a held solution and
-    d_b otherwise.  ``hashrates`` holds the miners' hashrates as float64,
-    ``solvers`` the indices of the miners whose strategy can solve (only
-    they are asked).  Ties go to the lowest miner id.
+    d_b otherwise.  ``draws`` holds one standard exponential per miner and
+    ``solvers`` the indices of the miners that can solve (only they are
+    asked).  Ties go to the lowest miner id; a time of inf never wins.
     """
     reduced = [i for i in solvers if miners[i].mines_reduced()]
-    scales = d_b / hashrates
-    if reduced:
-        scales[reduced] = d_r / hashrates[reduced]
-    times = rng.standard_exponential(len(miners)) * scales
-    idx = int(times.argmin())
-    return idx, idx in reduced, float(times[idx])
+    times = [e * (d_b / h) for e, h in zip(draws, hashrates)]
+    for i in reduced:
+        times[i] = draws[i] * (d_r / hashrates[i])
+    idx = times.index(min(times))
+    return idx, idx in reduced, times[idx]
 
 
 def advance_solvers(miners: list[MinerState], dt: float,
@@ -371,7 +379,6 @@ def _maybe_prove_optimum(problem: ProblemInstance,
         st.hoard[-1].score for st in solverish if st.hoard])
 
 
-@np.errstate(over="ignore")  # a race time of inf just never wins
 def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
     """Run the full event loop and return records plus final state.
 
@@ -380,7 +387,7 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
     """
     policy = DifficultyPolicy(cfg)
     state = DifficultyState(d_b=cfg.initial_db, d_r=cfg.initial_dr)
-    mining_rng = _stream_rng(cfg.seed, _MINING_STREAM)
+    mining_draws = _mining_draws(cfg)
     problem_rng = _stream_rng(cfg.seed, _PROBLEM_STREAM)
 
     problem = ProblemInstance(
@@ -388,7 +395,7 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
                                int(problem_rng.integers(0, 2 ** 63))),
         epoch=0)
     miners = [MinerState(spec=spec) for spec in cfg.miners]
-    hashrates = np.array([spec.hashrate for spec in cfg.miners], np.float64)
+    hashrates = tuple(float(spec.hashrate) for spec in cfg.miners)
     solvers = [i for i, spec in enumerate(cfg.miners)
                if spec.strategy is not Strategy.CLASSICAL]
     if policy.uses_solutions:
@@ -401,9 +408,9 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
     now = 0.0
     parent = None
 
-    for height in range(cfg.max_blocks):
+    for height, draws in zip(range(cfg.max_blocks), mining_draws):
         miner_id, at_d_r, dt = sample_block_winner(
-            miners, hashrates, solvers, state.d_b, state.d_r, mining_rng)
+            miners, hashrates, solvers, state.d_b, state.d_r, draws)
         # Long droughts can push d_r so low that a waiting time drops under
         # the clock's float resolution; advance by at least one ulp so block
         # times stay strictly increasing.

@@ -39,6 +39,7 @@ RECORD_FIELDS = SimRecord._fields
 _RECORD_TYPES = tuple(typing.get_type_hints(SimRecord)[f]
                       for f in RECORD_FIELDS)
 CSV_HEADER = ",".join(RECORD_FIELDS)
+_CSV_ROW = ",".join("%.17g" if k is float else "%s" for k in _RECORD_TYPES)
 _JSON_ROW = json.JSONEncoder(separators=(",", ":")).encode
 
 # The int-valued config keys, in SimConfig field order.
@@ -180,11 +181,8 @@ def render_config(cfg: SimConfig) -> str:
 # ---------------------------------------------------------------------------
 
 def records_to_csv(records: list[SimRecord]) -> str:
-    """Format column by column: floats at 17 significant digits."""
-    columns = [map(format, column, repeat(".17g")) if kind is float
-               else map(str, column)
-               for column, kind in zip(zip(*records), _RECORD_TYPES)]
-    return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
+    """One row per record: floats at 17 significant digits."""
+    return "\n".join([CSV_HEADER, *map(_CSV_ROW.__mod__, records)]) + "\n"
 
 
 def records_to_jsonl(records: list[SimRecord]) -> str:

@@ -2,6 +2,7 @@
 attacker bookkeeping, problem replacement, and whole-run invariants."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -17,11 +18,14 @@ from cliquechain.clique import (
 )
 from cliquechain.difficulty import D_R_FLOOR
 from cliquechain.engine import (
+    _MINING_STREAM,
     ConfigError,
     MinerSpec,
     MinerState,
     SimConfig,
     Strategy,
+    _mining_draws,
+    _stream_rng,
     advance_solvers,
     bubka_strategy_step,
     default_miners,
@@ -48,12 +52,17 @@ def bubka_spec(target, hashrate=1000.0, speed=100.0):
 
 def race_inputs(miners):
     """``sample_block_winner``'s per-run inputs, built as ``simulate``
-    builds them: the hashrates as float64 and the solving miners'
-    indices."""
-    hashrates = np.array([st.spec.hashrate for st in miners], np.float64)
+    builds them: the hashrates as a tuple of floats and the solving
+    miners' indices."""
+    hashrates = tuple(float(st.spec.hashrate) for st in miners)
     solvers = [i for i, st in enumerate(miners)
                if st.spec.strategy is not Strategy.CLASSICAL]
     return hashrates, solvers
+
+
+def draws(rng, miners):
+    """One block's row of the mining stream, as ``simulate`` reads it."""
+    return rng.standard_exponential(len(miners)).tolist()
 
 
 def sol(score):
@@ -68,7 +77,7 @@ def test_waiting_time_mean_matches_difficulty_over_hashrate():
     miners = [MinerState(spec=classical_spec(hashrate=10.0))]
     rng = np.random.default_rng(1)
     times = [sample_block_winner(miners, *race_inputs(miners), 100.0, 5.0,
-                                 rng)[2]
+                                 draws(rng, miners))[2]
              for _ in range(10_000)]
     assert abs(np.mean(times) - 10.0) < 0.5        # within 5% of d/h = 10
 
@@ -77,7 +86,7 @@ def test_equal_miners_split_wins_evenly():
     miners = [MinerState(spec=classical_spec()) for _ in range(2)]
     rng = np.random.default_rng(2)
     wins = sum(sample_block_winner(miners, *race_inputs(miners), 1000.0, 5.0,
-                                   rng)[0] == 0
+                                   draws(rng, miners))[0] == 0
                for _ in range(10_000))
     sigma = (10_000 * 0.25) ** 0.5
     assert abs(wins - 5_000) < 4 * sigma
@@ -92,7 +101,7 @@ def test_held_solution_switches_kind_and_dominates_race():
     wins = 0
     for _ in range(rounds):
         miner_id, at_d_r, _ = sample_block_winner(
-            miners, *race_inputs(miners), 1000.0, 5.0, rng)
+            miners, *race_inputs(miners), 1000.0, 5.0, draws(rng, miners))
         if miner_id == 0:
             wins += 1
         assert at_d_r is (miner_id == 0)
@@ -123,9 +132,9 @@ def test_race_draws_match_the_exponential_oracle():
     ours, ref = np.random.default_rng(9), np.random.default_rng(9)
     difficulties = np.random.default_rng(10).uniform(-300, 10.4, (4000, 2))
     at_d_r = set()
-    for d_b, d_r in 10.0 ** difficulties:
+    for d_b, d_r in (10.0 ** difficulties).tolist():
         got = sample_block_winner(miners, *race_inputs(miners), d_b, d_r,
-                                  ours)
+                                  draws(ours, miners))
         assert got == oracle(miners, d_b, d_r, ref)
         at_d_r.add(got[1])
     assert at_d_r == {False, True}
@@ -134,12 +143,44 @@ def test_race_draws_match_the_exponential_oracle():
     # With no miner reduced the race takes its d_b-only path.
     for st in miners:
         st.hoard.clear()
-    for d_b, d_r in 10.0 ** difficulties[:500]:
+    for d_b, d_r in (10.0 ** difficulties[:500]).tolist():
         got = sample_block_winner(miners, *race_inputs(miners), d_b, d_r,
-                                  ours)
+                                  draws(ours, miners))
         assert got == oracle(miners, d_b, d_r, ref)
         assert got[1] is False
     assert ours.random() == ref.random()
+
+
+def test_race_tie_goes_to_the_lowest_id():
+    miners = [MinerState(spec=classical_spec()) for _ in range(3)]
+    assert sample_block_winner(miners, *race_inputs(miners), 1000.0, 5.0,
+                               [0.5, 0.25, 0.25]) == (1, False, 0.25)
+    assert sample_block_winner(miners, *race_inputs(miners), 1000.0, 5.0,
+                               [0.5, 0.5, 0.5]) == (0, False, 0.5)
+
+
+def test_race_time_of_inf_never_wins():
+    # d_b / 1e-300 overflows to inf as plain float division: no warning.
+    miners = [MinerState(spec=classical_spec(1e-300)),
+              MinerState(spec=classical_spec())]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sample_block_winner(miners, *race_inputs(miners), 1e10, 5.0,
+                                  [1e-9, 50.0])
+    assert got == (1, False, 50.0 * (1e10 / 1000.0))
+
+
+@pytest.mark.parametrize("m", [1, 11, 20])
+@pytest.mark.parametrize("max_blocks", [2500, 700])
+def test_mining_rows_match_one_draw_per_block(m, max_blocks):
+    # simulate draws up to 1,024 rows at once; 2,500 rows cross two chunk
+    # boundaries, and a run shorter than 1,024 blocks draws smaller chunks.
+    cfg = SimConfig(policy="bitcoin", seed=5, max_blocks=max_blocks,
+                    miners=(classical_spec(),) * m)
+    rows = _mining_draws(cfg)
+    per_block = _stream_rng(cfg.seed, _MINING_STREAM)
+    for _ in range(2500):
+        assert next(rows) == per_block.standard_exponential(m).tolist()
 
 
 def test_attacker_mines_reduced_only_while_releasing():

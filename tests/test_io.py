@@ -2,6 +2,7 @@
 re-validation."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,28 @@ def test_csv_header_and_row_layout():
     assert lines[1].split(",")[2] == "classical"
     assert lines[2].split(",")[2] == "solution"
     assert len(lines) == 3
+
+
+def test_csv_rows_match_column_wise_rendering(tmp_path):
+    # records_to_csv formats a row at a time with '%.17g' and '%s'; its
+    # bytes must be those of format(v, '.17g') for floats and str for the
+    # rest, applied column by column.
+    big = 12345678901234567890
+    records = [
+        SimRecord(0, 5e-324, "classical", big, sys.float_info.max, 0.1,
+                  1, 0, 1, 0),
+        SimRecord(1, 1 / 3, "solution", 7, 4.9999999999999991, 5e-324,
+                  big, big, 1, 1),
+        SimRecord(2, sys.float_info.max, "classical", 0, 1 / 3, 0.1, 2, 1,
+                  2, big),
+    ]
+    columns = [[format(v, ".17g") if isinstance(v, float) else str(v)
+                for v in column] for column in zip(*records)]
+    old = "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
+    assert records_to_csv(records) == old
+    path = tmp_path / "records.csv"
+    write_records(records, path)
+    assert read_records(path) == records
 
 
 def test_round_trip_preserves_floats_exactly(tmp_path):
