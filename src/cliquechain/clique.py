@@ -135,13 +135,17 @@ def _masks_from_rows(adj: np.ndarray) -> list[int]:
             for i in range(0, len(out), width)]
 
 
+@lru_cache(maxsize=1)  # every solver of a graph relabels the same matrix
 def _adjacency(masks: tuple[int, ...]) -> np.ndarray:
-    """Boolean matrix of bitmask rows; ``_masks_from_rows`` inverts it."""
+    """Boolean matrix of bitmask rows, read-only as it is cached;
+    ``_masks_from_rows`` inverts it."""
     n = len(masks)
     width = (n + 7) // 8
     raw = b"".join(m.to_bytes(width, "little") for m in masks)
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
-    return np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
+    adj = np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
+    adj.flags.writeable = False
+    return adj
 
 
 @dataclass
@@ -192,9 +196,10 @@ class Walk:
     left to visit.  The stack holds just the frames with a child left,
     each the parent of the one above.  One step pops the top frame's
     lowest child (and the frame with its last) and expands it: the pivot
-    is the first vertex of P | X, from the lowest bit, with the most
-    neighbours in P, and the child is pushed if its ``ext``, P \\ N(pivot),
-    is nonzero.  The root is the only child of a sentinel frame over an
+    is the vertex of P | X with the most neighbours in P, the lowest rank
+    on a tie (the scan runs from the highest rank down and takes every
+    tie), and the child is pushed if its ``ext``, P \\ N(pivot), is
+    nonzero.  The root is the only child of a sentinel frame over an
     extra vertex ``n`` adjacent to all.  ``steps`` counts the expansions.
 
     A shared walk (``record=True``) also keeps the size and the clique of
@@ -242,12 +247,12 @@ class Walk:
                 best_count = -1
                 cand = p | x
                 while cand:
-                    v = cand & -cand
-                    cand ^= v
-                    count = (p & masks[v.bit_length() - 1]).bit_count()
-                    if count > best_count:
-                        best_count, pivot = count, v
-                ext = p & ~masks[pivot.bit_length() - 1]
+                    i = cand.bit_length() - 1
+                    cand ^= 1 << i
+                    count = (p & masks[i]).bit_count()
+                    if count >= best_count:
+                        best_count, pivot = count, i
+                ext = p & ~masks[pivot]
                 if ext:
                     stack.append([r, p, x, ext])
             size = r.bit_count()

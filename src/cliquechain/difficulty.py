@@ -90,11 +90,15 @@ class DifficultyState:
             raise ValueError("difficulties must be finite and positive")
 
     def copy(self) -> DifficultyState:
-        return DifficultyState(self.d_b, self.d_r, self.epoch_count,
-                               self.epoch_start_time,
-                               self.solution_count_in_epoch,
-                               self.solution_epoch_start_time,
-                               self.consecutive_classical, self.updates)
+        """A copy that skips the range check: ``set`` checks each change."""
+        new = object.__new__(DifficultyState)
+        new.d_b, new.d_r, new.updates = self.d_b, self.d_r, self.updates
+        new.epoch_count = self.epoch_count
+        new.epoch_start_time = self.epoch_start_time
+        new.solution_count_in_epoch = self.solution_count_in_epoch
+        new.solution_epoch_start_time = self.solution_epoch_start_time
+        new.consecutive_classical = self.consecutive_classical
+        return new
 
     def set(self, name: str, new: float, height: int, rule: str,
             floor: float = 0.0) -> None:

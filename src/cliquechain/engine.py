@@ -249,7 +249,7 @@ def _mining_draws(cfg: SimConfig):
 
 def _solver_order(master: int, miner_id: int, epoch: int, n: int) -> list[int]:
     rng = _stream_rng(master, _PERMUTATION_STREAM, miner_id, epoch)
-    return [int(v) for v in rng.permutation(n)]
+    return rng.permutation(n).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,7 @@ def advance_solvers(miners: list[MinerState], dt: float,
             continue
         total = min(st.spec.solver_steps_per_second * dt + st.carry,
                     MAX_STEP_BUDGET)
-        budget = int(math.floor(total))
+        budget = int(total)  # total lies in [0, 2**63]: truncation floors
         st.carry = total - budget
         while budget > 0 and not st.cursor.exhausted:
             threshold = problem.best_score
@@ -398,6 +398,7 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
     hashrates = tuple(float(spec.hashrate) for spec in cfg.miners)
     solvers = [i for i, spec in enumerate(cfg.miners)
                if spec.strategy is not Strategy.CLASSICAL]
+    solving = [miners[i] for i in solvers]  # no cursor or hoard elsewhere
     if policy.uses_solutions:
         _reseed_solvers(miners, problem, cfg.seed, walks)
 
@@ -418,8 +419,8 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
         if now == math.inf:
             raise ConfigError(f"height {height}: block time overflows")
         if policy.uses_solutions:
-            advance_solvers(miners, dt, problem)
-            _maybe_prove_optimum(problem, miners)
+            advance_solvers(solving, dt, problem)
+            _maybe_prove_optimum(problem, solving)
 
         solution = miners[miner_id].hoard.pop(0) if at_d_r else None
         block = Block(height, miner_id, now,
@@ -431,7 +432,7 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
         if at_d_r:
             cum_solution += 1
             problem.last_improvement_height = height
-            for st in miners:
+            for st in solving:
                 bubka_strategy_step(st, solution.score)
 
         state = policy.on_block(state, block)

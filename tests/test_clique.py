@@ -240,18 +240,39 @@ def test_zero_budget_is_a_noop():
     assert found is None and cursor.steps_consumed == 0
 
 
+def per_pair_relabel(graph, order):
+    """Bit j of relabelled row i is the edge (order[i], order[j])."""
+    return [sum(1 << j for j in range(graph.n)
+                if graph.has_edge(order[i], order[j]))
+            for i in range(graph.n)]
+
+
 def test_relabel_matches_per_pair_reference():
-    # Bit j of relabelled row i is the edge (order[i], order[j]); sizes
-    # straddle the byte and 64-bit word boundaries of the packed rows.
+    # Sizes straddle the byte and 64-bit word boundaries of the packed
+    # rows.
     rng = np.random.Generator(np.random.PCG64(3))
     for n in (1, 2, 8, 9, 63, 64, 65, 70):
         g = gen_random_graph(n, 0.5, n)
         order = rng.permutation(n).tolist()
-        rows = _relabel(g.neighbor_masks, order)
-        for i in range(n):
-            expect = sum(1 << j for j in range(n)
-                         if g.has_edge(order[i], order[j]))
-            assert rows[i] == expect, (n, i)
+        assert _relabel(g.neighbor_masks, order) == per_pair_relabel(g, order)
+
+
+def test_cached_adjacency_never_goes_stale():
+    # The matrix of the last graph relabelled is reused, so alternating
+    # graphs, and orders of one graph, must each get their own rows.
+    rng = np.random.Generator(np.random.PCG64(4))
+    graphs = [gen_random_graph(12, 0.5, 1), gen_random_graph(12, 0.5, 2),
+              gen_random_graph(9, 0.3, 1)]
+    cases = [(g, rng.permutation(g.n).tolist()) for g in graphs]
+    cases.append((graphs[0], list(range(11, -1, -1))))
+    for g, order in cases * 3:
+        assert _relabel(g.neighbor_masks, order) == per_pair_relabel(g, order)
+
+
+def test_cached_adjacency_is_read_only():
+    adj = clique._adjacency(gen_random_graph(10, 0.5, 1).neighbor_masks)
+    with pytest.raises(ValueError):
+        adj[0, 1] = not adj[0, 1]
 
 
 def _collect_reports(graph, threshold, budgets):
@@ -463,22 +484,62 @@ def _reference_cases():
     yield 255, 0.05, 255, "random"
 
 
+def assert_walk_is_the_reference(graph, order):
+    walks = {}
+    cursor = SolverCursor(graph, order=order, walks=walks)
+    assert cursor.advance(10 ** 9, graph.n) is None
+    assert cursor.exhausted
+    (walk,) = walks.values()
+    expect = reference_preorder(graph, order)
+    assert [frozenset(order[i] for i in clique._bits(c))
+            for c in walk.cliques] == expect
+    assert list(walk.sizes) == [len(c) for c in expect]
+    assert walk.steps == cursor.steps_consumed == len(expect)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 30, 60, 255])
 def test_recorded_walk_is_the_reference_search_tree(n):
     cases = [case for case in _reference_cases() if case[0] == n]
     for _, edge_prob, seed, kind in cases:
         graph = gen_random_graph(n, edge_prob, seed)
-        order = _visit_order(kind, n, seed)
-        walks = {}
-        cursor = SolverCursor(graph, order=order, walks=walks)
-        assert cursor.advance(10 ** 9, n) is None
-        assert cursor.exhausted
-        (walk,) = walks.values()
-        expect = reference_preorder(graph, order)
-        assert [frozenset(order[i] for i in clique._bits(c))
-                for c in walk.cliques] == expect
-        assert list(walk.sizes) == [len(c) for c in expect]
-        assert walk.steps == cursor.steps_consumed == len(expect)
+        assert_walk_is_the_reference(graph, _visit_order(kind, n, seed))
+
+
+def complete_bipartite_graph(a, b):
+    return Graph.from_edges(a + b, [(u, a + v) for u in range(a)
+                                    for v in range(b)])
+
+
+def disjoint_cliques(*sizes):
+    starts = np.cumsum((0,) + sizes).tolist()
+    return Graph.from_edges(starts[-1], [
+        (s + u, s + v) for s, k in zip(starts, sizes)
+        for u in range(k) for v in range(u + 1, k)])
+
+
+# Graphs on which many vertices of P | X tie for the most neighbours in P,
+# so the tie-break decides the pivot; and random graphs whose ranks
+# straddle the 64-bit word boundary.
+TIE_HEAVY_GRAPHS = {
+    "complete": [complete_graph(n) for n in (1, 2, 7, 20)],
+    "edgeless": [Graph.from_edges(n, []) for n in (1, 6, 20)],
+    "bipartite": [complete_bipartite_graph(a, b)
+                  for a, b in ((1, 1), (3, 3), (2, 5), (6, 4))],
+    "cycle": [cycle_graph(n) for n in (3, 4, 5, 12)],
+    "petersen": [Graph.from_edges(10, PETERSEN_EDGES)],
+    "disjoint-cliques": [disjoint_cliques(*sizes)
+                         for sizes in ((3, 3, 3), (1, 2, 3, 4), (5, 5))],
+    "random-word-boundary": [gen_random_graph(n, p, n)
+                             for n in (63, 64, 65) for p in (0.2, 0.5)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(TIE_HEAVY_GRAPHS))
+def test_recorded_walk_is_the_reference_search_tree_on_ties(family):
+    for k, graph in enumerate(TIE_HEAVY_GRAPHS[family]):
+        for kind in GOLDEN_ORDERS:
+            assert_walk_is_the_reference(
+                graph, _visit_order(kind, graph.n, 1000 + k))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Retargeting arithmetic for all three policies, pinned against values
 recomputed by hand."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,18 @@ def test_state_requires_positive_difficulties():
         DifficultyState(d_b=0.0, d_r=1.0)
     with pytest.raises(ValueError):
         DifficultyState(d_b=1.0, d_r=-5.0)
+
+
+def test_copy_carries_every_field_into_a_new_state():
+    fields = dataclasses.fields(DifficultyState)
+    state = DifficultyState(*(i + 1.5 for i in range(len(fields) - 1)),
+                            updates=((0, "d_b", 1.0, 2.0, "retarget"),))
+    copy = state.copy()
+    assert copy is not state and type(copy) is DifficultyState
+    for field in fields:
+        assert getattr(copy, field.name) is getattr(state, field.name)
+    copy.set("d_b", 7.0, 1, "retarget")
+    assert state.d_b == 1.5 and len(state.updates) == 1
 
 
 # ---------------------------------------------------------------------------

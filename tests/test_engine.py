@@ -2,6 +2,7 @@
 attacker bookkeeping, problem replacement, and whole-run invariants."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from cliquechain.clique import (
 from cliquechain.difficulty import D_R_FLOOR
 from cliquechain.engine import (
     _MINING_STREAM,
+    MAX_STEP_BUDGET,
     ConfigError,
     MinerSpec,
     MinerState,
@@ -245,6 +247,31 @@ def test_chunked_advance_equals_one_big_advance():
     advance_solvers([whole], 0.5, problem)
     assert chunked.cursor.steps_consumed == whole.cursor.steps_consumed == 5
     assert chunked.hoard == whole.hoard
+
+
+def test_step_budget_is_the_floor_of_the_total():
+    # Totals are never negative, so truncating them is flooring them; a
+    # floor reference must leave the same carry and step count, the
+    # capped total included.
+    graph = gen_random_graph(60, 0.5, 16)
+    problem = ProblemInstance(graph=graph, epoch=0)
+    cursor = SolverCursor(graph)
+    cursor.advance(10 ** 9, graph.n)
+    tree_size = cursor.steps_consumed
+    rng = np.random.Generator(np.random.PCG64(6))
+    triples = [(10 ** rng.uniform(-2, 3), rng.uniform(0, 2), rng.random())
+               for _ in range(100)]
+    triples += [(0.1, 30.0, 0.0), (3.0, 1 / 3, 1 - 2 ** -53),
+                (1e10, 1e300, 0.5)]
+    for rate, dt, carry in triples:
+        st = make_solver(graph, speed=rate)
+        st.carry = carry
+        advance_solvers([st], dt, problem)
+        total = min(rate * dt + carry, MAX_STEP_BUDGET)
+        budget = math.floor(total)
+        assert st.carry == total - budget, (rate, dt, carry)
+        assert st.cursor.steps_consumed == min(budget, tree_size)
+    assert total == MAX_STEP_BUDGET and st.cursor.exhausted
 
 
 def test_negative_dt_rejected():
