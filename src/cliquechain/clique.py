@@ -153,8 +153,8 @@ class ProblemInstance:
     """One clique instance being worked by the network.
 
     ``best_score`` is the best published score, raised only by
-    ``chain.append_block``; ``optimum`` is filled once the enumeration
-    provably finished (every solver cursor exhausted).
+    ``chain.append_block``.  Whether the instance is solved out is read
+    from the solvers' cursors and hoards, not stored here.
     ``last_improvement_height`` starts at the height that swapped the
     problem in (-1 for the first one) and moves with every publish; the
     problem is replaced once it lags a full saturation window behind.
@@ -163,7 +163,6 @@ class ProblemInstance:
     graph: Graph
     epoch: int
     best_score: int = INITIAL_BEST_SCORE
-    optimum: int | None = None
     last_improvement_height: int = -1
 
 

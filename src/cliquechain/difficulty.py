@@ -197,15 +197,14 @@ class DifficultyPolicy:
     """The per-block rule of one config.
 
     The engine only ever calls ``on_block(state, block)``; the rule named by
-    ``cfg.policy`` is looked up once, here.  Under the bitcoin baseline
-    there is a single difficulty, so solution publishing is disabled
-    entirely (``uses_solutions`` is False).
+    ``cfg.policy`` is looked up once, here.  Who may publish solutions is
+    the engine's business: under the bitcoin baseline it gives no miner a
+    search, so every block is classical.
     """
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.rule = _RULES[cfg.policy]
-        self.uses_solutions = cfg.policy != "bitcoin"
 
     def on_block(self, state: DifficultyState, block: Block,
                  ) -> DifficultyState:

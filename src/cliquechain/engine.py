@@ -87,14 +87,15 @@ class MinerSpec:
 
 @dataclass
 class MinerState:
-    """Mutable per-miner simulation state.
+    """Mutable state of one solving miner; classical miners have none.
 
-    ``carry`` is the fractional solver step left over from the previous
-    round.  ``hoard`` holds the miner's unpublished finds, ascending by
-    score, and is pruned whenever the published best overtakes an entry.
-    An honest solver keeps only its latest find there; an attacker keeps
-    every find, and its ``releasing`` flips on once the hoard reaches its
-    target and stays on until it drains.
+    ``simulate`` gives every miner of its roster a ``cursor`` on the
+    active problem before the first block.  ``carry`` is the fractional
+    solver step left over from the previous round.  ``hoard`` holds the
+    miner's unpublished finds, ascending by score, each above the
+    published best.  An honest solver keeps only its latest find there;
+    an attacker keeps every find, and its ``releasing`` flips on once the
+    hoard reaches its target and stays on until it drains.
     """
 
     spec: MinerSpec
@@ -256,20 +257,19 @@ def _solver_order(master: int, miner_id: int, epoch: int, n: int) -> list[int]:
 # Core operations
 # ---------------------------------------------------------------------------
 
-def sample_block_winner(miners: list[MinerState],
-                        hashrates: tuple[float, ...], solvers: list[int],
-                        d_b: float, d_r: float, draws: list[float],
-                        ) -> tuple[int, bool, float]:
+def sample_block_winner(roster: dict[int, MinerState],
+                        hashrates: tuple[float, ...], d_b: float, d_r: float,
+                        draws: list[float]) -> tuple[int, bool, float]:
     """Run one exponential race and return (miner id, whether it mined at
     d_r, waiting time).
 
     Each miner's time is exponential with mean difficulty/hashrate, where
-    the difficulty is d_r for miners currently working a held solution and
-    d_b otherwise.  ``draws`` holds one standard exponential per miner and
-    ``solvers`` the indices of the miners that can solve (only they are
-    asked).  Ties go to the lowest miner id; a time of inf never wins.
+    the difficulty is d_r for the ``roster`` members currently working a
+    held solution and d_b for everyone else.  ``draws`` holds one standard
+    exponential per miner.  Ties go to the lowest miner id; a time of inf
+    never wins.
     """
-    reduced = [i for i in solvers if miners[i].mines_reduced()]
+    reduced = [i for i in roster if roster[i].mines_reduced()]
     times = [e * (d_b / h) for e, h in zip(draws, hashrates)]
     for i in reduced:
         times[i] = draws[i] * (d_r / hashrates[i])
@@ -283,16 +283,15 @@ def advance_solvers(miners: list[MinerState], dt: float,
     enumeration steps, at most MAX_STEP_BUDGET, preserving the carry.
 
     A solver banks each improvement it finds in its hoard: an honest
-    solver's find replaces the one it held, an attacker's is appended.  The
-    report threshold is the published best or the miner's own best find,
+    solver's find replaces the one it held, an attacker's is appended and
+    starts release mode once the hoard reaches its target.  The report
+    threshold is the published best or the miner's own best find,
     whichever is higher, so successive finds within one interval keep
     improving.
     """
     if dt < 0:
         raise ValueError("dt must be non-negative")
     for st in miners:
-        if st.cursor is None:
-            continue
         total = min(st.spec.solver_steps_per_second * dt + st.carry,
                     MAX_STEP_BUDGET)
         budget = int(total)  # total lies in [0, 2**63]: truncation floors
@@ -315,35 +314,37 @@ def advance_solvers(miners: list[MinerState], dt: float,
 
 
 def bubka_strategy_step(st: MinerState, chain_best: int) -> None:
-    """Prune a miner's hoard against the published best and, for an
-    attacker, update its release flag.
+    """Prune a miner's hoard against the published best.
 
     Entries that no longer beat the published best are worthless and are
-    dropped.  Release mode starts when the hoard reaches its target and
-    persists until the hoard drains, even if pruning shrinks it midway.
+    dropped.  Release mode, once ``advance_solvers`` starts it, persists
+    until the hoard drains, even if pruning shrinks it midway.
     """
     st.hoard = [sol for sol in st.hoard if sol.score > chain_best]
-    if st.spec.strategy is Strategy.BUBKA:
-        if len(st.hoard) >= st.spec.hoard_target:
-            st.releasing = True
-        if not st.hoard:
-            st.releasing = False
+    if not st.hoard:
+        st.releasing = False
 
 
 def check_saturation_and_replace(problem: ProblemInstance, height: int,
                                  config: SimConfig,
                                  rng: np.random.Generator,
+                                 solving: list[MinerState],
                                  ) -> ProblemInstance | None:
     """Decide, after the block at ``height``, whether the active problem is
     spent; if so build its successor.
 
-    Two triggers: the enumeration finished and the published best caught up
-    with the proven optimum, or the best score has been frozen for a full
-    saturation window of blocks.  The replacement is a fresh graph at
-    epoch + 1; difficulties are not touched.
+    Two triggers: the problem is solved out, or the best score has been
+    frozen for a full saturation window of blocks.  Solved out means
+    ``solving`` is nonempty, every cursor in it is exhausted and no hoard
+    holds a find.  After every block each held find beats the published
+    best (a find is banked only above it, and every publish prunes every
+    hoard), so that is exactly when the published best has reached the
+    best clique any search found, the instance's optimum.  The
+    replacement is a fresh graph at epoch + 1; difficulties are not
+    touched.
     """
-    done = (problem.optimum is not None
-            and problem.best_score >= problem.optimum)
+    done = solving and all(st.cursor.exhausted and not st.hoard
+                           for st in solving)
     stagnant = (config.saturation_window > 0
                 and height - problem.last_improvement_height
                 >= config.saturation_window)
@@ -355,28 +356,14 @@ def check_saturation_and_replace(problem: ProblemInstance, height: int,
                            last_improvement_height=height)
 
 
-def _reseed_solvers(miners: list[MinerState], problem: ProblemInstance,
+def _reseed_solvers(roster: dict[int, MinerState], problem: ProblemInstance,
                     master_seed: int, walks: dict | None) -> None:
-    for miner_id, st in enumerate(miners):
-        if st.spec.strategy in (Strategy.SOLVER, Strategy.BUBKA):
-            order = _solver_order(master_seed, miner_id, problem.epoch,
-                                  problem.graph.n)
-            st.cursor = SolverCursor(problem.graph, order, walks)
-            st.hoard.clear()
-            st.releasing = False
-
-
-def _maybe_prove_optimum(problem: ProblemInstance,
-                         miners: list[MinerState]) -> None:
-    # Once every cursor has exhausted, the best score seen anywhere in the
-    # network is the exact optimum of this instance.
-    if problem.optimum is not None:
-        return
-    solverish = [st for st in miners if st.cursor is not None]
-    if not solverish or not all(st.cursor.exhausted for st in solverish):
-        return
-    problem.optimum = max([problem.best_score] + [
-        st.hoard[-1].score for st in solverish if st.hoard])
+    for miner_id, st in roster.items():
+        order = _solver_order(master_seed, miner_id, problem.epoch,
+                              problem.graph.n)
+        st.cursor = SolverCursor(problem.graph, order, walks)
+        st.hoard.clear()
+        st.releasing = False
 
 
 def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
@@ -394,13 +381,14 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
         graph=gen_random_graph(cfg.graph_n, cfg.graph_p,
                                int(problem_rng.integers(0, 2 ** 63))),
         epoch=0)
-    miners = [MinerState(spec=spec) for spec in cfg.miners]
     hashrates = tuple(float(spec.hashrate) for spec in cfg.miners)
-    solvers = [i for i, spec in enumerate(cfg.miners)
-               if spec.strategy is not Strategy.CLASSICAL]
-    solving = [miners[i] for i in solvers]  # no cursor or hoard elsewhere
-    if policy.uses_solutions:
-        _reseed_solvers(miners, problem, cfg.seed, walks)
+    # The roster of solving miners; bitcoin pays for no solution, so there
+    # every miner only hashes.
+    roster = {} if cfg.policy == "bitcoin" else {
+        i: MinerState(spec=spec) for i, spec in enumerate(cfg.miners)
+        if spec.strategy is not Strategy.CLASSICAL}
+    solving = list(roster.values())
+    _reseed_solvers(roster, problem, cfg.seed, walks)
 
     records: list[SimRecord] = []
     graphs = [problem.graph]
@@ -411,18 +399,17 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
 
     for height, draws in zip(range(cfg.max_blocks), mining_draws):
         miner_id, at_d_r, dt = sample_block_winner(
-            miners, hashrates, solvers, state.d_b, state.d_r, draws)
+            roster, hashrates, state.d_b, state.d_r, draws)
         # Long droughts can push d_r so low that a waiting time drops under
         # the clock's float resolution; advance by at least one ulp so block
         # times stay strictly increasing.
         now = max(now + dt, math.nextafter(now, math.inf))
         if now == math.inf:
             raise ConfigError(f"height {height}: block time overflows")
-        if policy.uses_solutions:
+        if solving:
             advance_solvers(solving, dt, problem)
-            _maybe_prove_optimum(problem, solving)
 
-        solution = miners[miner_id].hoard.pop(0) if at_d_r else None
+        solution = roster[miner_id].hoard.pop(0) if at_d_r else None
         block = Block(height, miner_id, now,
                       state.d_r if at_d_r else state.d_b, problem.epoch,
                       solution)
@@ -441,13 +428,13 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
                                  state.d_r, problem.best_score, problem.epoch,
                                  height + 1 - cum_solution, cum_solution))
 
-        fresh = check_saturation_and_replace(problem, height, cfg, problem_rng)
+        fresh = check_saturation_and_replace(problem, height, cfg,
+                                             problem_rng, solving)
         if fresh is not None:
             replacement_heights.append(height)
             problem = fresh
             graphs.append(problem.graph)
-            if policy.uses_solutions:
-                _reseed_solvers(miners, problem, cfg.seed, walks)
+            _reseed_solvers(roster, problem, cfg.seed, walks)
 
     return SimResult(records=records, graphs=graphs,
                      replacement_heights=replacement_heights,

@@ -10,7 +10,7 @@ import pytest
 
 from cliquechain import cli
 from cliquechain.cli import main
-from cliquechain.clique import MAX_GRAPH_N
+from cliquechain.clique import MAX_GRAPH_N, read_graphs, write_graphs
 from cliquechain.io import parse_config, read_manifest
 
 V2_SMALL = "policy = v2\nseed = 3\nmax_blocks = 120\n"
@@ -294,6 +294,67 @@ def test_missing_input_files_get_a_message(tmp_path, capsys):
     assert "absent" in capsys.readouterr().err
 
 
+def test_missing_graphs_file_exits_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, V2_SMALL)
+    out = str(tmp_path / "out")
+    assert main(["simulate", cfg, "--out-dir", out]) == 0
+    capsys.readouterr()
+    assert main(["verify-chain", os.path.join(out, "records.csv"),
+                 str(tmp_path / "absent.edges")]) == 3
+    assert "absent.edges" in capsys.readouterr().err
+
+
+def test_verify_chain_needs_a_graph_per_epoch_and_fixed_classical_scores(
+        tmp_path, capsys):
+    # Replacements at heights 49, 99, ..., 349: epoch 7, the last, has
+    # records, so cutting its section off leaves them without a graph.
+    cfg = write_cfg(tmp_path, "policy = bitcoin\nseed = 3\n"
+                              "max_blocks = 380\n")
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
+    records, graphs = str(out / "records.csv"), str(out / "graphs.edges")
+    cut = str(tmp_path / "cut.edges")
+    write_graphs(read_graphs(graphs)[:-1], cut)
+    capsys.readouterr()
+    assert main(["verify-chain", records, cut]) == 3
+    assert "height 350: no graph for epoch 7" in capsys.readouterr().err
+
+    lines = open(records).read().splitlines()
+    row = lines[11].split(",")
+    row[lines[0].split(",").index("best_score")] = "2"
+    lines[11] = ",".join(row)
+    with open(records, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert main(["verify-chain", records, graphs]) == 3
+    assert ("height 10: classical block moved best score"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("miner = strategy=solver hashrate", "'hashrate' needs key=value"),
+    ("miner = strategy=solver hashrate=1 hashrate=2",
+     "duplicate miner attribute 'hashrate'"),
+    ("miner = strategy=solver hashrate=abc", "bad numeric miner attribute"),
+    ("max_blocks = 0", "max_blocks must be >= 1"),
+    ("saturation_window = -1", "saturation_window must be >= 0"),
+], ids=["token-without-equals", "repeated-attribute", "hashrate-abc",
+        "max-blocks-0", "saturation-window-minus-1"])
+def test_rejected_config_lines_exit_2(tmp_path, capsys, line, message):
+    cfg = write_cfg(tmp_path, f"policy = v2\nseed = 1\n{line}\n")
+    out = tmp_path / "o"
+    assert main(["simulate", cfg, "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bubka_without_seeds_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BUBKA_SMALL)
+    out = tmp_path / "o"
+    assert main(["bubka", cfg, "--seeds", "0", "--out-dir", str(out)]) == 2
+    assert "num_seeds must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_utf8_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(b"policy = v2\nseed = 1\n# \xff\xfe\n")
@@ -422,6 +483,16 @@ def test_bubka_outputs(tmp_path):
 
 def test_selftest_passes():
     assert main(["selftest", "--graphs", "10", "--max-n", "10"]) == 0
+
+
+def test_selftest_disagreement_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "brute_force_max_clique", lambda graph: 99)
+    assert main(["selftest", "--graphs", "3", "--max-n", "8"]) == 3
+    captured = capsys.readouterr()
+    assert "FAIL graph 0: n=" in captured.out
+    assert "search=" in captured.out and "brute=99" in captured.out
+    assert "selftest: 0/3 graphs agree" in captured.out
+    assert "3 selftest graphs disagreed" in captured.err
 
 
 @pytest.mark.parametrize("args", [

@@ -273,16 +273,13 @@ def test_policy_wrapper_dispatch_matches_free_functions():
 
     p1 = DifficultyPolicy(V1)
     assert p1.on_block(state, block) == step(on_block_v1, state, V1, block)
-    assert p1.uses_solutions
 
     p2 = DifficultyPolicy(V2)
     assert p2.on_block(state, block) == step(on_block_v2, state, V2, block)
-    assert p2.uses_solutions
 
     pb = DifficultyPolicy(BTC)
     assert pb.on_block(state, block) == step(on_block_bitcoin, state, BTC,
                                              block)
-    assert not pb.uses_solutions
 
 
 @pytest.mark.parametrize("cfg", [BTC, V1, V2], ids=lambda c: c.policy)

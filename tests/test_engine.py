@@ -17,6 +17,7 @@ from cliquechain.clique import (
     brute_force_max_clique,
     gen_random_graph,
 )
+from cliquechain import engine
 from cliquechain.difficulty import D_R_FLOOR
 from cliquechain.engine import (
     _MINING_STREAM,
@@ -54,12 +55,12 @@ def bubka_spec(target, hashrate=1000.0, speed=100.0):
 
 def race_inputs(miners):
     """``sample_block_winner``'s per-run inputs, built as ``simulate``
-    builds them: the hashrates as a tuple of floats and the solving
-    miners' indices."""
+    builds them: the roster of solving miners by id and the hashrates as
+    a tuple of floats."""
+    roster = {i: st for i, st in enumerate(miners)
+              if st.spec.strategy is not Strategy.CLASSICAL}
     hashrates = tuple(float(st.spec.hashrate) for st in miners)
-    solvers = [i for i, st in enumerate(miners)
-               if st.spec.strategy is not Strategy.CLASSICAL]
-    return hashrates, solvers
+    return roster, hashrates
 
 
 def draws(rng, miners):
@@ -78,7 +79,7 @@ def sol(score):
 def test_waiting_time_mean_matches_difficulty_over_hashrate():
     miners = [MinerState(spec=classical_spec(hashrate=10.0))]
     rng = np.random.default_rng(1)
-    times = [sample_block_winner(miners, *race_inputs(miners), 100.0, 5.0,
+    times = [sample_block_winner(*race_inputs(miners), 100.0, 5.0,
                                  draws(rng, miners))[2]
              for _ in range(10_000)]
     assert abs(np.mean(times) - 10.0) < 0.5        # within 5% of d/h = 10
@@ -87,7 +88,7 @@ def test_waiting_time_mean_matches_difficulty_over_hashrate():
 def test_equal_miners_split_wins_evenly():
     miners = [MinerState(spec=classical_spec()) for _ in range(2)]
     rng = np.random.default_rng(2)
-    wins = sum(sample_block_winner(miners, *race_inputs(miners), 1000.0, 5.0,
+    wins = sum(sample_block_winner(*race_inputs(miners), 1000.0, 5.0,
                                    draws(rng, miners))[0] == 0
                for _ in range(10_000))
     sigma = (10_000 * 0.25) ** 0.5
@@ -103,7 +104,7 @@ def test_held_solution_switches_kind_and_dominates_race():
     wins = 0
     for _ in range(rounds):
         miner_id, at_d_r, _ = sample_block_winner(
-            miners, *race_inputs(miners), 1000.0, 5.0, draws(rng, miners))
+            *race_inputs(miners), 1000.0, 5.0, draws(rng, miners))
         if miner_id == 0:
             wins += 1
         assert at_d_r is (miner_id == 0)
@@ -135,7 +136,7 @@ def test_race_draws_match_the_exponential_oracle():
     difficulties = np.random.default_rng(10).uniform(-300, 10.4, (4000, 2))
     at_d_r = set()
     for d_b, d_r in (10.0 ** difficulties).tolist():
-        got = sample_block_winner(miners, *race_inputs(miners), d_b, d_r,
+        got = sample_block_winner(*race_inputs(miners), d_b, d_r,
                                   draws(ours, miners))
         assert got == oracle(miners, d_b, d_r, ref)
         at_d_r.add(got[1])
@@ -146,7 +147,7 @@ def test_race_draws_match_the_exponential_oracle():
     for st in miners:
         st.hoard.clear()
     for d_b, d_r in (10.0 ** difficulties[:500]).tolist():
-        got = sample_block_winner(miners, *race_inputs(miners), d_b, d_r,
+        got = sample_block_winner(*race_inputs(miners), d_b, d_r,
                                   draws(ours, miners))
         assert got == oracle(miners, d_b, d_r, ref)
         assert got[1] is False
@@ -155,9 +156,9 @@ def test_race_draws_match_the_exponential_oracle():
 
 def test_race_tie_goes_to_the_lowest_id():
     miners = [MinerState(spec=classical_spec()) for _ in range(3)]
-    assert sample_block_winner(miners, *race_inputs(miners), 1000.0, 5.0,
+    assert sample_block_winner(*race_inputs(miners), 1000.0, 5.0,
                                [0.5, 0.25, 0.25]) == (1, False, 0.25)
-    assert sample_block_winner(miners, *race_inputs(miners), 1000.0, 5.0,
+    assert sample_block_winner(*race_inputs(miners), 1000.0, 5.0,
                                [0.5, 0.5, 0.5]) == (0, False, 0.5)
 
 
@@ -167,7 +168,7 @@ def test_race_time_of_inf_never_wins():
               MinerState(spec=classical_spec())]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = sample_block_winner(miners, *race_inputs(miners), 1e10, 5.0,
+        got = sample_block_winner(*race_inputs(miners), 1e10, 5.0,
                                   [1e-9, 50.0])
     assert got == (1, False, 50.0 * (1e10 / 1000.0))
 
@@ -342,16 +343,19 @@ def test_honest_solver_publishes_its_later_find_and_attacker_both():
 
 
 def test_bubka_prune_and_release_lifecycle():
-    st = MinerState(spec=bubka_spec(target=3))
-    st.hoard = [sol(3), sol(4)]
-    bubka_strategy_step(st, 2)
-    assert [s.score for s in st.hoard] == [3, 4] and not st.releasing
-    st.hoard.append(sol(5))
-    bubka_strategy_step(st, 2)
-    assert st.releasing
-    bubka_strategy_step(st, 4)                     # published best catches up
-    assert [s.score for s in st.hoard] == [5] and st.releasing
-    bubka_strategy_step(st, 5)
+    # The search of this graph finds cliques of 2, 3 and 4 at steps 3, 4
+    # and 10; at one step a second, dt counts steps.
+    graph = gen_random_graph(18, 0.5, 31)
+    problem = ProblemInstance(graph=graph, epoch=0)
+    st = make_solver(graph, speed=1.0, strategy="bubka", target=3)
+    advance_solvers([st], 4.0, problem)
+    bubka_strategy_step(st, 1)
+    assert [s.score for s in st.hoard] == [2, 3] and not st.releasing
+    advance_solvers([st], 6.0, problem)            # the third find
+    assert [s.score for s in st.hoard] == [2, 3, 4] and st.releasing
+    bubka_strategy_step(st, 3)                     # published best catches up
+    assert [s.score for s in st.hoard] == [4] and st.releasing
+    bubka_strategy_step(st, 4)
     assert st.hoard == [] and not st.releasing
 
 
@@ -495,6 +499,72 @@ def test_proven_optimum_replaces_before_the_window():
     first = res.replacement_heights[0]
     epoch0_best = max(r.best_score for r in res.records[:first + 1])
     assert epoch0_best == brute_force_max_clique(res.graphs[0])
+
+
+def test_bitcoin_gives_listed_solvers_no_search(monkeypatch):
+    # Bitcoin pays for no solution, so solvers and attackers only hash.
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a SolverCursor")
+
+    monkeypatch.setattr(engine, "SolverCursor", refuse)
+    cfg = SimConfig(policy="bitcoin", seed=3, max_blocks=300, graph_n=8,
+                    miners=(classical_spec(), solver_spec(speed=1e6),
+                            bubka_spec(1, speed=1e6)))
+    records = simulate(cfg).records
+    assert {r.kind for r in records} == {"classical"}
+    assert {r.miner_id for r in records} == {0, 1, 2}
+    with pytest.raises(AssertionError, match="SolverCursor"):
+        simulate(dataclasses.replace(cfg, policy="v2"))
+
+
+@pytest.mark.parametrize("target", [None, 2, 3], ids=lambda t: f"target{t}")
+@pytest.mark.parametrize("policy", ["v1", "v2"])
+def test_solved_out_is_the_proven_optimum_rule(monkeypatch, policy, target):
+    # The rule this restates: once every cursor is exhausted, the best
+    # score held or published anywhere is the optimum, and the problem is
+    # spent when the published best reaches it.
+    real = engine.check_saturation_and_replace
+    old, new = [], []
+    optimum = math.inf              # of the active problem, once proven
+    proved_while_held = 0
+
+    def checked(problem, height, config, rng, solving):
+        nonlocal optimum, proved_while_held
+        held = [s.score for st in solving for s in st.hoard]
+        assert all(score > problem.best_score for score in held)
+        if optimum == math.inf and all(st.cursor.exhausted
+                                       for st in solving):
+            optimum = max([problem.best_score] + held)
+            proved_while_held += bool(held)
+        if problem.best_score >= optimum:
+            old.append((height, "solved"))
+        elif (height - problem.last_improvement_height
+              >= config.saturation_window):
+            old.append((height, "stagnant"))
+        fresh = real(problem, height, config, rng, solving)
+        if fresh is not None:
+            new.append(height)
+            optimum = math.inf
+        return fresh
+
+    monkeypatch.setattr(engine, "check_saturation_and_replace", checked)
+    honest = (solver_spec(speed=20.0), solver_spec(speed=60.0))
+    populations = [honest]
+    if target is not None:
+        attacker = (bubka_spec(target, speed=100.0),)
+        populations = [honest + attacker, attacker]
+    for solvers in populations:
+        for seed in range(2):
+            for n in (6, 8, 10):
+                optimum = math.inf
+                simulate(SimConfig(policy=policy, seed=seed, graph_n=n,
+                                   max_blocks=300,
+                                   miners=(classical_spec(),) + solvers))
+    assert [h for h, _ in old] == new
+    causes = {cause for _, cause in old}
+    assert causes == ({"solved"} if target is None
+                      else {"solved", "stagnant"})
+    assert proved_while_held > 0
 
 
 def test_solution_blocks_strictly_raise_best_score():
