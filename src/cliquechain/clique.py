@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import re
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -29,8 +29,9 @@ INITIAL_BEST_SCORE = 1
 HANDCRAFTED_SEED = -1
 
 # The most vertices a config or a graphs file may name: gen_random_graph
-# holds n(n-1)/2 float64 draws and n-by-n bool matrices at once, about
-# 100 MB at 4,096 vertices, and the need grows with n squared.
+# holds n(n-1)/2 float64 draws and their bits at once, about 75 MB at
+# 4,096 vertices, and an n-by-n bool matrix is built only when a solver
+# searches the graph; the need grows with n squared.
 MAX_GRAPH_N = 4096
 
 
@@ -57,9 +58,12 @@ class CliqueSolution:
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph with bitmask adjacency.
+    """Undirected simple graph, stored as its edge bits.
 
-    Bit ``u`` of ``neighbor_masks[v]`` is set iff the edge (u, v) exists.
+    ``edges`` packs one bit per pair u < v, little-endian, in the
+    ``_upper(n)`` order that G(n, p) draws and the edge list writes.  The
+    search's bitmask rows are derived on first use: bit ``u`` of
+    ``neighbor_masks[v]`` is set iff the edge (u, v) exists.
     ``seed``/``edge_prob`` record the G(n, p) draw that produced the graph;
     hand-built graphs carry ``seed = -1`` and ``edge_prob = 0.0``.
     """
@@ -67,28 +71,31 @@ class Graph:
     n: int
     seed: int
     edge_prob: float
-    neighbor_masks: tuple[int, ...]
+    edges: bytes
 
     @classmethod
     def from_edges(cls, n: int, edges, seed: int = HANDCRAFTED_SEED,
                    edge_prob: float = 0.0) -> "Graph":
         if n < 1:
             raise InvalidParams("graph needs at least one vertex")
-        masks = [0] * n
+        adj = np.zeros((n, n), dtype=bool)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise InvalidParams(f"bad edge ({u}, {v}) for n={n}")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+            adj[u, v] = adj[v, u] = True
         return cls(n=n, seed=seed, edge_prob=edge_prob,
-                   neighbor_masks=tuple(masks))
+                   edges=_pack(adj[_upper(n)]))
+
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        return tuple(_masks_from_rows(_adjacency(self.n, self.edges)))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.neighbor_masks[u] >> v & 1)
 
     @property
     def num_edges(self) -> int:
-        return sum(m.bit_count() for m in self.neighbor_masks) // 2
+        return int.from_bytes(self.edges, "little").bit_count()
 
 
 def _bits(mask: int) -> list[int]:
@@ -115,11 +122,8 @@ def gen_random_graph(n: int, edge_prob: float, seed: int) -> Graph:
         raise InvalidParams("seed must be non-negative")
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = rng.random(n * (n - 1) // 2)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[_upper(n)] = draws < edge_prob
-    adj |= adj.T
     return Graph(n=n, seed=seed, edge_prob=edge_prob,
-                 neighbor_masks=tuple(_masks_from_rows(adj)))
+                 edges=_pack(draws < edge_prob))
 
 
 @lru_cache(maxsize=16)
@@ -135,15 +139,23 @@ def _masks_from_rows(adj: np.ndarray) -> list[int]:
             for i in range(0, len(out), width)]
 
 
+def _pack(bits: np.ndarray) -> bytes:
+    return np.packbits(bits, bitorder="little").tobytes()
+
+
+def _unpack(n: int, edges: bytes) -> np.ndarray:
+    """``edges`` as one bool per pair u < v, in ``_upper(n)`` order."""
+    return np.unpackbits(np.frombuffer(edges, dtype=np.uint8),
+                         count=n * (n - 1) // 2, bitorder="little").view(bool)
+
+
 @lru_cache(maxsize=1)  # every solver of a graph relabels the same matrix
-def _adjacency(masks: tuple[int, ...]) -> np.ndarray:
-    """Boolean matrix of bitmask rows, read-only as it is cached;
-    ``_masks_from_rows`` inverts it."""
-    n = len(masks)
-    width = (n + 7) // 8
-    raw = b"".join(m.to_bytes(width, "little") for m in masks)
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
-    adj = np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
+def _adjacency(n: int, edges: bytes) -> np.ndarray:
+    """Boolean adjacency matrix of a graph's edge bits, read-only as it is
+    cached."""
+    adj = np.zeros((n, n), dtype=bool)
+    adj[_upper(n)] = _unpack(n, edges)
+    adj |= adj.T
     adj.flags.writeable = False
     return adj
 
@@ -170,10 +182,11 @@ class ProblemInstance:
 # Resumable Bron-Kerbosch
 # ---------------------------------------------------------------------------
 
-def _relabel(masks: tuple[int, ...], order: list[int]) -> list[int]:
+def _relabel(graph: Graph, order: list[int]) -> list[int]:
     """Adjacency masks renumbered so that bit ``i`` is vertex ``order[i]``."""
     o = np.asarray(order)
-    return _masks_from_rows(_adjacency(masks).take(o, 0).take(o, 1))
+    adj = _adjacency(graph.n, graph.edges)
+    return _masks_from_rows(adj.take(o, 0).take(o, 1))
 
 
 @cache
@@ -280,7 +293,7 @@ class SolverCursor:
 
     The search itself is a ``Walk``.  Given a ``walks`` dict, cursors of
     the same graph and order share one recorded walk kept there under
-    ``(graph.neighbor_masks, order)``: each cursor keeps only its
+    ``(graph.n, graph.edges, order)``: each cursor keeps only its
     position, the walk runs each step once for all of them, and a cursor
     behind its frontier answers with a byte search of the recorded clique
     sizes.  Reports, ``steps_consumed`` and ``exhausted`` are those of the
@@ -299,13 +312,13 @@ class SolverCursor:
         self.steps_consumed = 0
         self.exhausted = False
         if walks is None or n > 255:
-            self._walk = Walk(_relabel(graph.neighbor_masks, order))
+            self._walk = Walk(_relabel(graph, order))
             return
-        key = (graph.neighbor_masks, self._order)
+        key = (n, graph.edges, self._order)
         self._walk = walks.get(key)
         if self._walk is None:
-            self._walk = walks[key] = Walk(
-                _relabel(graph.neighbor_masks, order), record=True)
+            self._walk = walks[key] = Walk(_relabel(graph, order),
+                                           record=True)
 
     def advance(self, step_budget: int,
                 threshold: int) -> CliqueSolution | None:
@@ -397,8 +410,7 @@ def graph_to_edge_list(graph: Graph) -> str:
 
 
 def _edge_lines(graph: Graph) -> list[str]:
-    upper = _adjacency(graph.neighbor_masks)[_upper(graph.n)]
-    return _pair_labels(graph.n)[upper].tolist()
+    return _pair_labels(graph.n)[_unpack(graph.n, graph.edges)].tolist()
 
 
 @lru_cache(maxsize=16)
@@ -474,7 +486,7 @@ def read_graphs(path) -> list[Graph]:
                                  f"edges, lists {graph.num_edges} distinct")
             if seed >= 0:
                 regen = regen or gen_random_graph(n, edge_prob, seed)
-                if regen.neighbor_masks != graph.neighbor_masks:
+                if regen.edges != graph.edges:
                     raise ValueError(f"edge list for seed {seed} does not "
                                      "match regeneration")
             graphs.append(graph)

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from cliquechain import cli
+from cliquechain import cli, clique
 from cliquechain.cli import main
 from cliquechain.clique import MAX_GRAPH_N, read_graphs, write_graphs
 from cliquechain.io import parse_config, read_manifest
@@ -46,6 +46,26 @@ def test_simulate_then_verify_chain_round_trip(tmp_path):
     assert main(["simulate", cfg, "--out-dir", out]) == 0
     assert main(["verify-chain", os.path.join(out, "records.csv"),
                  os.path.join(out, "graphs.edges")]) == 0
+
+
+def test_bitcoin_runs_and_verifies_without_search_masks(tmp_path,
+                                                         monkeypatch):
+    # No miner searches a bitcoin run's graphs, so neither command builds
+    # their bitmask rows; a v2 run does, which shows the patch is live.
+    def refuse(adj):
+        raise AssertionError("built search masks")
+
+    monkeypatch.setattr(clique, "_masks_from_rows", refuse)
+    cfg = write_cfg(tmp_path, "policy = bitcoin\nseed = 3\nmax_blocks = 300\n")
+    out = str(tmp_path / "out")
+    assert main(["simulate", cfg, "--out-dir", out]) == 0
+    graphs = os.path.join(out, "graphs.edges")
+    assert main(["verify-chain", os.path.join(out, "records.csv"),
+                 graphs]) == 0
+    assert len(read_graphs(graphs)) > 1
+    with pytest.raises(AssertionError, match="search masks"):
+        main(["simulate", write_cfg(tmp_path, V2_SMALL, "v2.cfg"),
+              "--out-dir", str(tmp_path / "v2")])
 
 
 def test_jsonl_format_verifies_too(tmp_path):

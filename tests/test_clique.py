@@ -88,6 +88,16 @@ def test_gen_matches_the_scalar_loop(n):
                 (n, edge_prob, seed)
 
 
+@pytest.mark.parametrize("n", [2, 9, 65])
+def test_from_edges_in_any_order_is_the_generated_graph(n):
+    g = gen_random_graph(n, 0.5, n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if g.has_edge(u, v)]
+    flipped = [(v, u) for u, v in pairs[::-1] + pairs[::3]]
+    built = Graph.from_edges(n, flipped, seed=g.seed, edge_prob=g.edge_prob)
+    assert built == g and built.edges == g.edges
+
+
 def test_gen_rejects_bad_params():
     with pytest.raises(InvalidParams):
         gen_random_graph(0, 0.5, 1)
@@ -254,7 +264,7 @@ def test_relabel_matches_per_pair_reference():
     for n in (1, 2, 8, 9, 63, 64, 65, 70):
         g = gen_random_graph(n, 0.5, n)
         order = rng.permutation(n).tolist()
-        assert _relabel(g.neighbor_masks, order) == per_pair_relabel(g, order)
+        assert _relabel(g, order) == per_pair_relabel(g, order)
 
 
 def test_cached_adjacency_never_goes_stale():
@@ -266,11 +276,12 @@ def test_cached_adjacency_never_goes_stale():
     cases = [(g, rng.permutation(g.n).tolist()) for g in graphs]
     cases.append((graphs[0], list(range(11, -1, -1))))
     for g, order in cases * 3:
-        assert _relabel(g.neighbor_masks, order) == per_pair_relabel(g, order)
+        assert _relabel(g, order) == per_pair_relabel(g, order)
 
 
 def test_cached_adjacency_is_read_only():
-    adj = clique._adjacency(gen_random_graph(10, 0.5, 1).neighbor_masks)
+    g = gen_random_graph(10, 0.5, 1)
+    adj = clique._adjacency(g.n, g.edges)
     with pytest.raises(ValueError):
         adj[0, 1] = not adj[0, 1]
 
@@ -368,6 +379,20 @@ def test_shared_walk_replays_the_live_search(n):
                     if found is not None:
                         best = max(best, found.score)
     assert len(walks) == len({tuple(order) for order in orders})
+
+
+def test_graphs_with_equal_edge_bytes_get_their_own_walks():
+    # One edge packs to the same byte whatever the vertex count.
+    graphs = [Graph.from_edges(2, [(0, 1)]), Graph.from_edges(3, [(0, 1)])]
+    assert graphs[0].edges == graphs[1].edges
+    walks = {}
+    pairs = [(SolverCursor(g), SolverCursor(g, walks=walks)) for g in graphs]
+    assert len(walks) == 2
+    for live, shared in pairs:
+        for threshold in (0, 1, 0, 2):
+            _advance_both(live, shared, 1, threshold)
+        assert _advance_both(live, shared, 10, 0) is None
+        assert shared.exhausted
 
 
 def test_zero_budget_records_nothing():

@@ -284,15 +284,13 @@ def test_negative_dt_rejected():
 
 def test_non_solvers_and_exhausted_cursors_idle():
     graph = gen_random_graph(10, 0.5, 2)
-    passive = MinerState(spec=classical_spec())
     worker = make_solver(graph, speed=1e6)
     problem = ProblemInstance(graph=graph, epoch=0)
-    advance_solvers([passive, worker], 1.0, problem)
+    advance_solvers([worker], 1.0, problem)
     assert worker.cursor.exhausted
     drained = worker.cursor.steps_consumed
-    advance_solvers([passive, worker], 1.0, problem)
+    advance_solvers([worker], 1.0, problem)
     assert worker.cursor.steps_consumed == drained
-    assert passive.cursor is None
 
 
 def test_solver_banks_improvements_up_to_the_optimum():
@@ -515,6 +513,26 @@ def test_bitcoin_gives_listed_solvers_no_search(monkeypatch):
     assert {r.miner_id for r in records} == {0, 1, 2}
     with pytest.raises(AssertionError, match="SolverCursor"):
         simulate(dataclasses.replace(cfg, policy="v2"))
+
+
+@pytest.mark.parametrize("policy", ["v1", "v2"])
+def test_classical_miners_get_no_roster_entry(monkeypatch, policy):
+    rosters = []
+    real = engine._reseed_solvers
+
+    def recording(roster, *args):
+        rosters.append(dict(roster))
+        real(roster, *args)
+
+    monkeypatch.setattr(engine, "_reseed_solvers", recording)
+    miners = (classical_spec(), solver_spec(), classical_spec(),
+              bubka_spec(2), classical_spec())
+    simulate(SimConfig(policy=policy, seed=2, max_blocks=120, graph_n=8,
+                       miners=miners))
+    assert len(rosters) > 1         # the first problem and a replacement
+    for roster in rosters:
+        assert sorted(roster) == [1, 3]
+        assert all(st.spec is miners[i] for i, st in roster.items())
 
 
 @pytest.mark.parametrize("target", [None, 2, 3], ids=lambda t: f"target{t}")
