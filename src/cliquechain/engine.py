@@ -17,6 +17,7 @@ import enum
 import math
 import typing
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -85,7 +86,7 @@ class MinerSpec:
             raise ConfigError("hoard_target only applies to bubka-attacker")
 
 
-@dataclass
+@dataclass(slots=True)
 class MinerState:
     """Mutable state of one solving miner; classical miners have none.
 
@@ -258,19 +259,21 @@ def _solver_order(master: int, miner_id: int, epoch: int, n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def sample_block_winner(roster: dict[int, MinerState],
-                        hashrates: tuple[float, ...], d_b: float, d_r: float,
-                        draws: list[float]) -> tuple[int, bool, float]:
+                        hashrates: tuple[float, ...], scales: list[float],
+                        d_r: float, draws: list[float]
+                        ) -> tuple[int, bool, float]:
     """Run one exponential race and return (miner id, whether it mined at
     d_r, waiting time).
 
     Each miner's time is exponential with mean difficulty/hashrate, where
     the difficulty is d_r for the ``roster`` members currently working a
-    held solution and d_b for everyone else.  ``draws`` holds one standard
-    exponential per miner.  Ties go to the lowest miner id; a time of inf
-    never wins.
+    held solution and d_b for everyone else.  ``scales`` holds each
+    miner's d_b / hashrate, which the caller rebuilds only when d_b
+    moves; ``draws`` holds one standard exponential per miner.  Ties go
+    to the lowest miner id; a time of inf never wins.
     """
-    reduced = [i for i in roster if roster[i].mines_reduced()]
-    times = [e * (d_b / h) for e, h in zip(draws, hashrates)]
+    times = list(map(mul, draws, scales))
+    reduced = [i for i, st in roster.items() if st.mines_reduced()]
     for i in reduced:
         times[i] = draws[i] * (d_r / hashrates[i])
     idx = times.index(min(times))
@@ -287,22 +290,23 @@ def advance_solvers(miners: list[MinerState], dt: float,
     starts release mode once the hoard reaches its target.  The report
     threshold is the published best or the miner's own best find,
     whichever is higher, so successive finds within one interval keep
-    improving.
+    improving.  The published best is read once: only ``append_block``
+    raises it, after this call.
     """
     if dt < 0:
         raise ValueError("dt must be non-negative")
+    best = problem.best_score
     for st in miners:
+        cursor = st.cursor
         total = min(st.spec.solver_steps_per_second * dt + st.carry,
                     MAX_STEP_BUDGET)
         budget = int(total)  # total lies in [0, 2**63]: truncation floors
         st.carry = total - budget
-        while budget > 0 and not st.cursor.exhausted:
-            threshold = problem.best_score
-            if st.hoard:
-                threshold = max(threshold, st.hoard[-1].score)
-            before = st.cursor.steps_consumed
-            found = st.cursor.advance(budget, threshold)
-            budget -= st.cursor.steps_consumed - before
+        while budget > 0 and not cursor.exhausted:
+            threshold = max(best, st.hoard[-1].score) if st.hoard else best
+            before = cursor.steps_consumed
+            found = cursor.advance(budget, threshold)
+            budget -= cursor.steps_consumed - before
             if found is None:
                 break
             if st.spec.strategy is Strategy.BUBKA:
@@ -396,10 +400,15 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
     cum_solution = 0
     now = 0.0
     parent = None
+    d_b = None
 
     for height, draws in zip(range(cfg.max_blocks), mining_draws):
+        # Each miner's d_b / hashrate changes only when d_b does.
+        if state.d_b != d_b:
+            d_b = state.d_b
+            scales = [d_b / h for h in hashrates]
         miner_id, at_d_r, dt = sample_block_winner(
-            roster, hashrates, state.d_b, state.d_r, draws)
+            roster, hashrates, scales, state.d_r, draws)
         # Long droughts can push d_r so low that a waiting time drops under
         # the clock's float resolution; advance by at least one ulp so block
         # times stay strictly increasing.

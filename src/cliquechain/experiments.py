@@ -5,8 +5,8 @@ and the cell index, so sweeps are reproducible, cells are independent, and
 the two protocols in a comparison share identical random numbers per cell.
 The cells that share a seed form one task, which runs them in cell order
 through one dict of search walks, so each search walk they have in common
-is run once (see ``SolverCursor``).  Tasks can be farmed out to worker
-processes; results come back in the order the cells were built, so
+is run once (see ``SolverCursor``).  Each task can go to a worker process
+on its own; results come back in the order the cells were built, so
 parallel and serial execution produce the same output.
 """
 
@@ -61,12 +61,26 @@ def max_consecutive_wins(records: Sequence[SimRecord], miner_id: int) -> int:
 
 @dataclass(frozen=True)
 class SweepCell:
+    """One run of a sweep.  A cell sent back from a worker pickles its
+    records as one tuple per field, not one ``SimRecord`` per block."""
+
     protocol: str
     eta_index: int
     instance: int
     seed: int
     fraction: float
     records: tuple[SimRecord, ...]
+
+    def __reduce__(self):
+        return (_cell_from_columns,
+                (self.protocol, self.eta_index, self.instance, self.seed,
+                 self.fraction, tuple(zip(*self.records))))
+
+
+def _cell_from_columns(protocol, eta_index, instance, seed, fraction,
+                       columns) -> SweepCell:
+    return SweepCell(protocol, eta_index, instance, seed, fraction,
+                     tuple(map(SimRecord._make, zip(*columns))))
 
 
 @dataclass
@@ -144,7 +158,7 @@ def _run_cells(cells, workers: int):
         done = [_run_seed_group(t) for t in tasks]
     else:
         with Pool(workers) as pool:
-            done = pool.map(_run_seed_group, tasks)
+            done = pool.map(_run_seed_group, tasks, chunksize=1)
     outputs = [None] * len(cells)
     for members, results in zip(groups.values(), done):
         for i, result in zip(members, results):

@@ -53,14 +53,14 @@ def bubka_spec(target, hashrate=1000.0, speed=100.0):
                      solver_steps_per_second=speed, hoard_target=target)
 
 
-def race_inputs(miners):
-    """``sample_block_winner``'s per-run inputs, built as ``simulate``
-    builds them: the roster of solving miners by id and the hashrates as
-    a tuple of floats."""
+def race_inputs(miners, d_b):
+    """``sample_block_winner``'s inputs up to d_r, built as ``simulate``
+    builds them: the roster of solving miners by id, the hashrates as a
+    tuple of floats and each miner's d_b / hashrate."""
     roster = {i: st for i, st in enumerate(miners)
               if st.spec.strategy is not Strategy.CLASSICAL}
     hashrates = tuple(float(st.spec.hashrate) for st in miners)
-    return roster, hashrates
+    return roster, hashrates, [d_b / h for h in hashrates]
 
 
 def draws(rng, miners):
@@ -79,7 +79,7 @@ def sol(score):
 def test_waiting_time_mean_matches_difficulty_over_hashrate():
     miners = [MinerState(spec=classical_spec(hashrate=10.0))]
     rng = np.random.default_rng(1)
-    times = [sample_block_winner(*race_inputs(miners), 100.0, 5.0,
+    times = [sample_block_winner(*race_inputs(miners, 100.0), 5.0,
                                  draws(rng, miners))[2]
              for _ in range(10_000)]
     assert abs(np.mean(times) - 10.0) < 0.5        # within 5% of d/h = 10
@@ -88,7 +88,7 @@ def test_waiting_time_mean_matches_difficulty_over_hashrate():
 def test_equal_miners_split_wins_evenly():
     miners = [MinerState(spec=classical_spec()) for _ in range(2)]
     rng = np.random.default_rng(2)
-    wins = sum(sample_block_winner(*race_inputs(miners), 1000.0, 5.0,
+    wins = sum(sample_block_winner(*race_inputs(miners, 1000.0), 5.0,
                                    draws(rng, miners))[0] == 0
                for _ in range(10_000))
     sigma = (10_000 * 0.25) ** 0.5
@@ -104,7 +104,7 @@ def test_held_solution_switches_kind_and_dominates_race():
     wins = 0
     for _ in range(rounds):
         miner_id, at_d_r, _ = sample_block_winner(
-            *race_inputs(miners), 1000.0, 5.0, draws(rng, miners))
+            *race_inputs(miners, 1000.0), 5.0, draws(rng, miners))
         if miner_id == 0:
             wins += 1
         assert at_d_r is (miner_id == 0)
@@ -136,7 +136,7 @@ def test_race_draws_match_the_exponential_oracle():
     difficulties = np.random.default_rng(10).uniform(-300, 10.4, (4000, 2))
     at_d_r = set()
     for d_b, d_r in (10.0 ** difficulties).tolist():
-        got = sample_block_winner(*race_inputs(miners), d_b, d_r,
+        got = sample_block_winner(*race_inputs(miners, d_b), d_r,
                                   draws(ours, miners))
         assert got == oracle(miners, d_b, d_r, ref)
         at_d_r.add(got[1])
@@ -147,18 +147,51 @@ def test_race_draws_match_the_exponential_oracle():
     for st in miners:
         st.hoard.clear()
     for d_b, d_r in (10.0 ** difficulties[:500]).tolist():
-        got = sample_block_winner(*race_inputs(miners), d_b, d_r,
+        got = sample_block_winner(*race_inputs(miners, d_b), d_r,
                                   draws(ours, miners))
         assert got == oracle(miners, d_b, d_r, ref)
         assert got[1] is False
     assert ours.random() == ref.random()
 
 
+def test_race_times_are_exact_at_d_b_one_ulp_apart():
+    # Consecutive blocks whose d_b differ by one ulp each race at exactly
+    # e * (d_b / h), with no rounding of their own.
+    miners = [MinerState(spec=classical_spec(h))
+              for h in (3.0, 7.0, 1000.0, 0.3)]
+    hashrates = [st.spec.hashrate for st in miners]
+    rng = np.random.default_rng(11)
+    d_b = 1000.0
+    for _ in range(200):
+        row = draws(rng, miners)
+        want = [e * (d_b / h) for e, h in zip(row, hashrates)]
+        idx = want.index(min(want))
+        assert sample_block_winner(*race_inputs(miners, d_b), 5.0,
+                                   row) == (idx, False, want[idx])
+        d_b = math.nextafter(d_b, math.inf)
+
+
+def test_simulate_races_at_the_current_d_b(monkeypatch):
+    calls = []
+
+    def recording(roster, hashrates, scales, d_r, row):
+        calls.append(list(scales))
+        return sample_block_winner(roster, hashrates, scales, d_r, row)
+
+    cfg = SimConfig(policy="v1", seed=5, max_blocks=300, graph_n=20)
+    monkeypatch.setattr(engine, "sample_block_winner", recording)
+    records = simulate(cfg).records
+    hashrates = [spec.hashrate for spec in cfg.miners]
+    mined_at = [cfg.initial_db] + [r.d_b for r in records[:-1]]
+    assert len(set(mined_at)) > 5                 # d_b retargets in this run
+    assert calls == [[d_b / h for h in hashrates] for d_b in mined_at]
+
+
 def test_race_tie_goes_to_the_lowest_id():
     miners = [MinerState(spec=classical_spec()) for _ in range(3)]
-    assert sample_block_winner(*race_inputs(miners), 1000.0, 5.0,
+    assert sample_block_winner(*race_inputs(miners, 1000.0), 5.0,
                                [0.5, 0.25, 0.25]) == (1, False, 0.25)
-    assert sample_block_winner(*race_inputs(miners), 1000.0, 5.0,
+    assert sample_block_winner(*race_inputs(miners, 1000.0), 5.0,
                                [0.5, 0.5, 0.5]) == (0, False, 0.5)
 
 
@@ -168,7 +201,7 @@ def test_race_time_of_inf_never_wins():
               MinerState(spec=classical_spec())]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = sample_block_winner(*race_inputs(miners), 1e10, 5.0,
+        got = sample_block_winner(*race_inputs(miners, 1e10), 5.0,
                                   [1e-9, 50.0])
     assert got == (1, False, 50.0 * (1e10 / 1000.0))
 

@@ -2,6 +2,7 @@
 with common random numbers, and the hoard-and-release attacker sweep."""
 
 import json
+import pickle
 
 import pytest
 
@@ -160,6 +161,7 @@ def test_sweep_workers_are_capped(monkeypatch, workers, cpus, usable,
     from cliquechain import experiments
 
     requested = []
+    chunksizes = []
 
     class SerialPool:
         def __init__(self, processes):
@@ -171,7 +173,8 @@ def test_sweep_workers_are_capped(monkeypatch, workers, cpus, usable,
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=None):
+            chunksizes.append(chunksize)
             return [fn(item) for item in items]
 
     monkeypatch.setattr(experiments, "Pool", SerialPool)
@@ -185,7 +188,25 @@ def test_sweep_workers_are_capped(monkeypatch, workers, cpus, usable,
     base = SimConfig(policy="v2", seed=100, max_blocks=10, graph_n=12)
     res = run_eta_sweep(base, SWEEP_ETAS, instances=2, workers=workers)
     assert requested == expect
+    # One seed group per task, so no worker waits on a chunk's tail.
+    assert chunksizes == [1] * len(expect)
     assert res == run_eta_sweep(base, SWEEP_ETAS, instances=2)
+
+
+def test_cells_cross_processes_as_columns():
+    res = run_eta_sweep(SWEEP_BASE, SWEEP_ETAS, instances=1)
+    for cell in res.cells:
+        back = pickle.loads(pickle.dumps(cell))
+        assert back == cell
+        assert all(type(r) is SimRecord for r in back.records)
+        assert len(pickle.dumps(cell)) < len(pickle.dumps(cell.records))
+
+    pooled = (run_eta_sweep(SWEEP_BASE, SWEEP_ETAS, instances=1, workers=2),
+              run_bubka_experiment(attacker_base(), (1,), num_seeds=2,
+                                   workers=2))
+    for result in pooled:
+        assert all(type(r) is SimRecord
+                   for c in result.cells for r in c.records)
 
 
 def test_shared_walks_run_fewer_steps_with_the_same_records(monkeypatch):
