@@ -42,8 +42,8 @@ class InvalidParams(ValueError):
 @dataclass(frozen=True)
 class CliqueSolution:
     """A clique witness: its vertices, sorted so equal cliques compare
-    equal and serialize identically.  The block that carries it names
-    its problem instance."""
+    equal and serialize identically.  The block that carries it is
+    published on the problem instance active at its height."""
 
     vertices: tuple[int, ...]
 
@@ -165,7 +165,7 @@ class ProblemInstance:
     """One clique instance being worked by the network.
 
     ``best_score`` is the best published score, raised only by
-    ``chain.append_block``.  Whether the instance is solved out is read
+    ``engine.append_block``.  Whether the instance is solved out is read
     from the solvers' cursors and hoards, not stored here.
     ``last_improvement_height`` starts at the height that swapped the
     problem in (-1 for the first one) and moves with every publish; the

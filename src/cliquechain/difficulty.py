@@ -25,9 +25,8 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .chain import Block
-
 if TYPE_CHECKING:
+    from .clique import CliqueSolution
     from .engine import SimConfig
 
 
@@ -38,6 +37,16 @@ D_R_FLOOR = sys.float_info.min
 
 class ConfigError(Exception):
     """A config cannot be read, is invalid, or drives a run out of range."""
+
+
+@dataclass(slots=True)
+class Block:
+    """A block as the policy rules read it: a solution block exactly when
+    it carries a solution."""
+
+    height: int
+    sim_time: float
+    solution: CliqueSolution | None = None
 
 
 def clamp_factor(raw: float, max_update_factor: float) -> float:
@@ -196,10 +205,11 @@ _RULES = {"bitcoin": on_block_bitcoin, "v1": on_block_v1, "v2": on_block_v2}
 class DifficultyPolicy:
     """The per-block rule of one config.
 
-    The engine only ever calls ``on_block(state, block)``; the rule named by
-    ``cfg.policy`` is looked up once, here.  Who may publish solutions is
-    the engine's business: under the bitcoin baseline it gives no miner a
-    search, so every block is classical.
+    The engine only ever calls ``on_block(state, block)``, after it has
+    published the block; the rule named by ``cfg.policy`` is looked up
+    once, here, and reads only the block's height, time and solution.
+    Who may publish solutions is the engine's business: under the bitcoin
+    baseline it gives no miner a search, so every block is classical.
     """
 
     def __init__(self, cfg: SimConfig):

@@ -21,7 +21,6 @@ from operator import mul
 
 import numpy as np
 
-from .chain import Block, append_block
 from .clique import (
     MAX_GRAPH_N,
     CliqueSolution,
@@ -29,8 +28,9 @@ from .clique import (
     ProblemInstance,
     SolverCursor,
     gen_random_graph,
+    is_clique,
 )
-from .difficulty import (D_R_FLOOR, ConfigError, DifficultyPolicy,
+from .difficulty import (D_R_FLOOR, Block, ConfigError, DifficultyPolicy,
                          DifficultyState)
 
 DEFAULT_HASHRATE = 1000.0
@@ -258,6 +258,30 @@ def _solver_order(master: int, miner_id: int, epoch: int, n: int) -> list[int]:
 # Core operations
 # ---------------------------------------------------------------------------
 
+class ChainError(Exception):
+    """A solution block breaks the publish rule; the message says how."""
+
+
+def append_block(problem: ProblemInstance, block: Block) -> None:
+    """Publish ``block``'s solution, if it carries one, on ``problem``.
+
+    The solution must be a genuine clique of the problem's graph and
+    strictly improve its published best, which is then raised to its
+    score.  ``simulate`` builds each block's height, time and epoch
+    itself, so they hold by construction; ``verify_record_stream``
+    checks them over written records.
+    """
+    sol = block.solution
+    if sol is None:
+        return
+    if not is_clique(problem.graph, sol.vertices):
+        raise ChainError(f"vertices {sol.vertices} are not a clique")
+    if sol.score <= problem.best_score:
+        raise ChainError(f"score {sol.score} does not beat published best "
+                         f"{problem.best_score}")
+    problem.best_score = sol.score
+
+
 def sample_block_winner(roster: dict[int, MinerState],
                         hashrates: tuple[float, ...], scales: list[float],
                         d_r: float, draws: list[float]
@@ -291,7 +315,7 @@ def advance_solvers(miners: list[MinerState], dt: float,
     threshold is the published best or the miner's own best find,
     whichever is higher, so successive finds within one interval keep
     improving.  The published best is read once: only ``append_block``
-    raises it, after this call.
+    raises it, and ``simulate`` calls that after this call.
     """
     if dt < 0:
         raise ValueError("dt must be non-negative")
@@ -399,7 +423,6 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
     replacement_heights: list[int] = []
     cum_solution = 0
     now = 0.0
-    parent = None
     d_b = None
 
     for height, draws in zip(range(cfg.max_blocks), mining_draws):
@@ -419,11 +442,8 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
             advance_solvers(solving, dt, problem)
 
         solution = roster[miner_id].hoard.pop(0) if at_d_r else None
-        block = Block(height, miner_id, now,
-                      state.d_r if at_d_r else state.d_b, problem.epoch,
-                      solution)
-        append_block(parent, block, problem, state)
-        parent = block
+        block = Block(height, now, solution)
+        append_block(problem, block)
 
         if at_d_r:
             cum_solution += 1

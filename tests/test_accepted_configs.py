@@ -4,7 +4,8 @@ A seeded generator draws configs over the accepted ranges, extremes
 included: floats near 1e-300 and 1e300, ``max_update_factor`` up to 1e300,
 one-block epochs and tiny targets.  Each config that ``SimConfig`` accepts
 is run in-process through ``cli.main simulate``; an exit of 1 (an
-uncaught exception) is a bug.
+uncaught exception) is a bug, and the files of every run that exits 0
+must pass ``verify-chain``.
 """
 
 import random
@@ -78,17 +79,23 @@ def _config(rng: random.Random) -> SimConfig:
 def test_generated_configs_run_or_exit_2(tmp_path, capsys):
     rng = random.Random(MASTER_SEED)
     path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
     codes = {}
     for i in range(CONFIGS):
         text = render_config(_config(rng))
         path.write_text(text)
         try:
-            codes[i] = main(["simulate", str(path),
-                             "--out-dir", str(tmp_path / "out")])
+            codes[i] = main(["simulate", str(path), "--out-dir", str(out)])
         except Exception as exc:            # exit 1
             pytest.fail(f"config {i} raised {exc!r}:\n{text}")
+        if codes[i] == 0:
+            verified = main(["verify-chain", str(out / "records.csv"),
+                             str(out / "graphs.edges")])
+            assert verified == 0, f"config {i}:\n{text}"
         capsys.readouterr()
     assert set(codes.values()) <= {0, 2}, codes
+    # The verify step above ran on the 41 draws that exit 0.
+    assert list(codes.values()).count(0) == 41
 
 
 @pytest.mark.parametrize("policy", ["bitcoin", "v1", "v2"])

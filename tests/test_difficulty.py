@@ -6,9 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cliquechain.chain import Block
 from cliquechain.clique import CliqueSolution
 from cliquechain.difficulty import (
+    Block,
     ConfigError,
     DifficultyPolicy,
     DifficultyState,
@@ -26,8 +26,7 @@ CLASSICAL, SOLUTION = "classical", "solution"
 
 def blk(kind, t, height=0):
     solution = DUMMY_SOLUTION if kind == SOLUTION else None
-    return Block(height=height, miner_id=0, sim_time=t, difficulty_used=1.0,
-                 problem_epoch=0, solution=solution)
+    return Block(height=height, sim_time=t, solution=solution)
 
 
 def step(rule, state, params, block):

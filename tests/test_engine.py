@@ -175,16 +175,24 @@ def test_simulate_races_at_the_current_d_b(monkeypatch):
     calls = []
 
     def recording(roster, hashrates, scales, d_r, row):
-        calls.append(list(scales))
-        return sample_block_winner(roster, hashrates, scales, d_r, row)
+        won = sample_block_winner(roster, hashrates, scales, d_r, row)
+        calls.append((list(scales), d_r, won[1]))
+        return won
 
     cfg = SimConfig(policy="v1", seed=5, max_blocks=300, graph_n=20)
     monkeypatch.setattr(engine, "sample_block_winner", recording)
     records = simulate(cfg).records
+    scales, d_rs, at_d_r = zip(*calls)
     hashrates = [spec.hashrate for spec in cfg.miners]
     mined_at = [cfg.initial_db] + [r.d_b for r in records[:-1]]
     assert len(set(mined_at)) > 5                 # d_b retargets in this run
-    assert calls == [[d_b / h for h in hashrates] for d_b in mined_at]
+    assert list(scales) == [[d_b / h for h in hashrates] for d_b in mined_at]
+    # d_r is the previous block's, and a block is a solution block exactly
+    # when its race was won at d_r.
+    assert list(d_rs) == [cfg.initial_dr] + [r.d_r for r in records[:-1]]
+    assert len(set(d_rs)) > 5                     # d_r retargets too
+    assert [r.kind == "solution" for r in records] == list(at_d_r)
+    assert sum(at_d_r) == 52
 
 
 def test_race_tie_goes_to_the_lowest_id():

@@ -308,8 +308,10 @@ def test_verify_rejects_corrupted_streams():
     cases = [
         corrupt(0, sim_time=-0.5),                      # times start above 0
         corrupt(0, sim_time=0.0),
+        corrupt(0, height=1),                           # heights start at 0
         corrupt(5, height=7),
         corrupt(5, sim_time=records[4].sim_time),
+        corrupt(5, sim_time=records[4].sim_time - 0.01),
         corrupt(5, d_r=0.0),
         corrupt(5, kind="mystery"),
         corrupt(5, problem_epoch=99),
@@ -326,6 +328,7 @@ def test_verify_rejects_corrupted_streams():
     with pytest.raises(ReplayError):
         verify_record_stream([], graphs)
     verify_record_stream(records, graphs)               # original still fine
+    verify_record_stream(corrupt(0, sim_time=5e-324)[1], graphs)  # above 0
 
     # Epochs start at 0 and rise by at most one a block; the last block may
     # have swapped in one more graph, but no more.
