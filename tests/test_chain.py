@@ -1,5 +1,6 @@
 """The publish rule: a solution block carries a genuine clique that strictly
-beats the published best."""
+beats the published best; and the chain invariants a recorded run carries
+(heights, times, epochs, difficulties, the classical/solution partition)."""
 
 import re
 
@@ -13,7 +14,14 @@ from cliquechain.clique import (
     gen_random_graph,
 )
 from cliquechain.difficulty import Block
-from cliquechain.engine import ChainError, SimConfig, append_block, simulate
+from cliquechain.engine import (
+    ChainError,
+    SimConfig,
+    append_block,
+    sample_block_winner,
+    simulate,
+)
+from cliquechain.io import ReplayError, verify_record_stream
 
 # The messages that tell the two publish faults apart.
 NOT_A_CLIQUE = "are not a clique"
@@ -160,3 +168,118 @@ def test_simulated_chain_replays_cleanly(monkeypatch):
             assert block.solution.score > prev
             by_epoch[epoch] = block.solution.score
     assert by_epoch, "run produced no solution blocks"
+
+
+# ---------------------------------------------------------------------------
+# Chain invariants: the engine builds heights, times, epochs and each race's
+# difficulty itself, so verify_record_stream is where a chain that breaks
+# them is rejected.
+# ---------------------------------------------------------------------------
+
+CHAIN_CFG = SimConfig(policy="v2", seed=3, max_blocks=150)
+
+
+def mined_chain(monkeypatch):
+    """Run CHAIN_CFG; return its result, the blocks in append order and,
+    per block, whether its race was won at d_r."""
+    appended, at_d_r = [], []
+
+    def record(problem, block):
+        append_block(problem, block)
+        appended.append(block)
+
+    def race(*args):
+        won = sample_block_winner(*args)
+        at_d_r.append(won[1])
+        return won
+
+    monkeypatch.setattr(engine, "append_block", record)
+    monkeypatch.setattr(engine, "sample_block_winner", race)
+    res = simulate(CHAIN_CFG)
+    verify_record_stream(res.records, res.graphs)
+    return res, appended, at_d_r
+
+
+def rejects(records, graphs, i, match, **changes):
+    bad = list(records)
+    bad[i] = bad[i]._replace(**changes)
+    with pytest.raises(ReplayError, match=f"^height {bad[i].height}: {match}"):
+        verify_record_stream(bad, graphs)
+
+
+def test_block_kind_payload_coherence(monkeypatch):
+    # The payload alone makes a block a solution block, and its record says
+    # so: kind "solution" with the clique's score, else the best unmoved.
+    res, appended, _ = mined_chain(monkeypatch)
+    records = res.records
+    prev_best = {}
+    for block, r in zip(appended, records, strict=True):
+        assert (r.kind == "solution") == (block.solution is not None)
+        if block.solution is not None:
+            assert r.best_score == block.solution.score
+        else:
+            assert r.best_score == prev_best.get(r.problem_epoch, 1)
+        prev_best[r.problem_epoch] = r.best_score
+    kinds = [r.kind for r in records]
+    sol, cls = kinds.index("solution"), kinds.index("classical")
+    rejects(records, res.graphs, sol, "classical block moved best score",
+            kind="classical")
+    rejects(records, res.graphs, cls, "solution score 1 does not beat 1",
+            kind="solution")
+
+
+def test_append_rejects_wrong_difficulty(monkeypatch):
+    # A solution is published exactly when its race was won at d_r; a
+    # classical block is mined at d_b.
+    res, appended, at_d_r = mined_chain(monkeypatch)
+    assert [b.solution is not None for b in appended] == at_d_r
+    assert 0 < sum(at_d_r) < len(at_d_r)
+    for bad in (0.0, -1.0, float("inf"), float("nan")):
+        for field in ("d_b", "d_r"):
+            rejects(res.records, res.graphs, 5,
+                    "difficulty is not finite and positive", **{field: bad})
+
+
+def test_append_rejects_height_gap(monkeypatch):
+    res, appended, _ = mined_chain(monkeypatch)
+    assert [b.height for b in appended] == list(range(CHAIN_CFG.max_blocks))
+    assert [r.height for r in res.records] == [b.height for b in appended]
+    gap = "heights must be consecutive from 0"
+    rejects(res.records, res.graphs, 0, gap, height=1)
+    rejects(res.records, res.graphs, 5, gap, height=6)
+    rejects(res.records, res.graphs, 5, gap, height=4)
+    with pytest.raises(ReplayError, match=gap):
+        verify_record_stream(res.records[:5] + res.records[6:], res.graphs)
+
+
+def test_append_rejects_non_monotonic_time(monkeypatch):
+    res, appended, _ = mined_chain(monkeypatch)
+    times = [b.sim_time for b in appended]
+    assert 0.0 < times[0] and all(a < b for a, b in zip(times, times[1:]))
+    assert [r.sim_time for r in res.records] == times
+    records = res.records
+    no_advance = "sim_time does not increase to a finite time"
+    rejects(records, res.graphs, 5, no_advance, sim_time=times[4])
+    rejects(records, res.graphs, 5, no_advance, sim_time=times[4] - 0.01)
+    # The first block's time must exceed 0.
+    for t in (-1e-9, 0.0, float("inf"), float("nan")):
+        rejects(records, res.graphs, 0, no_advance, sim_time=t)
+    verify_record_stream([records[0]._replace(sim_time=5e-324)] + records[1:],
+                         res.graphs)
+
+
+def test_append_rejects_epoch_mismatch(monkeypatch):
+    res, _, _ = mined_chain(monkeypatch)
+    records, graphs = res.records, res.graphs
+    swap = next(i for i in range(1, len(records))
+                if records[i].problem_epoch != records[i - 1].problem_epoch)
+    assert records[swap].problem_epoch == records[swap - 1].problem_epoch + 1
+    rejects(records, graphs, 0, "epoch does not follow 0", problem_epoch=1)
+    rejects(records, graphs, swap, "epoch does not follow 0", problem_epoch=2)
+    rejects(records, graphs, swap + 1, "epoch does not follow 1",
+            problem_epoch=0)
+    rejects(records, graphs, swap - 1, "epoch does not follow 0",
+            problem_epoch=-1)
+    assert len(graphs) == 2
+    with pytest.raises(ReplayError, match="no graph for epoch 1"):
+        verify_record_stream(records, graphs[:1])
