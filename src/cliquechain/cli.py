@@ -188,11 +188,16 @@ _RUNS = {
 
 
 def _cmd_run(args) -> int:
-    """Load the config, run the command, then write its manifest."""
+    """Load the config, check the output directory, run, write the manifest."""
     started = _utcnow()
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    near = os.path.abspath(args.out_dir)
+    while not os.path.exists(near):
+        near = os.path.dirname(near)
+    if not os.path.isdir(near) or not os.access(near, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot make --out-dir {args.out_dir} in {near}")
     outputs, message = args.run(args, cfg)
     manifest = RunManifest(version=__version__,
                            command=" ".join(sys.argv) if sys.argv else "",

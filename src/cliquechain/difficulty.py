@@ -80,9 +80,9 @@ class DifficultyState:
 
     ``epoch_count`` and ``epoch_start_time`` run the d_b epoch: every block
     counts under bitcoin and v1, classical blocks only under v2.  The
-    ``solution_*`` pair runs v2's d_r epoch.  ``updates`` holds every
-    applied change, in order.  The rules update a state in place, and
-    only through ``set``; ``DifficultyPolicy.on_block`` hands them a copy.
+    ``solution_*`` pair runs v2's d_r epoch.  ``updates`` holds applied
+    changes in order, one block's in a run.  The rules update a state in
+    place, only through ``set``; ``DifficultyPolicy.on_block`` copies it.
     """
 
     d_b: float

@@ -217,7 +217,6 @@ class SimResult:
     records: list[SimRecord]
     graphs: list[Graph]
     replacement_heights: list[int]
-    final_state: DifficultyState
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +394,7 @@ def _reseed_solvers(roster: dict[int, MinerState], problem: ProblemInstance,
 
 
 def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
-    """Run the full event loop and return records plus final state.
+    """Run the full event loop and return records, graphs and replacements.
 
     Runs given the same ``walks`` dict share their search walks (see
     ``SolverCursor``); the results are those of separate runs.
@@ -452,6 +451,7 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
                 bubka_strategy_step(st, solution.score)
 
         state = policy.on_block(state, block)
+        state.updates = ()
         kind = "solution" if at_d_r else "classical"
         records.append(SimRecord(height, now, kind, miner_id, state.d_b,
                                  state.d_r, problem.best_score, problem.epoch,
@@ -466,5 +466,4 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
             _reseed_solvers(roster, problem, cfg.seed, walks)
 
     return SimResult(records=records, graphs=graphs,
-                     replacement_heights=replacement_heights,
-                     final_state=state)
+                     replacement_heights=replacement_heights)

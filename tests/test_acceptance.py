@@ -89,7 +89,7 @@ def test_search_agrees_with_brute_force(report):
 #    exactly the full factor
 # ---------------------------------------------------------------------------
 
-def test_difficulty_updates_respect_clamp(report):
+def test_difficulty_updates_respect_clamp(report, policy_calls):
     mixed = tuple(
         [MinerSpec(hashrate=1000.0, strategy=Strategy.CLASSICAL)] * 5
         + [MinerSpec(hashrate=1000.0, strategy=Strategy.SOLVER,
@@ -107,7 +107,9 @@ def test_difficulty_updates_respect_clamp(report):
     totals = {}
     v2_rules = {"d_b": 0, "d_r": 0, "drought": 0}
     for name, cfg in arms.items():
-        updates = simulate(cfg).final_state.updates
+        policy_calls.clear()
+        simulate(cfg)
+        updates = [u for _, applied in policy_calls for u in applied]
         totals[name] = len(updates)
         for u in updates:
             ratio = u.new / u.old

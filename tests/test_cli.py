@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from cliquechain import cli, clique
+from cliquechain import cli, clique, experiments
 from cliquechain.cli import main
 from cliquechain.clique import MAX_GRAPH_N, read_graphs, write_graphs
 from cliquechain.io import parse_config, read_manifest
@@ -373,6 +373,27 @@ def test_bubka_without_seeds_exits_2(tmp_path, capsys):
     assert main(["bubka", cfg, "--seeds", "0", "--out-dir", str(out)]) == 2
     assert "num_seeds must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text", [("simulate", V2_SMALL),
+                                          ("eta-sweep", SWEEP_SMALL)],
+                         ids=["simulate", "eta-sweep"])
+@pytest.mark.parametrize("under", ["", "out"], ids=["file", "below-file"])
+def test_out_dir_that_cannot_be_made_exits_2_before_the_run(
+        tmp_path, capsys, monkeypatch, command, text, under):
+    # A run would raise, so exit 2 shows the directory is checked first.
+    def refuse(*args):
+        raise AssertionError("ran the simulation")
+
+    monkeypatch.setattr(cli, "simulate", refuse)
+    monkeypatch.setattr(experiments, "simulate", refuse)
+    cfg = write_cfg(tmp_path, text)
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / "file" / under)
+    assert main([command, cfg, "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"cannot make --out-dir {out}" in err
 
 
 def test_non_utf8_config_exits_2(tmp_path, capsys):

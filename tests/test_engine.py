@@ -643,10 +643,35 @@ def test_solution_blocks_strictly_raise_best_score():
     SimConfig(policy="v2", seed=1, max_blocks=20_000,
               miners=tuple(classical_spec() for _ in range(10))),
 ], ids=["default-population", "zero-solver"])
-def test_long_v2_runs_hold_d_r_at_the_floor(cfg):
+def test_long_v2_runs_hold_d_r_at_the_floor(cfg, policy_calls):
     # Without the floor, droughts drive d_r to zero and both runs stop.
     res = simulate(cfg)
     assert len(res.records) == cfg.max_blocks
     verify_record_stream(res.records, res.graphs)
     assert res.records[-1].d_r == D_R_FLOOR
-    assert any(u.rule == "floor" for u in res.final_state.updates)
+    assert any(u.rule == "floor"
+               for _, applied in policy_calls for u in applied)
+
+
+def test_each_state_holds_one_block_of_changes(policy_calls):
+    # simulate clears a state's updates right after on_block returns it,
+    # so every call starts from none, and the changes the calls apply
+    # still chain into one history that the records follow.
+    for cfg in (SimConfig(policy="bitcoin", seed=3, max_blocks=400),
+                SimConfig(policy="v1", seed=3, max_blocks=400),
+                SimConfig(policy="v2", seed=3, max_blocks=400)):
+        policy_calls.clear()
+        records = simulate(cfg).records
+        assert len(policy_calls) == len(records)
+        assert all(received == () for received, _ in policy_calls)
+        current = {"d_b": cfg.initial_db, "d_r": cfg.initial_dr}
+        for record, (_, applied) in zip(records, policy_calls):
+            for u in applied:
+                assert u.height == record.height
+                assert u.old == current[u.name]
+                current[u.name] = u.new
+            assert (record.d_b, record.d_r) == (current["d_b"],
+                                                current["d_r"])
+        names = {u.name for _, applied in policy_calls for u in applied}
+        assert names == ({"d_b"} if cfg.policy == "bitcoin"
+                         else {"d_b", "d_r"})
