@@ -6,7 +6,8 @@ Exit codes:
 * 2: bad arguments, or a config file that is missing, does not parse, or
   sets a value the simulator rejects (NaN and inf included).
 * 3: a records or graphs file that is missing, malformed or fails
-  re-validation, or a failed selftest.
+  re-validation, a malformed manifest beside the records, or a failed
+  selftest.
 * 1: anything else; that is a bug and comes with a traceback.
 """
 
@@ -16,19 +17,14 @@ import argparse
 import dataclasses
 import json
 import os
+import shlex
 import sys
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
-from .clique import (
-    SolverCursor,
-    brute_force_max_clique,
-    gen_random_graph,
-    read_graphs,
-    write_graphs,
-)
+from .clique import SolverCursor, brute_force_max_clique, gen_random_graph
 from .engine import ConfigError, SimConfig, simulate
 from .experiments import (
     DEFAULT_BUBKA_SEEDS,
@@ -40,10 +36,13 @@ from .experiments import (
 from .io import (
     ReplayError,
     RunManifest,
+    bind_graphs,
     parse_config,
+    read_graphs,
     read_records,
     render_config,
     verify_record_stream,
+    write_graphs,
     write_manifest,
     write_records,
 )
@@ -194,13 +193,13 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     near = os.path.abspath(args.out_dir)
-    while not os.path.exists(near):
+    while not os.path.lexists(near):
         near = os.path.dirname(near)
     if not os.path.isdir(near) or not os.access(near, os.W_OK | os.X_OK):
         raise ConfigError(f"cannot make --out-dir {args.out_dir} in {near}")
     outputs, message = args.run(args, cfg)
     manifest = RunManifest(version=__version__,
-                           command=" ".join(sys.argv) if sys.argv else "",
+                           command=args.command_line,
                            seed=cfg.seed, config_text=render_config(cfg),
                            outputs=outputs, started_utc=started,
                            finished_utc=_utcnow())
@@ -211,10 +210,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify_chain(args) -> int:
     records = read_records(args.records)
-    try:
-        graphs = read_graphs(args.graphs)
-    except ValueError as exc:
-        raise ReplayError(str(exc)) from None
+    graphs = read_graphs(args.graphs)
+    bind_graphs(args.records, args.graphs, graphs)
     verify_record_stream(records, graphs)
     print(f"ok: {len(records)} records over {len(graphs)} problem graphs")
     return 0
@@ -326,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
+    args.command_line = shlex.join(["cliquechain", *argv])
     try:
         return args.func(args)
     except ConfigError as exc:

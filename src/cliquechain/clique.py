@@ -14,7 +14,6 @@ that search the same graph in the same order.
 
 from __future__ import annotations
 
-import contextlib
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
@@ -28,10 +27,11 @@ INITIAL_BEST_SCORE = 1
 # Sentinel seed for hand-built graphs that were not drawn from G(n, p).
 HANDCRAFTED_SEED = -1
 
-# The most vertices a config or a graphs file may name: gen_random_graph
-# holds n(n-1)/2 float64 draws and their bits at once, about 75 MB at
-# 4,096 vertices, and an n-by-n bool matrix is built only when a solver
-# searches the graph; the need grows with n squared.
+# The most vertices a config or a graphs file may name; the need grows
+# with n squared.  gen_random_graph holds n(n-1)/2 float64 draws and their
+# bits at once (75 MB at 4,096 vertices); a search builds an n-by-n bool
+# matrix; writing or reading a graphs file, one "u v" string per pair
+# (``io._pair_labels``, about 80 bytes each: 0.7 GB at 4,096 vertices).
 MAX_GRAPH_N = 4096
 
 
@@ -126,7 +126,7 @@ def gen_random_graph(n: int, edge_prob: float, seed: int) -> Graph:
                  edges=_pack(draws < edge_prob))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)  # a run's graphs all share one n
 def _upper(n: int) -> np.ndarray:
     return ~np.tri(n, dtype=bool)  # indexes the pairs u < v in (u, v) order
 
@@ -392,106 +392,3 @@ def is_clique(graph: Graph, vertices) -> bool:
     mask = sum(1 << v for v in verts)
     masks = graph.neighbor_masks
     return all(mask & ~(masks[v] | 1 << v) == 0 for v in verts)
-
-
-# ---------------------------------------------------------------------------
-# Edge-list persistence
-# ---------------------------------------------------------------------------
-
-def graph_to_edge_list(graph: Graph) -> str:
-    """Render one graph as an edge-list section.
-
-    Header line is "n m seed p", then one "u v" pair per line, 0-indexed,
-    u < v, in (u, v) order: the text ``read_graphs`` matches before parsing.
-    """
-    head = (f"{graph.n} {graph.num_edges} {graph.seed} "
-            f"{format(graph.edge_prob, '.17g')}")
-    return "\n".join([head, *_edge_lines(graph)]) + "\n"
-
-
-def _edge_lines(graph: Graph) -> list[str]:
-    return _pair_labels(graph.n)[_unpack(graph.n, graph.edges)].tolist()
-
-
-@lru_cache(maxsize=16)
-def _pair_labels(n: int) -> np.ndarray:
-    """The "u v" label of each pair u < v, in ``_upper(n)`` order."""
-    return np.array([f"{u} {v}" for u, v in zip(*np.nonzero(_upper(n)))],
-                    dtype=object)
-
-
-def write_graphs(graphs, path) -> None:
-    """Write one or more graphs as concatenated edge-list sections.
-
-    A multi-epoch run stores the graph of epoch k as section k, so a single
-    file is enough to audit a whole chain.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        for graph in graphs:
-            fh.write(graph_to_edge_list(graph))
-
-
-# The next non-blank line from a position on, stripped.
-_NEXT_LINE = re.compile(r"\S(?:[^\n]*\S)?")
-
-
-def read_graphs(path) -> list[Graph]:
-    """Parse edge-list sections back into graphs.
-
-    The header's edge count must equal the number of distinct edges
-    listed.  When a section carries a non-negative seed it is re-drawn from
-    (n, edge_prob, seed) and must match the listed edges bit for bit;
-    a mismatch means the file does not belong to its manifest.  A section
-    whose text after its header line is exactly the re-drawn graph's
-    rendering is taken as it, unparsed.  Every problem with the file raises
-    ValueError naming it.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        graphs, pos = [], 0
-        while line := _NEXT_LINE.search(text, pos):
-            head, pos = line[0].split(), line.end() + 1
-            if len(head) != 4:
-                raise ValueError(f"bad edge-list header: {line[0]!r}")
-            n, m, seed = int(head[0]), int(head[1]), int(head[2])
-            if n > MAX_GRAPH_N:
-                raise ValueError(f"section {len(graphs)} has {n} vertices, "
-                                 f"more than {MAX_GRAPH_N}")
-            edge_prob = float(head[3])
-            regen = None
-            if seed >= 0:
-                with contextlib.suppress(InvalidParams):  # raised below
-                    regen = gen_random_graph(n, edge_prob, seed)
-            if regen and regen.num_edges == m:
-                rendered = "\n".join(_edge_lines(regen))
-                end = pos + len(rendered)
-                if (text.startswith(rendered, pos)
-                        and text[end:end + 1] in ("\n", "")):
-                    graphs.append(regen)
-                    pos = end
-                    continue
-            body = []
-            while len(body) < m and (line := _NEXT_LINE.search(text, pos)):
-                body.append(line[0])
-                pos = line.end() + 1
-            if len(body) < m:
-                raise ValueError(f"section {len(graphs)} lists "
-                                 f"{len(body)} of its {m} edges")
-            edges = [(int(u), int(v)) for u, v in map(str.split, body)]
-            graph = Graph.from_edges(n, edges, seed=seed,
-                                     edge_prob=edge_prob)
-            if graph.num_edges != m:
-                raise ValueError(f"section {len(graphs)} header says {m} "
-                                 f"edges, lists {graph.num_edges} distinct")
-            if seed >= 0:
-                regen = regen or gen_random_graph(n, edge_prob, seed)
-                if regen.edges != graph.edges:
-                    raise ValueError(f"edge list for seed {seed} does not "
-                                     "match regeneration")
-            graphs.append(graph)
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return graphs

@@ -239,6 +239,13 @@ def _stream_rng(master: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
+def problem_seeds(master: int) -> typing.Iterator[int]:
+    """Yield the seeds of a run's problem graphs, in epoch order."""
+    rng = _stream_rng(master, _PROBLEM_STREAM)
+    while True:
+        yield int(rng.integers(0, 2 ** 63))
+
+
 def _mining_draws(cfg: SimConfig):
     """Yield the mining substream one block's row at a time, one standard
     exponential per miner; on PCG64 a (rows, m) draw is rows draws of m."""
@@ -354,7 +361,7 @@ def bubka_strategy_step(st: MinerState, chain_best: int) -> None:
 
 def check_saturation_and_replace(problem: ProblemInstance, height: int,
                                  config: SimConfig,
-                                 rng: np.random.Generator,
+                                 seeds: typing.Iterator[int],
                                  solving: list[MinerState],
                                  ) -> ProblemInstance | None:
     """Decide, after the block at ``height``, whether the active problem is
@@ -377,8 +384,7 @@ def check_saturation_and_replace(problem: ProblemInstance, height: int,
                 >= config.saturation_window)
     if not (done or stagnant):
         return None
-    seed = int(rng.integers(0, 2 ** 63))
-    graph = gen_random_graph(config.graph_n, config.graph_p, seed)
+    graph = gen_random_graph(config.graph_n, config.graph_p, next(seeds))
     return ProblemInstance(graph=graph, epoch=problem.epoch + 1,
                            last_improvement_height=height)
 
@@ -402,11 +408,10 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
     policy = DifficultyPolicy(cfg)
     state = DifficultyState(d_b=cfg.initial_db, d_r=cfg.initial_dr)
     mining_draws = _mining_draws(cfg)
-    problem_rng = _stream_rng(cfg.seed, _PROBLEM_STREAM)
+    seeds = problem_seeds(cfg.seed)
 
     problem = ProblemInstance(
-        graph=gen_random_graph(cfg.graph_n, cfg.graph_p,
-                               int(problem_rng.integers(0, 2 ** 63))),
+        graph=gen_random_graph(cfg.graph_n, cfg.graph_p, next(seeds)),
         epoch=0)
     hashrates = tuple(float(spec.hashrate) for spec in cfg.miners)
     # The roster of solving miners; bitcoin pays for no solution, so there
@@ -458,7 +463,7 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
                                  height + 1 - cum_solution, cum_solution))
 
         fresh = check_saturation_and_replace(problem, height, cfg,
-                                             problem_rng, solving)
+                                             seeds, solving)
         if fresh is not None:
             replacement_heights.append(height)
             problem = fresh

@@ -1,4 +1,5 @@
-"""Config files, record serialization, manifests, and replay checks.
+"""Every file a run writes: configs, records, graph edge lists and
+manifests, plus the replay checks that read them back.
 
 The config format is deliberately flat: one ``key = value`` per line, every
 simulation parameter under its own greppable name, `#` comments.  Miners
@@ -15,15 +16,23 @@ or JSONL with the same fields; both round-trip exactly.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import os
+import re
 import typing
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from math import inf
 from operator import itemgetter
 
-from .clique import INITIAL_BEST_SCORE, Graph
+import numpy as np
+
+# read_graphs calls clique.gen_random_graph, so patches there see it.
+from . import clique
+from .clique import INITIAL_BEST_SCORE, MAX_GRAPH_N, Graph, InvalidParams
 from .engine import (
     FLOAT_FIELDS,
     ConfigError,
@@ -31,6 +40,7 @@ from .engine import (
     SimConfig,
     SimRecord,
     Strategy,
+    problem_seeds,
 )
 
 # The record schema is SimRecord's: its fields, in order, are the columns,
@@ -250,6 +260,106 @@ def _records(lines: list[str], jsonl: bool) -> list[SimRecord]:
 
 
 # ---------------------------------------------------------------------------
+# Graph edge lists
+# ---------------------------------------------------------------------------
+
+def graph_to_edge_list(graph: Graph) -> str:
+    """Render one graph as an edge-list section.
+
+    Header line is "n m seed p", then one "u v" pair per line, 0-indexed,
+    u < v, in (u, v) order: the text ``read_graphs`` matches before parsing.
+    """
+    head = (f"{graph.n} {graph.num_edges} {graph.seed} "
+            f"{format(graph.edge_prob, '.17g')}")
+    return "\n".join([head, *_edge_lines(graph)]) + "\n"
+
+
+def _edge_lines(graph: Graph) -> list[str]:
+    bits = clique._unpack(graph.n, graph.edges)
+    return _pair_labels(graph.n)[bits].tolist()
+
+
+@lru_cache(maxsize=1)  # a run's graphs all share one n
+def _pair_labels(n: int) -> np.ndarray:
+    """The "u v" label of each pair u < v, in ``clique._upper(n)`` order."""
+    pairs = zip(*np.nonzero(clique._upper(n)))
+    return np.array([f"{u} {v}" for u, v in pairs], dtype=object)
+
+
+def write_graphs(graphs, path) -> None:
+    """Write one or more graphs as concatenated edge-list sections.
+
+    A multi-epoch run stores the graph of epoch k as section k, so a single
+    file is enough to audit a whole chain.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        for graph in graphs:
+            fh.write(graph_to_edge_list(graph))
+
+
+# The next non-blank line from a position on, stripped.
+_NEXT_LINE = re.compile(r"\S(?:[^\n]*\S)?")
+
+
+def read_graphs(path) -> list[Graph]:
+    """Parse edge-list sections back into graphs.
+
+    The header's edge count must equal the number of distinct edges
+    listed.  When a section carries a non-negative seed it is re-drawn from
+    (n, edge_prob, seed) and must match the listed edges bit for bit.  A
+    section whose text after its header line is exactly the re-drawn
+    graph's rendering is taken as it, unparsed.  Every problem with the
+    file raises ReplayError naming it.
+    """
+    text = _read_text(path, ReplayError)
+    graphs, pos = [], 0
+    try:
+        while line := _NEXT_LINE.search(text, pos):
+            head, pos = line[0].split(), line.end() + 1
+            if len(head) != 4:
+                raise ValueError(f"bad edge-list header: {line[0]!r}")
+            n, m, seed = int(head[0]), int(head[1]), int(head[2])
+            if n > MAX_GRAPH_N:
+                raise ValueError(f"section {len(graphs)} has {n} vertices, "
+                                 f"more than {MAX_GRAPH_N}")
+            edge_prob = float(head[3])
+            regen = None
+            if seed >= 0:
+                with contextlib.suppress(InvalidParams):  # raised below
+                    regen = clique.gen_random_graph(n, edge_prob, seed)
+            if regen and regen.num_edges == m:
+                rendered = "\n".join(_edge_lines(regen))
+                end = pos + len(rendered)
+                if (text.startswith(rendered, pos)
+                        and text[end:end + 1] in ("\n", "")):
+                    graphs.append(regen)
+                    pos = end
+                    continue
+            body = []
+            while len(body) < m and (line := _NEXT_LINE.search(text, pos)):
+                body.append(line[0])
+                pos = line.end() + 1
+            if len(body) < m:
+                raise ValueError(f"section {len(graphs)} lists "
+                                 f"{len(body)} of its {m} edges")
+            edges = [(int(u), int(v)) for u, v in map(str.split, body)]
+            graph = Graph.from_edges(n, edges, seed=seed,
+                                     edge_prob=edge_prob)
+            if graph.num_edges != m:
+                raise ValueError(f"section {len(graphs)} header says {m} "
+                                 f"edges, lists {graph.num_edges} distinct")
+            if seed >= 0:
+                regen = regen or clique.gen_random_graph(n, edge_prob, seed)
+                if regen.edges != graph.edges:
+                    raise ValueError(f"edge list for seed {seed} does not "
+                                     "match regeneration")
+            graphs.append(graph)
+    except ValueError as exc:
+        raise ReplayError(f"{path}: {exc}") from None
+    return graphs
+
+
+# ---------------------------------------------------------------------------
 # Run manifest
 # ---------------------------------------------------------------------------
 
@@ -271,6 +381,9 @@ class RunManifest:
     finished_utc: str
 
 
+_MANIFEST_TYPES = typing.get_type_hints(RunManifest).items()
+
+
 def write_manifest(manifest: RunManifest, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(manifest), fh, indent=2, sort_keys=True)
@@ -278,8 +391,36 @@ def write_manifest(manifest: RunManifest, path) -> None:
 
 
 def read_manifest(path) -> RunManifest:
-    with open(path, encoding="utf-8") as fh:
-        return RunManifest(**json.load(fh))
+    """Read a manifest back; a file that is not one raises ReplayError."""
+    try:
+        manifest = RunManifest(**json.loads(_read_text(path, ReplayError)))
+    except (TypeError, ValueError) as exc:
+        raise ReplayError(f"{path}: not a run manifest ({exc})") from None
+    if not all(isinstance(getattr(manifest, f), t)
+               for f, t in _MANIFEST_TYPES):
+        raise ReplayError(f"{path}: not a run manifest")
+    return manifest
+
+
+def bind_graphs(records_path, graphs_path, graphs: list[Graph]) -> None:
+    """Where a ``manifest.json`` beside ``records_path`` lists that file,
+    require section k's header (n, p, seed), whose edges ``read_graphs``
+    matched, to be its config's ``graph_n``, ``graph_p`` and k-th problem
+    seed.  Without such a manifest nothing ties the graphs to a run."""
+    folder, name = os.path.split(records_path)
+    path = os.path.join(folder, "manifest.json")
+    manifest = read_manifest(path) if os.path.exists(path) else None
+    if manifest is None or name not in manifest.outputs.values():
+        return
+    try:
+        cfg = parse_config_text(manifest.config_text)
+    except ConfigError as exc:
+        raise ReplayError(f"{path}: {exc}") from None
+    drawn = (cfg.graph_n, cfg.graph_p)
+    for k, (graph, seed) in enumerate(zip(graphs, problem_seeds(cfg.seed))):
+        if (graph.n, graph.edge_prob, graph.seed) != (*drawn, seed):
+            raise ReplayError(f"{graphs_path}: section {k} is not the "
+                              f"run's graph {k} ({path})")
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,21 @@ configuration files."""
 import glob
 import json
 import os
+import shlex
+import sys
 import warnings
 
 import pytest
 
 from cliquechain import cli, clique, experiments
 from cliquechain.cli import main
-from cliquechain.clique import MAX_GRAPH_N, read_graphs, write_graphs
-from cliquechain.io import parse_config, read_manifest
+from cliquechain.clique import MAX_GRAPH_N
+from cliquechain.io import (
+    parse_config,
+    read_graphs,
+    read_manifest,
+    write_graphs,
+)
 
 V2_SMALL = "policy = v2\nseed = 3\nmax_blocks = 120\n"
 V1_SMALL = "policy = v1\nseed = 6\nmax_blocks = 150\n"
@@ -153,18 +160,78 @@ def test_verify_chain_rejects_non_finite_floats(tmp_path, capsys, fmt,
 @pytest.mark.parametrize("n,code", [(MAX_GRAPH_N + 1, 3), (MAX_GRAPH_N, 0)])
 def test_verify_chain_bounds_the_graph_header(tmp_path, capsys, n, code):
     # A hand-built edgeless section allocates nothing of size n squared,
-    # so the bound itself reads back in-process.
+    # so the bound itself reads back in-process.  It is no graph of the
+    # run, so the records are read from a directory without its manifest.
     cfg = write_cfg(tmp_path, "policy = bitcoin\nseed = 1\nmax_blocks = 5\n")
-    out = str(tmp_path / "out")
-    assert main(["simulate", cfg, "--out-dir", out]) == 0
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
+    records = tmp_path / "records.csv"
+    records.write_bytes((out / "records.csv").read_bytes())
     graphs = str(tmp_path / "big.edges")
     with open(graphs, "w") as fh:
         fh.write(f"{n} 0 -1 0\n")
     capsys.readouterr()
-    assert main(["verify-chain", os.path.join(out, "records.csv"),
-                 graphs]) == code
+    assert main(["verify-chain", str(records), graphs]) == code
     if code:
         assert f"{n} vertices" in capsys.readouterr().err
+
+
+def test_verify_chain_binds_the_graphs_to_the_run(tmp_path, capsys):
+    # Replacements at heights 49, 99, ..., 349 give 8 graphs.  Graph 2
+    # swapped for another seed's draw is still a consistent G(n, p)
+    # section, so only the manifest's config can tell it is not the run's.
+    cfg = write_cfg(tmp_path, "policy = bitcoin\nseed = 3\n"
+                              "max_blocks = 380\n")
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
+    graphs = read_graphs(out / "graphs.edges")
+    graphs[2] = clique.gen_random_graph(graphs[2].n, graphs[2].edge_prob,
+                                        graphs[2].seed + 1)
+    swapped = str(tmp_path / "swapped.edges")
+    write_graphs(graphs, swapped)
+    capsys.readouterr()
+    assert main(["verify-chain", str(out / "records.csv"), swapped]) == 3
+    assert ("swapped.edges: section 2 is not the run's graph 2"
+            in capsys.readouterr().err)
+    # Without the manifest beside them, the records bind to no run.
+    alone = tmp_path / "records.csv"
+    alone.write_bytes((out / "records.csv").read_bytes())
+    assert main(["verify-chain", str(alone), swapped]) == 0
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text[:len(text) // 2],
+    lambda text: "[]",
+    lambda text: json.dumps({**json.loads(text), "outputs": ["records"]}),
+    lambda text: text.replace("policy = v2", "policy = v3"),
+], ids=["truncated", "a-list", "outputs-a-list", "config-does-not-parse"])
+def test_verify_chain_refuses_a_bad_manifest(tmp_path, capsys, edit):
+    cfg = write_cfg(tmp_path, V2_SMALL)
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
+    manifest = out / "manifest.json"
+    manifest.write_text(edit(manifest.read_text()))
+    capsys.readouterr()
+    assert main(["verify-chain", str(out / "records.csv"),
+                 str(out / "graphs.edges")]) == 3
+    assert "manifest.json: " in capsys.readouterr().err
+
+
+def test_manifest_records_the_parsed_command_line(tmp_path, monkeypatch):
+    # In-process callers of main, the benchmark and these tests, run under
+    # another program's sys.argv; main(None) reads sys.argv[1:].
+    cfg = write_cfg(tmp_path, V2_SMALL, "my run.cfg")
+    monkeypatch.setattr(sys, "argv", ["host-process", "--flag"])
+    argv = ["simulate", cfg, "--out-dir", str(tmp_path / "a")]
+    assert main(argv) == 0
+    manifest = read_manifest(tmp_path / "a" / "manifest.json")
+    assert manifest.command == shlex.join(["cliquechain", *argv])
+    assert shlex.split(manifest.command)[1:] == argv
+    argv[-1] = str(tmp_path / "b")
+    monkeypatch.setattr(sys, "argv", ["cliquechain", *argv])
+    assert main() == 0
+    manifest = read_manifest(tmp_path / "b" / "manifest.json")
+    assert manifest.command == shlex.join(["cliquechain", *argv])
 
 
 def test_seed_override_is_recorded_and_changes_output(tmp_path):
@@ -378,7 +445,8 @@ def test_bubka_without_seeds_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("command,text", [("simulate", V2_SMALL),
                                           ("eta-sweep", SWEEP_SMALL)],
                          ids=["simulate", "eta-sweep"])
-@pytest.mark.parametrize("under", ["", "out"], ids=["file", "below-file"])
+@pytest.mark.parametrize("under", ["file", "file/out", "link"],
+                         ids=["file", "below-file", "dangling-link"])
 def test_out_dir_that_cannot_be_made_exits_2_before_the_run(
         tmp_path, capsys, monkeypatch, command, text, under):
     # A run would raise, so exit 2 shows the directory is checked first.
@@ -389,7 +457,8 @@ def test_out_dir_that_cannot_be_made_exits_2_before_the_run(
     monkeypatch.setattr(experiments, "simulate", refuse)
     cfg = write_cfg(tmp_path, text)
     (tmp_path / "file").write_text("")
-    out = str(tmp_path / "file" / under)
+    (tmp_path / "link").symlink_to(tmp_path / "absent" / "target")
+    out = str(tmp_path / under)
     assert main([command, cfg, "--out-dir", out]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1

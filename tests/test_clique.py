@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cliquechain import clique
+from cliquechain import clique, io
 from cliquechain.clique import (
     MAX_GRAPH_N,
     Graph,
@@ -15,8 +15,11 @@ from cliquechain.clique import (
     _relabel,
     brute_force_max_clique,
     gen_random_graph,
-    graph_to_edge_list,
     is_clique,
+)
+from cliquechain.io import (
+    ReplayError,
+    graph_to_edge_list,
     read_graphs,
     write_graphs,
 )
@@ -619,7 +622,7 @@ def test_edge_list_detects_tampering(tmp_path):
     header[1] = str(int(header[1]) - 1)
     lines[0] = " ".join(header)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="regeneration"):
+    with pytest.raises(ReplayError, match="regeneration"):
         read_graphs(path)
 
 
@@ -631,8 +634,19 @@ def test_edge_list_rejects_a_wrong_edge_count(tmp_path, text):
     # Both parse to valid graphs whose rewritten header would differ.
     path = tmp_path / "graph.edges"
     path.write_text(text)
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(ReplayError, match="distinct"):
         read_graphs(path)
+
+
+def test_edge_list_caches_hold_one_size(tmp_path):
+    # A run's graphs share one n, and one label table is 0.7 GB at
+    # MAX_GRAPH_N, so the caches keep only the last size.
+    path = tmp_path / "graphs.edges"
+    write_graphs([gen_random_graph(20, 0.5, 1), gen_random_graph(9, 0.5, 2)],
+                 path)
+    assert [g.n for g in read_graphs(path)] == [20, 9]
+    assert io._pair_labels.cache_info().currsize == 1
+    assert clique._upper.cache_info().currsize == 1
 
 
 def test_handcrafted_graphs_round_trip(tmp_path):
@@ -715,8 +729,8 @@ def test_rendering_must_end_at_a_line_end(tmp_path):
     last = graph_to_edge_list(g).splitlines()[-1]
     path = tmp_path / "graph.edges"
     path.write_text(graph_to_edge_list(g).rstrip("\n") + "0\n")
-    with pytest.raises(ValueError, match=rf"bad edge \({last.split()[0]}, "
-                                         rf"{last.split()[1]}0\)"):
+    with pytest.raises(ReplayError, match=rf"bad edge \({last.split()[0]}, "
+                                          rf"{last.split()[1]}0\)"):
         read_graphs(path)
 
 
@@ -728,7 +742,7 @@ def test_tampered_seeded_section_regenerates_once(tmp_path, monkeypatch):
     path = tmp_path / "graph.edges"
     path.write_text("\n".join([" ".join(header)] + lines[2:]) + "\n")
     calls = _count_regenerations(monkeypatch)
-    with pytest.raises(ValueError, match="regeneration"):
+    with pytest.raises(ReplayError, match="regeneration"):
         read_graphs(path)
     assert calls == [(12, 0.5, 21)]
 
@@ -749,7 +763,7 @@ def test_seeded_section_errors_keep_their_messages(tmp_path, text, message):
     # even where the re-draw itself would fail first.
     path = tmp_path / "graph.edges"
     path.write_text(text)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ReplayError, match=message):
         read_graphs(path)
 
 
@@ -763,7 +777,7 @@ def test_oversized_section_is_refused_before_any_allocation(
     built = []
     monkeypatch.setattr(Graph, "from_edges",
                         lambda *args, **kwargs: built.append(args))
-    with pytest.raises(ValueError,
+    with pytest.raises(ReplayError,
                        match=rf"graph.edges: section 1 has {n} vertices"):
         read_graphs(path)
     assert calls == [(5, 0.5, 3)] and built == []

@@ -33,6 +33,7 @@ from cliquechain.engine import (
     bubka_strategy_step,
     default_miners,
     derive_seed,
+    problem_seeds,
     sample_block_winner,
     simulate,
 )
@@ -474,6 +475,19 @@ def test_derive_seed_is_pure_and_spreads():
     assert derive_seed(42, 1, 2) == derive_seed(42, 1, 2)
     seeds = {derive_seed(42, i, j) for i in range(10) for j in range(10)}
     assert len(seeds) == 100
+
+
+def test_problem_seeds_are_the_run_graphs_seeds():
+    # Graph k is drawn from the k-th integers(0, 2**63) draw of the
+    # problem stream, spawn key 1 of the master seed.
+    cfg = SimConfig(policy="bitcoin", seed=3, max_blocks=380)
+    graphs = simulate(cfg).graphs
+    stream = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=3, spawn_key=(1,))))
+    expect = [int(stream.integers(0, 2 ** 63)) for _ in graphs]
+    assert len(graphs) == 8
+    assert [g.seed for g in graphs] == expect
+    assert list(zip(range(8), problem_seeds(3))) == list(enumerate(expect))
 
 
 # ---------------------------------------------------------------------------
