@@ -6,8 +6,8 @@ Exit codes:
 * 2: bad arguments, or a config file that is missing, does not parse, or
   sets a value the simulator rejects (NaN and inf included).
 * 3: a records or graphs file that is missing, malformed or fails
-  re-validation, a malformed manifest beside the records, or a failed
-  selftest.
+  re-validation, a manifest beside the records that is missing, malformed
+  or does not list them, or a failed selftest.
 * 1: anything else; that is a bug and comes with a traceback.
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .clique import SolverCursor, brute_force_max_clique, gen_random_graph
-from .engine import ConfigError, SimConfig, simulate
+from .engine import ConfigError, SimConfig, problem_graphs, simulate
 from .experiments import (
     DEFAULT_BUBKA_SEEDS,
     DEFAULT_BUBKA_TARGETS,
@@ -36,11 +36,11 @@ from .experiments import (
 from .io import (
     ReplayError,
     RunManifest,
-    bind_graphs,
     parse_config,
     read_graphs,
     read_records,
     render_config,
+    run_config,
     verify_record_stream,
     write_graphs,
     write_manifest,
@@ -210,8 +210,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify_chain(args) -> int:
     records = read_records(args.records)
-    graphs = read_graphs(args.graphs)
-    bind_graphs(args.records, args.graphs, graphs)
+    graphs = read_graphs(args.graphs, problem_graphs(run_config(args.records)))
     verify_record_stream(records, graphs)
     print(f"ok: {len(records)} records over {len(graphs)} problem graphs")
     return 0

@@ -27,8 +27,8 @@ INITIAL_BEST_SCORE = 1
 # Sentinel seed for hand-built graphs that were not drawn from G(n, p).
 HANDCRAFTED_SEED = -1
 
-# The most vertices a config or a graphs file may name; the need grows
-# with n squared.  gen_random_graph holds n(n-1)/2 float64 draws and their
+# The most vertices a config may name, and so a graphs file, whose sections
+# must be the config's graphs; the need grows with n squared.  gen_random_graph holds n(n-1)/2 float64 draws and their
 # bits at once (75 MB at 4,096 vertices); a search builds an n-by-n bool
 # matrix; writing or reading a graphs file, one "u v" string per pair
 # (``io._pair_labels``, about 80 bytes each: 0.7 GB at 4,096 vertices).

@@ -239,11 +239,12 @@ def _stream_rng(master: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def problem_seeds(master: int) -> typing.Iterator[int]:
-    """Yield the seeds of a run's problem graphs, in epoch order."""
-    rng = _stream_rng(master, _PROBLEM_STREAM)
+def problem_graphs(cfg: SimConfig) -> typing.Iterator[Graph]:
+    """Yield a run's problem graphs in epoch order, each drawn on demand."""
+    rng = _stream_rng(cfg.seed, _PROBLEM_STREAM)
     while True:
-        yield int(rng.integers(0, 2 ** 63))
+        yield gen_random_graph(cfg.graph_n, cfg.graph_p,
+                               int(rng.integers(0, 2 ** 63)))
 
 
 def _mining_draws(cfg: SimConfig):
@@ -361,11 +362,11 @@ def bubka_strategy_step(st: MinerState, chain_best: int) -> None:
 
 def check_saturation_and_replace(problem: ProblemInstance, height: int,
                                  config: SimConfig,
-                                 seeds: typing.Iterator[int],
+                                 graphs: typing.Iterator[Graph],
                                  solving: list[MinerState],
                                  ) -> ProblemInstance | None:
     """Decide, after the block at ``height``, whether the active problem is
-    spent; if so build its successor.
+    spent; if so build its successor on the next of the run's ``graphs``.
 
     Two triggers: the problem is solved out, or the best score has been
     frozen for a full saturation window of blocks.  Solved out means
@@ -384,8 +385,7 @@ def check_saturation_and_replace(problem: ProblemInstance, height: int,
                 >= config.saturation_window)
     if not (done or stagnant):
         return None
-    graph = gen_random_graph(config.graph_n, config.graph_p, next(seeds))
-    return ProblemInstance(graph=graph, epoch=problem.epoch + 1,
+    return ProblemInstance(graph=next(graphs), epoch=problem.epoch + 1,
                            last_improvement_height=height)
 
 
@@ -408,11 +408,9 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
     policy = DifficultyPolicy(cfg)
     state = DifficultyState(d_b=cfg.initial_db, d_r=cfg.initial_dr)
     mining_draws = _mining_draws(cfg)
-    seeds = problem_seeds(cfg.seed)
+    problem_stream = problem_graphs(cfg)
 
-    problem = ProblemInstance(
-        graph=gen_random_graph(cfg.graph_n, cfg.graph_p, next(seeds)),
-        epoch=0)
+    problem = ProblemInstance(graph=next(problem_stream), epoch=0)
     hashrates = tuple(float(spec.hashrate) for spec in cfg.miners)
     # The roster of solving miners; bitcoin pays for no solution, so there
     # every miner only hashes.
@@ -463,7 +461,7 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
                                  height + 1 - cum_solution, cum_solution))
 
         fresh = check_saturation_and_replace(problem, height, cfg,
-                                             seeds, solving)
+                                             problem_stream, solving)
         if fresh is not None:
             replacement_heights.append(height)
             problem = fresh

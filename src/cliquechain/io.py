@@ -16,7 +16,6 @@ or JSONL with the same fields; both round-trip exactly.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import os
@@ -30,9 +29,8 @@ from operator import itemgetter
 
 import numpy as np
 
-# read_graphs calls clique.gen_random_graph, so patches there see it.
 from . import clique
-from .clique import INITIAL_BEST_SCORE, MAX_GRAPH_N, Graph, InvalidParams
+from .clique import INITIAL_BEST_SCORE, Graph
 from .engine import (
     FLOAT_FIELDS,
     ConfigError,
@@ -40,7 +38,6 @@ from .engine import (
     SimConfig,
     SimRecord,
     Strategy,
-    problem_seeds,
 )
 
 # The record schema is SimRecord's: its fields, in order, are the columns,
@@ -301,14 +298,14 @@ def write_graphs(graphs, path) -> None:
 _NEXT_LINE = re.compile(r"\S(?:[^\n]*\S)?")
 
 
-def read_graphs(path) -> list[Graph]:
-    """Parse edge-list sections back into graphs.
+def read_graphs(path, expected: typing.Iterator[Graph]) -> list[Graph]:
+    """Read edge-list sections back as the graphs that ``expected`` yields,
+    drawing one per section.
 
-    The header's edge count must equal the number of distinct edges
-    listed.  When a section carries a non-negative seed it is re-drawn from
-    (n, edge_prob, seed) and must match the listed edges bit for bit.  A
-    section whose text after its header line is exactly the re-drawn
-    graph's rendering is taken as it, unparsed.  Every problem with the
+    Section k's header must name graph k's n, seed and edge_prob (compared
+    as numbers) and count the distinct edges it lists, and those edges
+    must be graph k's.  A section whose text after its header line is
+    exactly graph k's rendering is taken unparsed.  Every problem with the
     file raises ReplayError naming it.
     """
     text = _read_text(path, ReplayError)
@@ -319,41 +316,33 @@ def read_graphs(path) -> list[Graph]:
             if len(head) != 4:
                 raise ValueError(f"bad edge-list header: {line[0]!r}")
             n, m, seed = int(head[0]), int(head[1]), int(head[2])
-            if n > MAX_GRAPH_N:
-                raise ValueError(f"section {len(graphs)} has {n} vertices, "
-                                 f"more than {MAX_GRAPH_N}")
-            edge_prob = float(head[3])
-            regen = None
-            if seed >= 0:
-                with contextlib.suppress(InvalidParams):  # raised below
-                    regen = clique.gen_random_graph(n, edge_prob, seed)
-            if regen and regen.num_edges == m:
-                rendered = "\n".join(_edge_lines(regen))
-                end = pos + len(rendered)
-                if (text.startswith(rendered, pos)
-                        and text[end:end + 1] in ("\n", "")):
-                    graphs.append(regen)
-                    pos = end
-                    continue
+            edge_prob, k = float(head[3]), len(graphs)
+            want = next(expected)
+            # Checking n before parsing bounds the n-by-n allocation.
+            if (n, seed, edge_prob) != (want.n, want.seed, want.edge_prob):
+                raise ValueError(f"section {k} is not the run's graph {k}")
+            graphs.append(want)
+            rendered = "\n".join(_edge_lines(want))
+            end = pos + len(rendered)
+            if (m == want.num_edges and text.startswith(rendered, pos)
+                    and text[end:end + 1] in ("\n", "")):
+                pos = end
+                continue
             body = []
             while len(body) < m and (line := _NEXT_LINE.search(text, pos)):
                 body.append(line[0])
                 pos = line.end() + 1
             if len(body) < m:
-                raise ValueError(f"section {len(graphs)} lists "
-                                 f"{len(body)} of its {m} edges")
+                raise ValueError(f"section {k} lists {len(body)} of its "
+                                 f"{m} edges")
             edges = [(int(u), int(v)) for u, v in map(str.split, body)]
-            graph = Graph.from_edges(n, edges, seed=seed,
-                                     edge_prob=edge_prob)
+            graph = Graph.from_edges(n, edges)
             if graph.num_edges != m:
-                raise ValueError(f"section {len(graphs)} header says {m} "
-                                 f"edges, lists {graph.num_edges} distinct")
-            if seed >= 0:
-                regen = regen or clique.gen_random_graph(n, edge_prob, seed)
-                if regen.edges != graph.edges:
-                    raise ValueError(f"edge list for seed {seed} does not "
-                                     "match regeneration")
-            graphs.append(graph)
+                raise ValueError(f"section {k} header says {m} edges, "
+                                 f"lists {graph.num_edges} distinct")
+            if graph.edges != want.edges:
+                raise ValueError(f"edge list for seed {seed} does not "
+                                 "match regeneration")
     except ValueError as exc:
         raise ReplayError(f"{path}: {exc}") from None
     return graphs
@@ -402,25 +391,19 @@ def read_manifest(path) -> RunManifest:
     return manifest
 
 
-def bind_graphs(records_path, graphs_path, graphs: list[Graph]) -> None:
-    """Where a ``manifest.json`` beside ``records_path`` lists that file,
-    require section k's header (n, p, seed), whose edges ``read_graphs``
-    matched, to be its config's ``graph_n``, ``graph_p`` and k-th problem
-    seed.  Without such a manifest nothing ties the graphs to a run."""
+def run_config(records_path) -> SimConfig:
+    """The config of the run whose ``manifest.json`` sits beside
+    ``records_path`` and lists that file; anything less raises
+    ReplayError."""
     folder, name = os.path.split(records_path)
     path = os.path.join(folder, "manifest.json")
-    manifest = read_manifest(path) if os.path.exists(path) else None
-    if manifest is None or name not in manifest.outputs.values():
-        return
+    manifest = read_manifest(path)
+    if name not in manifest.outputs.values():
+        raise ReplayError(f"{path}: does not list {name}")
     try:
-        cfg = parse_config_text(manifest.config_text)
+        return parse_config_text(manifest.config_text)
     except ConfigError as exc:
         raise ReplayError(f"{path}: {exc}") from None
-    drawn = (cfg.graph_n, cfg.graph_p)
-    for k, (graph, seed) in enumerate(zip(graphs, problem_seeds(cfg.seed))):
-        if (graph.n, graph.edge_prob, graph.seed) != (*drawn, seed):
-            raise ReplayError(f"{graphs_path}: section {k} is not the "
-                              f"run's graph {k} ({path})")
 
 
 # ---------------------------------------------------------------------------

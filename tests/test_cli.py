@@ -12,7 +12,8 @@ import pytest
 
 from cliquechain import cli, clique, experiments
 from cliquechain.cli import main
-from cliquechain.clique import MAX_GRAPH_N
+from cliquechain.clique import MAX_GRAPH_N, Graph
+from cliquechain.engine import problem_graphs
 from cliquechain.io import (
     parse_config,
     read_graphs,
@@ -69,7 +70,7 @@ def test_bitcoin_runs_and_verifies_without_search_masks(tmp_path,
     graphs = os.path.join(out, "graphs.edges")
     assert main(["verify-chain", os.path.join(out, "records.csv"),
                  graphs]) == 0
-    assert len(read_graphs(graphs)) > 1
+    assert len(read_graphs(graphs, problem_graphs(parse_config(cfg)))) > 1
     with pytest.raises(AssertionError, match="search masks"):
         main(["simulate", write_cfg(tmp_path, V2_SMALL, "v2.cfg"),
               "--out-dir", str(tmp_path / "v2")])
@@ -157,23 +158,29 @@ def test_verify_chain_rejects_non_finite_floats(tmp_path, capsys, fmt,
     assert "height 1: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n,code", [(MAX_GRAPH_N + 1, 3), (MAX_GRAPH_N, 0)])
-def test_verify_chain_bounds_the_graph_header(tmp_path, capsys, n, code):
-    # A hand-built edgeless section allocates nothing of size n squared,
-    # so the bound itself reads back in-process.  It is no graph of the
-    # run, so the records are read from a directory without its manifest.
-    cfg = write_cfg(tmp_path, "policy = bitcoin\nseed = 1\nmax_blocks = 5\n")
+@pytest.mark.parametrize("n,code", [(MAX_GRAPH_N + 1, 3), (30, 0)])
+def test_verify_chain_bounds_the_graph_header(tmp_path, capsys, monkeypatch,
+                                              n, code):
+    # Section 1's header names n vertices; the run's graphs have 30.  A
+    # header above MAX_GRAPH_N is refused before any graph is built.
+    cfg = write_cfg(tmp_path, "policy = bitcoin\nseed = 1\nmax_blocks = 80\n"
+                              "graph_n = 30\n")
     out = tmp_path / "out"
     assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
-    records = tmp_path / "records.csv"
-    records.write_bytes((out / "records.csv").read_bytes())
-    graphs = str(tmp_path / "big.edges")
-    with open(graphs, "w") as fh:
-        fh.write(f"{n} 0 -1 0\n")
+    graphs = out / "graphs.edges"
+    text = graphs.read_text()
+    second = text.index("\n30 ") + 1
+    graphs.write_text(text[:second] + f"{n} " + text[second + 3:])
+    built = []
+    monkeypatch.setattr(Graph, "from_edges",
+                        lambda *args, **kwargs: built.append(args))
     capsys.readouterr()
-    assert main(["verify-chain", str(records), graphs]) == code
+    records = str(out / "records.csv")
+    assert main(["verify-chain", records, str(graphs)]) == code
+    assert built == []
     if code:
-        assert f"{n} vertices" in capsys.readouterr().err
+        assert ("graphs.edges: section 1 is not the run's graph 1"
+                in capsys.readouterr().err)
 
 
 def test_verify_chain_binds_the_graphs_to_the_run(tmp_path, capsys):
@@ -184,7 +191,8 @@ def test_verify_chain_binds_the_graphs_to_the_run(tmp_path, capsys):
                               "max_blocks = 380\n")
     out = tmp_path / "out"
     assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
-    graphs = read_graphs(out / "graphs.edges")
+    graphs = read_graphs(out / "graphs.edges",
+                         problem_graphs(parse_config(cfg)))
     graphs[2] = clique.gen_random_graph(graphs[2].n, graphs[2].edge_prob,
                                         graphs[2].seed + 1)
     swapped = str(tmp_path / "swapped.edges")
@@ -193,10 +201,18 @@ def test_verify_chain_binds_the_graphs_to_the_run(tmp_path, capsys):
     assert main(["verify-chain", str(out / "records.csv"), swapped]) == 3
     assert ("swapped.edges: section 2 is not the run's graph 2"
             in capsys.readouterr().err)
-    # Without the manifest beside them, the records bind to no run.
+    # Records bind to a run only through a manifest beside them that
+    # lists them.
     alone = tmp_path / "records.csv"
     alone.write_bytes((out / "records.csv").read_bytes())
-    assert main(["verify-chain", str(alone), swapped]) == 0
+    graphs = str(out / "graphs.edges")
+    assert main(["verify-chain", str(alone), graphs]) == 3
+    assert "manifest.json: No such file" in capsys.readouterr().err
+    unlisted = out / "copy.csv"
+    unlisted.write_bytes((out / "records.csv").read_bytes())
+    assert main(["verify-chain", str(unlisted), graphs]) == 3
+    assert ("manifest.json: does not list copy.csv"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("edit", [
@@ -401,7 +417,8 @@ def test_verify_chain_needs_a_graph_per_epoch_and_fixed_classical_scores(
     assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
     records, graphs = str(out / "records.csv"), str(out / "graphs.edges")
     cut = str(tmp_path / "cut.edges")
-    write_graphs(read_graphs(graphs)[:-1], cut)
+    write_graphs(read_graphs(graphs, problem_graphs(parse_config(cfg)))[:-1],
+                 cut)
     capsys.readouterr()
     assert main(["verify-chain", records, cut]) == 3
     assert "height 350: no graph for epoch 7" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Graph generation and the pausable clique search, checked against the
 brute-force oracle and hand-built graphs."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -604,7 +606,7 @@ def test_edge_list_round_trip(tmp_path):
     graphs = [gen_random_graph(20, 0.5, 11), gen_random_graph(15, 0.3, 12)]
     path = tmp_path / "graphs.edges"
     write_graphs(graphs, path)
-    back = read_graphs(path)
+    back = read_graphs(path, iter(graphs))
     assert len(back) == 2
     for orig, re in zip(graphs, back):
         assert re.neighbor_masks == orig.neighbor_masks
@@ -623,7 +625,16 @@ def test_edge_list_detects_tampering(tmp_path):
     lines[0] = " ".join(header)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ReplayError, match="regeneration"):
-        read_graphs(path)
+        read_graphs(path, iter([g]))
+
+
+def _named_by(text):
+    """The complete graph on the n vertices that ``text``'s first header
+    names, carrying its seed and edge_prob: the header names this graph,
+    and no section here lists all of its edges."""
+    n, _, seed, edge_prob = text.split()[:4]
+    return dataclasses.replace(complete_graph(int(n)), seed=int(seed),
+                               edge_prob=float(edge_prob))
 
 
 @pytest.mark.parametrize("text", [
@@ -635,16 +646,16 @@ def test_edge_list_rejects_a_wrong_edge_count(tmp_path, text):
     path = tmp_path / "graph.edges"
     path.write_text(text)
     with pytest.raises(ReplayError, match="distinct"):
-        read_graphs(path)
+        read_graphs(path, iter([_named_by(text)]))
 
 
 def test_edge_list_caches_hold_one_size(tmp_path):
     # A run's graphs share one n, and one label table is 0.7 GB at
     # MAX_GRAPH_N, so the caches keep only the last size.
     path = tmp_path / "graphs.edges"
-    write_graphs([gen_random_graph(20, 0.5, 1), gen_random_graph(9, 0.5, 2)],
-                 path)
-    assert [g.n for g in read_graphs(path)] == [20, 9]
+    graphs = [gen_random_graph(20, 0.5, 1), gen_random_graph(9, 0.5, 2)]
+    write_graphs(graphs, path)
+    assert [g.n for g in read_graphs(path, iter(graphs))] == [20, 9]
     assert io._pair_labels.cache_info().currsize == 1
     assert clique._upper.cache_info().currsize == 1
 
@@ -653,7 +664,7 @@ def test_handcrafted_graphs_round_trip(tmp_path):
     g = Graph.from_edges(10, PETERSEN_EDGES)
     path = tmp_path / "petersen.edges"
     write_graphs([g], path)
-    back = read_graphs(path)[0]
+    back = read_graphs(path, iter([g]))[0]
     assert back.neighbor_masks == g.neighbor_masks
 
 
@@ -663,7 +674,8 @@ def _rewrite_edges(text, change):
 
 
 def _count_regenerations(monkeypatch):
-    """The list that each later gen_random_graph call appends its args to."""
+    """The list that each later gen_random_graph call appends its args to;
+    read_graphs itself draws no graph, so it stays empty there."""
     calls = []
 
     def counting_gen(*args):
@@ -672,6 +684,18 @@ def _count_regenerations(monkeypatch):
 
     monkeypatch.setattr(clique, "gen_random_graph", counting_gen)
     return calls
+
+
+def _drawing(graphs):
+    """An endless expected stream, as ``engine.problem_graphs`` is, that
+    yields ``graphs`` and then more, and the list of what it has yielded."""
+    drawn, more = [], gen_random_graph(3, 0.5, 0)
+
+    def stream():
+        for graph in itertools.chain(graphs, itertools.repeat(more)):
+            drawn.append(graph)
+            yield graph
+    return stream(), drawn
 
 
 def _per_section(change):
@@ -705,9 +729,10 @@ def test_seeded_sections_read_back_however_laid_out(tmp_path, monkeypatch,
     path = tmp_path / "graphs.edges"
     path.write_bytes(layout([graph_to_edge_list(g)
                              for g in LAID_OUT]).encode())
+    expected, drawn = _drawing(LAID_OUT)
     calls = _count_regenerations(monkeypatch)
-    assert read_graphs(path) == LAID_OUT
-    assert len(calls) == len(LAID_OUT)      # one regeneration per section
+    assert read_graphs(path, expected) == LAID_OUT
+    assert drawn == LAID_OUT and calls == []    # one graph per section
 
 
 def test_canonical_sections_are_taken_without_parsing(tmp_path, monkeypatch):
@@ -719,7 +744,7 @@ def test_canonical_sections_are_taken_without_parsing(tmp_path, monkeypatch):
         raise AssertionError("a canonical section was parsed")
 
     monkeypatch.setattr(Graph, "from_edges", no_parse)
-    assert read_graphs(path) == graphs
+    assert read_graphs(path, iter(graphs)) == graphs
 
 
 def test_rendering_must_end_at_a_line_end(tmp_path):
@@ -731,7 +756,7 @@ def test_rendering_must_end_at_a_line_end(tmp_path):
     path.write_text(graph_to_edge_list(g).rstrip("\n") + "0\n")
     with pytest.raises(ReplayError, match=rf"bad edge \({last.split()[0]}, "
                                           rf"{last.split()[1]}0\)"):
-        read_graphs(path)
+        read_graphs(path, iter([g]))
 
 
 def test_tampered_seeded_section_regenerates_once(tmp_path, monkeypatch):
@@ -741,15 +766,14 @@ def test_tampered_seeded_section_regenerates_once(tmp_path, monkeypatch):
     header[1] = str(int(header[1]) - 1)
     path = tmp_path / "graph.edges"
     path.write_text("\n".join([" ".join(header)] + lines[2:]) + "\n")
+    expected, drawn = _drawing([g])
     calls = _count_regenerations(monkeypatch)
     with pytest.raises(ReplayError, match="regeneration"):
-        read_graphs(path)
-    assert calls == [(12, 0.5, 21)]
+        read_graphs(path, expected)
+    assert drawn == [g] and calls == []
 
 
 @pytest.mark.parametrize("text, message", [
-    ("0 0 5 0.5\n", "graph needs at least one vertex"),
-    ("3 1 5 1.5\n0 1\n", "edge_prob must lie strictly between 0 and 1"),
     ("3 1 5 1.5\n0 1 2\n", "too many values to unpack"),
     ("2 1 5 0.5\nx y\n", "invalid literal for int"),
     ("4 1 7 0.5\n0 9\n", r"bad edge \(0, 9\) for n=4"),
@@ -759,25 +783,42 @@ def test_tampered_seeded_section_regenerates_once(tmp_path, monkeypatch):
     ("3 1 5 0.5 x\n0 1\n", "bad edge-list header"),
 ])
 def test_seeded_section_errors_keep_their_messages(tmp_path, text, message):
-    # A section the re-drawn graph cannot match gets the parse path's error,
-    # even where the re-draw itself would fail first.
+    # A section whose header names the expected graph but whose edges are
+    # not its edges gets the parse path's error.
     path = tmp_path / "graph.edges"
     path.write_text(text)
     with pytest.raises(ReplayError, match=message):
-        read_graphs(path)
+        read_graphs(path, iter([_named_by(text)]))
+
+
+@pytest.mark.parametrize("text", [
+    "0 0 5 0.5\n",
+    "3 1 5 1.5\n0 1\n",
+    "3 1 6 0.5\n0 1\n",
+    "4 1 5 0.5\n0 1\n",
+])
+def test_section_with_another_graphs_header_is_refused(tmp_path, text):
+    # Each header differs from the expected graph's "3 3 5 0.5" in n, seed
+    # or edge_prob; n = 0 and p = 1.5 name no graph a config can draw.
+    path = tmp_path / "graph.edges"
+    path.write_text(text)
+    with pytest.raises(ReplayError, match="graph.edges: section 0 is not "
+                                          "the run's graph 0"):
+        read_graphs(path, iter([_named_by("3 3 5 0.5")]))
 
 
 @pytest.mark.parametrize("n", [MAX_GRAPH_N + 1, 100_000])
 def test_oversized_section_is_refused_before_any_allocation(
         tmp_path, monkeypatch, n):
     path = tmp_path / "graph.edges"
-    path.write_text(graph_to_edge_list(gen_random_graph(5, 0.5, 3))
-                    + f"{n} 0 5 0.5\n")
+    g = gen_random_graph(5, 0.5, 3)
+    path.write_text(graph_to_edge_list(g) + f"{n} 0 5 0.5\n")
+    expected, drawn = _drawing([g])
     calls = _count_regenerations(monkeypatch)
     built = []
     monkeypatch.setattr(Graph, "from_edges",
                         lambda *args, **kwargs: built.append(args))
-    with pytest.raises(ReplayError,
-                       match=rf"graph.edges: section 1 has {n} vertices"):
-        read_graphs(path)
-    assert calls == [(5, 0.5, 3)] and built == []
+    with pytest.raises(ReplayError, match="graph.edges: section 1 is not "
+                                          "the run's graph 1"):
+        read_graphs(path, expected)
+    assert len(drawn) == 2 and calls == [] and built == []

@@ -33,7 +33,7 @@ from cliquechain.engine import (
     bubka_strategy_step,
     default_miners,
     derive_seed,
-    problem_seeds,
+    problem_graphs,
     sample_block_winner,
     simulate,
 )
@@ -487,7 +487,9 @@ def test_problem_seeds_are_the_run_graphs_seeds():
     expect = [int(stream.integers(0, 2 ** 63)) for _ in graphs]
     assert len(graphs) == 8
     assert [g.seed for g in graphs] == expect
-    assert list(zip(range(8), problem_seeds(3))) == list(enumerate(expect))
+    drawn = [g for _, g in zip(range(8), problem_graphs(cfg))]
+    assert [g.seed for g in drawn] == expect
+    assert drawn == graphs
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +603,7 @@ def test_solved_out_is_the_proven_optimum_rule(monkeypatch, policy, target):
     optimum = math.inf              # of the active problem, once proven
     proved_while_held = 0
 
-    def checked(problem, height, config, rng, solving):
+    def checked(problem, height, config, graphs, solving):
         nonlocal optimum, proved_while_held
         held = [s.score for st in solving for s in st.hoard]
         assert all(score > problem.best_score for score in held)
@@ -614,7 +616,7 @@ def test_solved_out_is_the_proven_optimum_rule(monkeypatch, policy, target):
         elif (height - problem.last_improvement_height
               >= config.saturation_window):
             old.append((height, "stagnant"))
-        fresh = real(problem, height, config, rng, solving)
+        fresh = real(problem, height, config, graphs, solving)
         if fresh is not None:
             new.append(height)
             optimum = math.inf
