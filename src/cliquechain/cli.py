@@ -41,6 +41,7 @@ from .io import (
     read_records,
     render_config,
     run_config,
+    verify_miners,
     verify_record_stream,
     write_graphs,
     write_manifest,
@@ -210,8 +211,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify_chain(args) -> int:
     records = read_records(args.records)
-    graphs = read_graphs(args.graphs, problem_graphs(run_config(args.records)))
+    cfg = run_config(args.records)
+    graphs = read_graphs(args.graphs, problem_graphs(cfg))
     verify_record_stream(records, graphs)
+    verify_miners(records, cfg)
     print(f"ok: {len(records)} records over {len(graphs)} problem graphs")
     return 0
 

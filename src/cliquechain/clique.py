@@ -27,16 +27,12 @@ INITIAL_BEST_SCORE = 1
 # Sentinel seed for hand-built graphs that were not drawn from G(n, p).
 HANDCRAFTED_SEED = -1
 
-# The most vertices a config may name, and so a graphs file, whose sections
-# must be the config's graphs; the need grows with n squared.  gen_random_graph holds n(n-1)/2 float64 draws and their
-# bits at once (75 MB at 4,096 vertices); a search builds an n-by-n bool
-# matrix; writing or reading a graphs file, one "u v" string per pair
-# (``io._pair_labels``, about 80 bytes each: 0.7 GB at 4,096 vertices).
+# The most vertices a config may name, and so a graph in a graphs file;
+# the memory a graph needs grows with n squared.  gen_random_graph holds
+# n(n-1)/2 float64 draws and their bits at once (75 MB at 4,096 vertices),
+# a search an n-by-n bool matrix, and a graphs file's writer or reader one
+# "u v" string per pair (``io._pair_labels``, about 80 bytes each: 0.7 GB).
 MAX_GRAPH_N = 4096
-
-
-class InvalidParams(ValueError):
-    """Rejected graph parameters, or too many vertices for brute force."""
 
 
 @dataclass(frozen=True)
@@ -74,16 +70,15 @@ class Graph:
     edges: bytes
 
     @classmethod
-    def from_edges(cls, n: int, edges, seed: int = HANDCRAFTED_SEED,
-                   edge_prob: float = 0.0) -> "Graph":
+    def from_edges(cls, n: int, edges) -> "Graph":
         if n < 1:
-            raise InvalidParams("graph needs at least one vertex")
+            raise ValueError("graph needs at least one vertex")
         adj = np.zeros((n, n), dtype=bool)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise InvalidParams(f"bad edge ({u}, {v}) for n={n}")
+                raise ValueError(f"bad edge ({u}, {v}) for n={n}")
             adj[u, v] = adj[v, u] = True
-        return cls(n=n, seed=seed, edge_prob=edge_prob,
+        return cls(n=n, seed=HANDCRAFTED_SEED, edge_prob=0.0,
                    edges=_pack(adj[_upper(n)]))
 
     @cached_property
@@ -115,18 +110,15 @@ def gen_random_graph(n: int, edge_prob: float, seed: int) -> Graph:
     the identical adjacency.
     """
     if n < 1:
-        raise InvalidParams("n must be >= 1")
+        raise ValueError("n must be >= 1")
     if not 0.0 < edge_prob < 1.0:
-        raise InvalidParams("edge_prob must lie strictly between 0 and 1")
-    if seed < 0:
-        raise InvalidParams("seed must be non-negative")
+        raise ValueError("edge_prob must lie strictly between 0 and 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = rng.random(n * (n - 1) // 2)
     return Graph(n=n, seed=seed, edge_prob=edge_prob,
                  edges=_pack(draws < edge_prob))
 
 
-@lru_cache(maxsize=1)  # a run's graphs all share one n
 def _upper(n: int) -> np.ndarray:
     return ~np.tri(n, dtype=bool)  # indexes the pairs u < v in (u, v) order
 
@@ -307,7 +299,7 @@ class SolverCursor:
         if order is None:
             order = list(range(n))
         if sorted(order) != list(range(n)):
-            raise InvalidParams("order must be a permutation of the vertices")
+            raise ValueError("order must be a permutation of the vertices")
         self._order = tuple(order)
         self.steps_consumed = 0
         self.exhausted = False
@@ -366,7 +358,7 @@ def brute_force_max_clique(graph: Graph) -> int:
     """
     n = graph.n
     if n > 20:
-        raise InvalidParams(f"brute force is capped at 20 vertices, got {n}")
+        raise ValueError(f"brute force is capped at 20 vertices, got {n}")
     masks = graph.neighbor_masks
     is_clique = bytearray(1 << n)
     is_clique[0] = 1

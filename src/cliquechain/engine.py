@@ -195,6 +195,13 @@ def default_miners(policy: str) -> tuple[MinerSpec, ...]:
     return tuple(specs)
 
 
+def solving_miners(cfg: SimConfig) -> list[int]:
+    """The ids of the miners that may publish a solution: none under
+    bitcoin, which pays for no solution, else every non-classical miner."""
+    return [i for i, spec in enumerate(cfg.miners) if cfg.policy != "bitcoin"
+            and spec.strategy is not Strategy.CLASSICAL]
+
+
 class SimRecord(typing.NamedTuple):
     """One per-block log row; difficulties are post-update values."""
 
@@ -265,10 +272,6 @@ def _solver_order(master: int, miner_id: int, epoch: int, n: int) -> list[int]:
 # Core operations
 # ---------------------------------------------------------------------------
 
-class ChainError(Exception):
-    """A solution block breaks the publish rule; the message says how."""
-
-
 def append_block(problem: ProblemInstance, block: Block) -> None:
     """Publish ``block``'s solution, if it carries one, on ``problem``.
 
@@ -282,9 +285,9 @@ def append_block(problem: ProblemInstance, block: Block) -> None:
     if sol is None:
         return
     if not is_clique(problem.graph, sol.vertices):
-        raise ChainError(f"vertices {sol.vertices} are not a clique")
+        raise ValueError(f"vertices {sol.vertices} are not a clique")
     if sol.score <= problem.best_score:
-        raise ChainError(f"score {sol.score} does not beat published best "
+        raise ValueError(f"score {sol.score} does not beat published best "
                          f"{problem.best_score}")
     problem.best_score = sol.score
 
@@ -412,11 +415,7 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
 
     problem = ProblemInstance(graph=next(problem_stream), epoch=0)
     hashrates = tuple(float(spec.hashrate) for spec in cfg.miners)
-    # The roster of solving miners; bitcoin pays for no solution, so there
-    # every miner only hashes.
-    roster = {} if cfg.policy == "bitcoin" else {
-        i: MinerState(spec=spec) for i, spec in enumerate(cfg.miners)
-        if spec.strategy is not Strategy.CLASSICAL}
+    roster = {i: MinerState(spec=cfg.miners[i]) for i in solving_miners(cfg)}
     solving = list(roster.values())
     _reseed_solvers(roster, problem, cfg.seed, walks)
 

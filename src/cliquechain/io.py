@@ -38,6 +38,7 @@ from .engine import (
     SimConfig,
     SimRecord,
     Strategy,
+    solving_miners,
 )
 
 # The record schema is SimRecord's: its fields, in order, are the columns,
@@ -466,3 +467,16 @@ def verify_record_stream(records: list[SimRecord],
         prev_epoch = r.problem_epoch
     if len(graphs) > prev_epoch + 2:
         raise ReplayError(f"{len(graphs)} graphs for {prev_epoch + 1} epochs")
+
+
+def verify_miners(records: list[SimRecord], cfg: SimConfig) -> None:
+    """Check that each record names a miner of ``cfg``, and each solution
+    block one that may publish (``engine.solving_miners``); raises
+    ReplayError on the first record that does not."""
+    miners = set(range(len(cfg.miners)))
+    solvers = set(solving_miners(cfg))
+    for r in records:
+        if r.miner_id not in miners:
+            raise _fault(r, f"no miner {r.miner_id} in the run's config")
+        if r.kind == "solution" and r.miner_id not in solvers:
+            raise _fault(r, f"miner {r.miner_id} cannot mine a solution block")

@@ -15,7 +15,6 @@ from cliquechain.clique import (
 )
 from cliquechain.difficulty import Block
 from cliquechain.engine import (
-    ChainError,
     SimConfig,
     append_block,
     sample_block_winner,
@@ -75,9 +74,9 @@ def test_verify_accepts_strict_improvement():
 
 
 def test_verify_rejects_ties_and_non_cliques():
-    with pytest.raises(ChainError, match=STALE):
+    with pytest.raises(ValueError, match=STALE):
         publish(C5, 2, (0, 1))
-    with pytest.raises(ChainError, match=NOT_A_CLIQUE):
+    with pytest.raises(ValueError, match=NOT_A_CLIQUE):
         publish(C5, 1, (0, 2))
 
 
@@ -92,7 +91,7 @@ def test_verify_agrees_with_pairwise_check():
                 expect = pairwise and len(vs) > best
                 try:
                     publish(g, best, vs)
-                except ChainError as exc:
+                except ValueError as exc:
                     assert not expect
                     # Only the solution checks may refuse it.
                     assert re.search(f"{NOT_A_CLIQUE}|{STALE}", str(exc))
@@ -117,16 +116,16 @@ def test_append_updates_published_best():
 def test_append_rejects_stale_solution():
     problem = mk_problem(K3)
     append_block(problem, solution(0, 0.1, (0, 1, 2)))
-    with pytest.raises(ChainError, match=STALE):
+    with pytest.raises(ValueError, match=STALE):
         append_block(problem, solution(1, 0.2, (0, 1, 2)))
-    with pytest.raises(ChainError, match=STALE):
+    with pytest.raises(ValueError, match=STALE):
         append_block(problem, solution(1, 0.2, (0, 1)))
     assert problem.best_score == 3
 
 
 def test_append_rejects_non_clique():
     problem = mk_problem(C5)
-    with pytest.raises(ChainError, match=NOT_A_CLIQUE):
+    with pytest.raises(ValueError, match=NOT_A_CLIQUE):
         append_block(problem, solution(0, 0.1, (0, 2)))
     assert problem.best_score == 1
 

@@ -2,19 +2,23 @@
 configuration files."""
 
 import glob
+import importlib
 import json
 import os
+import pkgutil
 import shlex
 import sys
 import warnings
 
 import pytest
 
+import cliquechain
 from cliquechain import cli, clique, experiments
 from cliquechain.cli import main
 from cliquechain.clique import MAX_GRAPH_N, Graph
-from cliquechain.engine import problem_graphs
+from cliquechain.engine import ConfigError, problem_graphs
 from cliquechain.io import (
+    ReplayError,
     parse_config,
     read_graphs,
     read_manifest,
@@ -156,6 +160,66 @@ def test_verify_chain_rejects_non_finite_floats(tmp_path, capsys, fmt,
     assert main(["verify-chain", records,
                  os.path.join(out, "graphs.edges")]) == 3
     assert "height 1: " in capsys.readouterr().err
+
+
+GROWTH_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                          "growth.cfg")
+
+
+# A one-block bitcoin run's record made into a solution block that the
+# stream checks accept.
+AS_SOLUTION = {"kind": "solution", "best_score": "2", "cum_classical": "0",
+               "cum_solution": "1"}
+
+
+@pytest.mark.parametrize("config,pick,edit,message", [
+    # The stock growth population is classical miners 0-9 and solvers
+    # 10-19.
+    ("growth", "first", {"miner_id": "999"},
+     "height 0: no miner 999 in the run's config"),
+    ("growth", "first", {"miner_id": "20"},
+     "height 0: no miner 20 in the run's config"),
+    ("growth", "first solution", {"miner_id": "0"},
+     "height 1: miner 0 cannot mine a solution block"),
+    # No miner publishes under bitcoin, a listed solver included.
+    ("", "first", AS_SOLUTION,
+     "height 0: miner 1 cannot mine a solution block"),
+    ("miner = strategy=solver count=3\n", "first", AS_SOLUTION,
+     "height 0: miner 1 cannot mine a solution block"),
+], ids=["unknown-miner", "one-past-the-last-miner", "classical-solution",
+        "bitcoin-solution", "bitcoin-solver-solution"])
+def test_verify_chain_checks_each_records_miner(tmp_path, capsys, config,
+                                                pick, edit, message):
+    text = (open(GROWTH_CFG).read() if config == "growth" else
+            "policy = bitcoin\nseed = 1\nmax_blocks = 1\n" + config)
+    out = tmp_path / "out"
+    assert main(["simulate", write_cfg(tmp_path, text),
+                 "--out-dir", str(out)]) == 0
+    records, graphs = out / "records.csv", str(out / "graphs.edges")
+    assert main(["verify-chain", str(records), graphs]) == 0
+    header, *rows = [ln.split(",")
+                     for ln in records.read_text().splitlines()]
+    kind = header.index("kind")
+    row = next(r for r in rows
+               if pick == "first" or r[kind] == "solution")
+    for name, value in edit.items():
+        row[header.index(name)] = value
+    records.write_text("\n".join(map(",".join, [header, *rows])) + "\n")
+    capsys.readouterr()
+    assert main(["verify-chain", str(records), graphs]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_one_exception_class_per_exit_path():
+    # ConfigError exits 2 and ReplayError 3; any other exception is a bug
+    # and exits 1, so no module defines a class that only renames it.
+    modules = [cliquechain] + [
+        importlib.import_module(f"cliquechain.{info.name}")
+        for info in pkgutil.iter_modules(cliquechain.__path__)]
+    defined = {obj for mod in modules for obj in vars(mod).values()
+               if isinstance(obj, type) and issubclass(obj, Exception)
+               and obj.__module__ == mod.__name__}
+    assert defined == {ConfigError, ReplayError}
 
 
 @pytest.mark.parametrize("n,code", [(MAX_GRAPH_N + 1, 3), (30, 0)])

@@ -12,7 +12,6 @@ from cliquechain import clique, io
 from cliquechain.clique import (
     MAX_GRAPH_N,
     Graph,
-    InvalidParams,
     SolverCursor,
     _relabel,
     brute_force_max_clique,
@@ -99,18 +98,18 @@ def test_from_edges_in_any_order_is_the_generated_graph(n):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
              if g.has_edge(u, v)]
     flipped = [(v, u) for u, v in pairs[::-1] + pairs[::3]]
-    built = Graph.from_edges(n, flipped, seed=g.seed, edge_prob=g.edge_prob)
-    assert built == g and built.edges == g.edges
+    built = Graph.from_edges(n, flipped)
+    assert (built.n, built.edges) == (g.n, g.edges)
 
 
 def test_gen_rejects_bad_params():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValueError):
         gen_random_graph(0, 0.5, 1)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValueError):
         gen_random_graph(10, 0.0, 1)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValueError):
         gen_random_graph(10, 1.0, 1)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValueError):
         gen_random_graph(10, 0.5, -2)
 
 
@@ -143,7 +142,7 @@ def test_brute_force_known_graphs():
 
 
 def test_brute_force_size_guard():
-    with pytest.raises(InvalidParams, match="capped at 20 vertices"):
+    with pytest.raises(ValueError, match="capped at 20 vertices"):
         brute_force_max_clique(Graph.from_edges(21, []))
 
 
@@ -657,7 +656,6 @@ def test_edge_list_caches_hold_one_size(tmp_path):
     write_graphs(graphs, path)
     assert [g.n for g in read_graphs(path, iter(graphs))] == [20, 9]
     assert io._pair_labels.cache_info().currsize == 1
-    assert clique._upper.cache_info().currsize == 1
 
 
 def test_handcrafted_graphs_round_trip(tmp_path):

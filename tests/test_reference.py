@@ -45,10 +45,6 @@ class ConfigError(Exception):
     """A difficulty or the clock leaves the finite positive range."""
 
 
-class ChainError(Exception):
-    """A solution block is not a clique or does not improve the best."""
-
-
 def stream(seed, *key):
     seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.PCG64(seq))
@@ -244,9 +240,9 @@ def reference(cfg):
             clique = solvers[winner].hoard.pop(0)
             if not all(v in adj[u] for u, v in
                        itertools.combinations(clique, 2)):
-                raise ChainError(f"{clique} is not a clique")
+                raise ValueError(f"{clique} is not a clique")
             if len(clique) <= best:
-                raise ChainError(f"{clique} does not beat {best}")
+                raise ValueError(f"{clique} does not beat {best}")
             best, improved = len(clique), height
             solution_blocks += 1
             for solver in solvers.values():

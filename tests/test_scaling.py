@@ -12,21 +12,29 @@ value stays normal, so two relations hold bit for bit:
 Each holds only under its precondition: every scaled input and every
 record value, in the base run and the scaled one, stays normal (or zero),
 and every ``d_r`` stays above ``D_R_FLOOR``.  A value outside the normal
-range rounds differently once scaled, and the floor does not scale.  The
-test asserts the precondition before it compares, so a relation is never
-passed over for a config.
+range rounds differently once scaled, and the floor does not scale.  On
+the shipped configs the test asserts the precondition before it
+compares, so a relation is never passed over for one of them.  The
+configs that ``test_accepted_configs.py`` draws run through both
+relations too: each relation is compared on every draw whose base run
+completes, whose scaled config ``SimConfig`` accepts and which meets the
+precondition, and the counts of those draws are pinned.  Whether a
+relation holds never decides which draws are compared.
 """
 
 import dataclasses
+import random
 import sys
+from collections import Counter
 from functools import cache
 from pathlib import Path
 
 import pytest
 
 from cliquechain.difficulty import D_R_FLOOR
-from cliquechain.engine import simulate
+from cliquechain.engine import ConfigError, simulate
 from cliquechain.io import parse_config
+from test_accepted_configs import CONFIGS, MASTER_SEED, _config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -50,18 +58,11 @@ def _scaled(obj, signs: dict, k: int):
         f: getattr(obj, f) * 2.0 ** (s * k) for f, s in signs.items()})
 
 
-@cache
-def _base(name: str):
-    cfg = parse_config(CONFIG_DIR / name)
-    return cfg, simulate(cfg).records
-
-
-@pytest.mark.parametrize("relation", RELATIONS)
-@pytest.mark.parametrize("name", sorted(p.name for p in
-                                        CONFIG_DIR.glob("*.cfg")))
-def test_power_of_two_scaling_is_exact(name, relation):
+def _scale(cfg, records, relation: str):
+    """The relation's scaled config, the records it must give, and the
+    parts of the precondition that fail.  Raises ConfigError if
+    ``SimConfig`` refuses the scaled config."""
     k, cfg_signs, miner_signs, fields = RELATIONS[relation]
-    cfg, records = _base(name)
     scaled_cfg = dataclasses.replace(
         _scaled(cfg, cfg_signs, k),
         miners=tuple(_scaled(m, miner_signs, k) for m in cfg.miners))
@@ -73,8 +74,49 @@ def test_power_of_two_scaling_is_exact(name, relation):
                for f in miner_signs]
     values = [getattr(r, f) for rs in (records, expected) for r in rs
               for f in ("sim_time", "d_b", "d_r")]
-    assert all(map(_normal, inputs + values)), "precondition: normal values"
-    assert min(r.d_r for rs in (records, expected) for r in rs) > D_R_FLOOR, \
-        "precondition: d_r above the floor"
+    unmet = []
+    if not all(map(_normal, inputs + values)):
+        unmet.append("normal values")
+    if min(r.d_r for rs in (records, expected) for r in rs) <= D_R_FLOOR:
+        unmet.append("d_r above the floor")
+    return scaled_cfg, expected, unmet
 
+
+@cache
+def _base(name: str):
+    cfg = parse_config(CONFIG_DIR / name)
+    return cfg, simulate(cfg).records
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+@pytest.mark.parametrize("name", sorted(p.name for p in
+                                        CONFIG_DIR.glob("*.cfg")))
+def test_power_of_two_scaling_is_exact(name, relation):
+    scaled_cfg, expected, unmet = _scale(*_base(name), relation)
+    assert not unmet, f"precondition: {unmet}"
     assert simulate(scaled_cfg).records == expected
+
+
+def test_drawn_configs_scale_exactly():
+    rng = random.Random(MASTER_SEED)
+    compared = Counter()
+    for i in range(CONFIGS):
+        cfg = _config(rng)
+        try:
+            records = simulate(cfg).records
+        except ConfigError:
+            compared["base run refused"] += 1
+            continue
+        for relation in RELATIONS:
+            try:
+                scaled_cfg, expected, unmet = _scale(cfg, records, relation)
+            except ConfigError:
+                continue
+            if not unmet:
+                compared[relation] += 1
+                assert simulate(scaled_cfg).records == expected, \
+                    f"draw {i}, {relation}: {cfg}"
+    # Pinned so that the filter cannot come to exclude every draw
+    # unnoticed; in each other draw the scaled config is refused, a value
+    # leaves the normal range or d_r meets the floor.
+    assert compared == {"base run refused": 19, "difficulty": 34, "time": 27}
