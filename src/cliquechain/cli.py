@@ -20,6 +20,7 @@ import os
 import shlex
 import sys
 from datetime import datetime, timezone
+from functools import cache
 
 import numpy as np
 
@@ -269,6 +270,7 @@ def _int_in(low: int, high: float = float("inf")):
     return parse
 
 
+@cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cliquechain",

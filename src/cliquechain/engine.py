@@ -17,6 +17,7 @@ import enum
 import math
 import typing
 from dataclasses import dataclass, field
+from functools import partial
 from operator import mul
 
 import numpy as np
@@ -215,6 +216,10 @@ class SimRecord(typing.NamedTuple):
     problem_epoch: int
     cum_classical: int
     cum_solution: int
+
+
+# ``SimRecord._make`` in C, less its field count: pass exactly ten fields.
+make_record = partial(tuple.__new__, SimRecord)
 
 
 @dataclass

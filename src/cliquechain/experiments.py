@@ -25,6 +25,7 @@ from .engine import (
     SimRecord,
     Strategy,
     derive_seed,
+    make_record,
     simulate,
 )
 
@@ -80,7 +81,7 @@ class SweepCell:
 def _cell_from_columns(protocol, eta_index, instance, seed, fraction,
                        columns) -> SweepCell:
     return SweepCell(protocol, eta_index, instance, seed, fraction,
-                     tuple(map(SimRecord._make, zip(*columns))))
+                     tuple(map(make_record, zip(*columns))))
 
 
 @dataclass

@@ -38,6 +38,7 @@ from .engine import (
     SimConfig,
     SimRecord,
     Strategy,
+    make_record,
     solving_miners,
 )
 
@@ -239,22 +240,25 @@ def read_records(path) -> list[SimRecord]:
 
 def _records(lines: list[str], jsonl: bool) -> list[SimRecord]:
     """Parse nonempty body lines one column at a time."""
+    width = len(RECORD_FIELDS)
     if jsonl:
-        columns = list(zip(*map(itemgetter(*RECORD_FIELDS),
-                                map(json.loads, lines))))
+        rows = list(map(json.loads, lines))
+        columns = list(zip(*map(itemgetter(*RECORD_FIELDS), rows)))
+        # Every field is there, so the length rules out any other key.
+        if set(map(len, rows)) != {width}:
+            raise ValueError(f"a row needs exactly the {width} record fields")
         for field, kind, column in zip(RECORD_FIELDS, _RECORD_TYPES, columns):
             # A bool is not an int; a float field takes any JSON number.
             if set(map(type, column)) - {kind, int if kind is float else kind}:
                 raise TypeError(f"{field} must be a JSON " + {
                     int: "integer", float: "number", str: "string"}[kind])
     else:
-        width = len(RECORD_FIELDS)
         # Per line, so that a long row cannot make up for a short one.
         if set(map(str.count, lines, repeat(","))) != {width - 1}:
             raise ValueError(f"a row needs {width} fields")
         values = ",".join(lines).split(",")
         columns = [values[i::width] for i in range(width)]
-    return list(map(SimRecord._make, zip(*map(map, _RECORD_TYPES, columns))))
+    return list(map(make_record, zip(*map(map, _RECORD_TYPES, columns))))
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +415,8 @@ def run_config(records_path) -> SimConfig:
 # Replay verification
 # ---------------------------------------------------------------------------
 
-def _fault(r: SimRecord, why: str) -> ReplayError:
-    return ReplayError(f"height {r.height}: {why}")
+def _fault(height, why: str) -> ReplayError:
+    return ReplayError(f"height {height}: {why}")
 
 
 def verify_record_stream(records: list[SimRecord],
@@ -426,47 +430,52 @@ def verify_record_stream(records: list[SimRecord],
     improving scores bounded by the epoch's graph size.  Raises ReplayError
     on the first violation.  (The record schema stores scores, not
     solution vertices.)
+
+    One running best score is enough: an epoch that passes its check is
+    the previous one or the next, so an epoch once left never returns.
+    A record that passes the height check is the i-th, so the classical
+    count is i + 1 less the solution count.
     """
     if not records:
         raise ReplayError("no records to verify")
-    best: dict[int, int] = {}
+    n_graphs = len(graphs)
+    best = INITIAL_BEST_SCORE
     prev_time = 0.0
-    prev_epoch = 0
-    cum_c = cum_s = 0
-    for r in records:
-        if r.height != cum_c + cum_s:
-            raise _fault(r, "heights must be consecutive from 0")
+    prev_epoch = cum_s = 0
+    for i, (height, sim_time, kind, _, d_b, d_r, score, epoch,
+            cum_classical, cum_solution) in enumerate(records):
+        if height != i:
+            raise _fault(height, "heights must be consecutive from 0")
         # Written so that NaN fails every test and inf the upper bound.
-        if not prev_time < r.sim_time < inf:
-            raise _fault(r, "sim_time does not increase to a finite time")
-        if not (0 < r.d_b < inf and 0 < r.d_r < inf):
-            raise _fault(r, "difficulty is not finite and positive")
-        if r.kind not in ("classical", "solution"):
-            raise _fault(r, f"unknown kind {r.kind!r}")
-        if r.problem_epoch != prev_epoch and (
-                r.problem_epoch != prev_epoch + 1 or not r.height):
-            raise _fault(r, f"epoch does not follow {prev_epoch}")
-        if r.problem_epoch >= len(graphs):
-            raise _fault(r, f"no graph for epoch {r.problem_epoch}")
-        epoch_best = best.get(r.problem_epoch, INITIAL_BEST_SCORE)
-        if r.kind == "solution":
+        if not prev_time < sim_time < inf:
+            raise _fault(height,
+                         "sim_time does not increase to a finite time")
+        if not (0 < d_b < inf and 0 < d_r < inf):
+            raise _fault(height, "difficulty is not finite and positive")
+        if kind not in ("classical", "solution"):
+            raise _fault(height, f"unknown kind {kind!r}")
+        if epoch != prev_epoch:
+            if epoch != prev_epoch + 1 or not i:
+                raise _fault(height, f"epoch does not follow {prev_epoch}")
+            best = INITIAL_BEST_SCORE
+        if epoch >= n_graphs:
+            raise _fault(height, f"no graph for epoch {epoch}")
+        if kind == "solution":
             cum_s += 1
-            if r.best_score <= epoch_best:
-                raise _fault(r, f"solution score {r.best_score} does not "
-                                f"beat {epoch_best}")
-            if r.best_score > graphs[r.problem_epoch].n:
-                raise _fault(r, "score exceeds graph size")
-            best[r.problem_epoch] = r.best_score
-        else:
-            cum_c += 1
-            if r.best_score != epoch_best:
-                raise _fault(r, "classical block moved best score")
-        if r.cum_classical != cum_c or r.cum_solution != cum_s:
-            raise _fault(r, "cumulative counters inconsistent")
-        prev_time = r.sim_time
-        prev_epoch = r.problem_epoch
-    if len(graphs) > prev_epoch + 2:
-        raise ReplayError(f"{len(graphs)} graphs for {prev_epoch + 1} epochs")
+            if score <= best:
+                raise _fault(height, f"solution score {score} does not "
+                                     f"beat {best}")
+            if score > graphs[epoch].n:
+                raise _fault(height, "score exceeds graph size")
+            best = score
+        elif score != best:
+            raise _fault(height, "classical block moved best score")
+        if cum_classical != i + 1 - cum_s or cum_solution != cum_s:
+            raise _fault(height, "cumulative counters inconsistent")
+        prev_time = sim_time
+        prev_epoch = epoch
+    if n_graphs > prev_epoch + 2:
+        raise ReplayError(f"{n_graphs} graphs for {prev_epoch + 1} epochs")
 
 
 def verify_miners(records: list[SimRecord], cfg: SimConfig) -> None:
@@ -477,6 +486,8 @@ def verify_miners(records: list[SimRecord], cfg: SimConfig) -> None:
     solvers = set(solving_miners(cfg))
     for r in records:
         if r.miner_id not in miners:
-            raise _fault(r, f"no miner {r.miner_id} in the run's config")
+            raise _fault(r.height,
+                         f"no miner {r.miner_id} in the run's config")
         if r.kind == "solution" and r.miner_id not in solvers:
-            raise _fault(r, f"miner {r.miner_id} cannot mine a solution block")
+            raise _fault(r.height,
+                         f"miner {r.miner_id} cannot mine a solution block")

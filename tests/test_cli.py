@@ -672,6 +672,28 @@ def test_bubka_outputs(tmp_path):
                     "target2_seed00.csv", "target2_seed01.csv"]
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main builds its parser once per process, so no call may leave its
+    # options or its usage error behind for the next.
+    cfg = write_cfg(tmp_path, BUBKA_SMALL)
+
+    def targets(name, *options):
+        out = str(tmp_path / name)
+        assert main(["bubka", cfg, "--seeds", "1", "--out-dir", out,
+                     *options]) == 0
+        summary = json.load(open(os.path.join(out, "summary.json")))
+        return [row["hoard_target"] for row in summary["rows"]]
+
+    assert cli.build_parser() is cli.build_parser()
+    assert targets("two", "--hoard-targets", "2") == [2]
+    assert targets("default") == [1, 2, 5]
+    with pytest.raises(SystemExit) as exc:
+        main(["bubka", cfg, "--hoard-targets", "1,y"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert targets("after-error") == [1, 2, 5]
+
+
 def test_selftest_passes():
     assert main(["selftest", "--graphs", "10", "--max-n", "10"]) == 0
 

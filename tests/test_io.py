@@ -2,11 +2,15 @@
 re-validation."""
 
 import json
+import math
+import pickle
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
+from cliquechain.clique import INITIAL_BEST_SCORE
 from cliquechain.engine import (
     ConfigError,
     SimConfig,
@@ -14,6 +18,7 @@ from cliquechain.engine import (
     Strategy,
     simulate,
 )
+from cliquechain.experiments import SweepCell
 from cliquechain.io import (
     CSV_HEADER,
     ReplayError,
@@ -182,10 +187,16 @@ def test_round_trip_preserves_floats_exactly(tmp_path):
 
 def test_simulated_records_round_trip(tmp_path):
     records = simulate(SimConfig(policy="v2", seed=2, max_blocks=80)).records
+    copies = []
     for fmt in ("csv", "jsonl"):
         path = tmp_path / f"records.{fmt}"
         write_records(records, path, fmt=fmt)
-        assert read_records(path) == records
+        copies.append(read_records(path))
+    cell = SweepCell("v2", 0, 0, 2, 0.5, tuple(records))
+    copies.append(list(pickle.loads(pickle.dumps(cell)).records))
+    for copy in copies:
+        assert copy == records
+        assert all(type(r) is SimRecord for r in copy)
 
 
 def test_write_records_guards(tmp_path):
@@ -259,6 +270,13 @@ def _jsonl_with(tmp_path, **changes):
 def test_jsonl_values_must_have_their_field_type(tmp_path, changes):
     path, line = _jsonl_with(tmp_path, **changes)
     with pytest.raises(ReplayError, match="must be") as exc:
+        read_records(path)
+    assert repr(line) in str(exc.value)
+
+
+def test_jsonl_rows_hold_only_the_record_fields(tmp_path):
+    path, line = _jsonl_with(tmp_path, witness=[1, 2, 3])
+    with pytest.raises(ReplayError, match="exactly the 10 record") as exc:
         read_records(path)
     assert repr(line) in str(exc.value)
 
@@ -347,3 +365,132 @@ def test_verify_rejects_corrupted_streams():
             verify_record_stream(bad, graphs)
     with pytest.raises(ReplayError, match="10 graphs for 8 epochs"):
         verify_record_stream(records, graphs + graphs[:1])
+
+
+def _reference_verify(records, graphs):
+    """The stream check as a per-epoch dict of best scores with running
+    counters, kept as the oracle for ``verify_record_stream``."""
+    def fault(r, why):
+        return ReplayError(f"height {r.height}: {why}")
+
+    if not records:
+        raise ReplayError("no records to verify")
+    best = {}
+    prev_time = 0.0
+    prev_epoch = 0
+    cum_c = cum_s = 0
+    for r in records:
+        if r.height != cum_c + cum_s:
+            raise fault(r, "heights must be consecutive from 0")
+        if not prev_time < r.sim_time < math.inf:
+            raise fault(r, "sim_time does not increase to a finite time")
+        if not (0 < r.d_b < math.inf and 0 < r.d_r < math.inf):
+            raise fault(r, "difficulty is not finite and positive")
+        if r.kind not in ("classical", "solution"):
+            raise fault(r, f"unknown kind {r.kind!r}")
+        if r.problem_epoch != prev_epoch and (
+                r.problem_epoch != prev_epoch + 1 or not r.height):
+            raise fault(r, f"epoch does not follow {prev_epoch}")
+        if r.problem_epoch >= len(graphs):
+            raise fault(r, f"no graph for epoch {r.problem_epoch}")
+        epoch_best = best.get(r.problem_epoch, INITIAL_BEST_SCORE)
+        if r.kind == "solution":
+            cum_s += 1
+            if r.best_score <= epoch_best:
+                raise fault(r, f"solution score {r.best_score} does not "
+                               f"beat {epoch_best}")
+            if r.best_score > graphs[r.problem_epoch].n:
+                raise fault(r, "score exceeds graph size")
+            best[r.problem_epoch] = r.best_score
+        else:
+            cum_c += 1
+            if r.best_score != epoch_best:
+                raise fault(r, "classical block moved best score")
+        if r.cum_classical != cum_c or r.cum_solution != cum_s:
+            raise fault(r, "cumulative counters inconsistent")
+        prev_time = r.sim_time
+        prev_epoch = r.problem_epoch
+    if len(graphs) > prev_epoch + 2:
+        raise ReplayError(f"{len(graphs)} graphs for {prev_epoch + 1} epochs")
+
+
+def _edit(rng, records, i, graph_n):
+    """Record i with one field set to a value that may break a check."""
+    r = records[i]
+    before = records[i - 1].sim_time if i else 0.0
+    after = records[i + 1].sim_time if i + 1 < len(records) else math.inf
+    other = "classical" if r.kind == "solution" else "solution"
+    choices = {
+        "height": [r.height - 1, r.height + 1, 0],
+        "sim_time": [0.0, before, after, math.nan, math.inf],
+        "kind": ["mystery", other],
+        "miner_id": [r.miner_id + 1],
+        "d_b": [0.0, -r.d_b, math.inf, math.nan, 2 * r.d_b],
+        "d_r": [0.0, -r.d_r, math.inf, math.nan, 2 * r.d_r],
+        "best_score": [r.best_score - 1, r.best_score + 1, 0, graph_n,
+                       graph_n + 1],
+        "problem_epoch": [r.problem_epoch - 1, r.problem_epoch + 1,
+                          r.problem_epoch + 2, 0],
+        "cum_classical": [r.cum_classical - 1, r.cum_classical + 1],
+        "cum_solution": [r.cum_solution - 1, r.cum_solution + 1],
+    }
+    field = rng.choice(sorted(choices))
+    return r._replace(**{field: rng.choice(choices[field])})
+
+
+def _corrupt(rng, records, graph_n):
+    """A seeded corruption: one to three field edits, most of them on one
+    record so that the order of checks within a record shows, or a
+    truncation."""
+    out = list(records)
+    roll = rng.random()
+    if roll < 0.1:
+        return out[:rng.randrange(len(out) + 1)]
+    if roll < 0.15:
+        return out[rng.randrange(1, len(out)):]
+    if roll < 0.2:
+        del out[rng.randrange(len(out))]
+        return out
+    solutions = [i for i, r in enumerate(out) if r.kind == "solution"]
+    for k in range(rng.randint(1, 3)):
+        if not k or rng.random() < 0.2:
+            i = rng.choice(solutions if solutions and rng.random() < 0.3
+                           else range(len(out)))
+        out[i] = _edit(rng, out, i, graph_n)
+    return out
+
+
+def _outcome(verify, records, graphs):
+    try:
+        verify(records, graphs)
+    except ReplayError as exc:
+        return str(exc)
+    return "ok"
+
+
+_CHECKS = ("ok", "no records", "heights must", "sim_time does not",
+           "difficulty is not", "unknown kind", "epoch does not follow",
+           "no graph for epoch", "does not beat", "exceeds graph size",
+           "classical block moved", "cumulative counters", "graphs for")
+
+
+def test_verify_matches_the_reference_record_by_record():
+    rng = random.Random(2019)
+    outcomes = set()
+    for policy in ("bitcoin", "v1", "v2"):
+        for window in (0, 10, 50):
+            res = simulate(SimConfig(policy=policy, seed=5, max_blocks=80,
+                                     saturation_window=window, graph_n=20))
+            graphs = res.graphs
+            graph_lists = [graphs[:0], graphs[:1], graphs,
+                           graphs + graphs[-1:], graphs + graphs[-1:] * 2]
+            streams = [res.records, []] + [_corrupt(rng, res.records, 20)
+                                           for _ in range(240)]
+            for records in streams:
+                for some in graph_lists:
+                    want = _outcome(_reference_verify, records, some)
+                    assert _outcome(verify_record_stream, records,
+                                    some) == want, (policy, window, records)
+                    outcomes.add(want)
+    # The corpus reaches every check, and the clean runs pass.
+    assert [c for c in _CHECKS if not any(c in o for o in outcomes)] == []
