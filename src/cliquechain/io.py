@@ -48,8 +48,12 @@ RECORD_FIELDS = SimRecord._fields
 _RECORD_TYPES = tuple(typing.get_type_hints(SimRecord)[f]
                       for f in RECORD_FIELDS)
 CSV_HEADER = ",".join(RECORD_FIELDS)
-_CSV_ROW = ",".join("%.17g" if k is float else "%s" for k in _RECORD_TYPES)
+_CSV_LINE = ",".join("%.17g" if k is float else "%s"
+                     for k in _RECORD_TYPES) + "\n"
 _JSON_ROW = json.JSONEncoder(separators=(",", ":")).encode
+# Record files are written and parsed this many records at a time, so
+# that only one chunk's rendered rows or parsed columns exist at once.
+CHUNK = 1024
 
 # The int-valued config keys, in SimConfig field order.
 _INT_KEYS = tuple(name for name, kind
@@ -190,8 +194,8 @@ def render_config(cfg: SimConfig) -> str:
 # ---------------------------------------------------------------------------
 
 def records_to_csv(records: list[SimRecord]) -> str:
-    """One row per record: floats at 17 significant digits."""
-    return "\n".join([CSV_HEADER, *map(_CSV_ROW.__mod__, records)]) + "\n"
+    """The header and a row per record, floats at 17 significant digits."""
+    return CSV_HEADER + "\n" + "".join(map(_CSV_LINE.__mod__, records))
 
 
 def records_to_jsonl(records: list[SimRecord]) -> str:
@@ -200,24 +204,41 @@ def records_to_jsonl(records: list[SimRecord]) -> str:
 
 
 def write_records(records: list[SimRecord], path, fmt: str = "csv") -> None:
+    """Write ``records_to_csv(records)`` or ``records_to_jsonl(records)``,
+    rendered CHUNK records at a time."""
     if not records:
         raise ValueError("refusing to write an empty record list")
-    if fmt == "csv":
-        text = records_to_csv(records)
-    elif fmt == "jsonl":
-        text = records_to_jsonl(records)
-    else:
+    render = {"csv": records_to_csv, "jsonl": records_to_jsonl}.get(fmt)
+    if render is None:
         raise ValueError(f"unknown record format {fmt!r}")
+    # Each CSV chunk renders the header; only the first one writes it.
+    skip = len(CSV_HEADER) + 1 if fmt == "csv" else 0
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        for start in range(0, len(records), CHUNK):
+            text = render(records[start:start + CHUNK])
+            fh.write(text[skip:] if start else text)
 
 
 _BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
 
 
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object's dict, refusing a key that appears twice (a plain
+    dict keeps its last value)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError("repeated key "
+                         f"{next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
+_JSON_OBJECT = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
+
+
 def read_records(path) -> list[SimRecord]:
     """Read records back from either serialization (sniffed, not by
-    extension)."""
+    extension), parsing CHUNK lines at a time."""
     lines = [ln for ln in _read_text(path, ReplayError).splitlines()
              if ln.strip()]
     if not lines:
@@ -225,24 +246,28 @@ def read_records(path) -> list[SimRecord]:
     jsonl = lines[0].startswith("{")
     if not jsonl and lines[0] != CSV_HEADER:
         raise ReplayError(f"{path}: unexpected header {lines[0]!r}")
-    body = lines if jsonl else lines[1:]
-    try:
-        return _records(body, jsonl) if body else []
-    except _BAD_VALUE:
-        for ln in body:  # only a bad file pays for finding its first bad line
-            try:
-                _records([ln], jsonl)
-            except _BAD_VALUE as exc:
-                raise ReplayError(f"{path}: bad record {ln!r} "
-                                  f"({type(exc).__name__}: {exc})") from None
-        raise
+    records: list[SimRecord] = []
+    for start in range(0 if jsonl else 1, len(lines), CHUNK):
+        chunk = lines[start:start + CHUNK]
+        try:
+            records += _records(chunk, jsonl)
+        except _BAD_VALUE:
+            for ln in chunk:  # only a bad chunk pays for finding its bad line
+                try:
+                    _records([ln], jsonl)
+                except _BAD_VALUE as exc:
+                    raise ReplayError(
+                        f"{path}: bad record {ln!r} "
+                        f"({type(exc).__name__}: {exc})") from None
+            raise
+    return records
 
 
 def _records(lines: list[str], jsonl: bool) -> list[SimRecord]:
     """Parse nonempty body lines one column at a time."""
     width = len(RECORD_FIELDS)
     if jsonl:
-        rows = list(map(json.loads, lines))
+        rows = list(map(_JSON_OBJECT, lines))
         columns = list(zip(*map(itemgetter(*RECORD_FIELDS), rows)))
         # Every field is there, so the length rules out any other key.
         if set(map(len, rows)) != {width}:
