@@ -220,6 +220,25 @@ class SimRecord(typing.NamedTuple):
 
 # ``SimRecord._make`` in C, less its field count: pass exactly ten fields.
 make_record = partial(tuple.__new__, SimRecord)
+# Each field's type, which converts its column back.
+RECORD_TYPES = tuple(typing.get_type_hints(SimRecord)[f]
+                     for f in SimRecord._fields)
+
+
+def records_from_columns(columns) -> list[SimRecord]:
+    """The records whose fields are ``columns``, one sequence per field,
+    each converted by its field's type once per distinct value: repeats
+    share one object, as ``simulate``'s difficulties do between retargets.
+    """
+    shared = []
+    for kind, column in zip(RECORD_TYPES, columns):
+        distinct = set(column)
+        table = dict(zip(distinct, map(kind, distinct)))
+        # 0.0 and -0.0 share a key, so a float column with a zero is
+        # converted value by value.
+        convert = kind if kind is float and 0 in table else table.__getitem__
+        shared.append(map(convert, column))
+    return list(map(make_record, zip(*shared)))
 
 
 @dataclass

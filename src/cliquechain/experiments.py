@@ -25,7 +25,7 @@ from .engine import (
     SimRecord,
     Strategy,
     derive_seed,
-    make_record,
+    records_from_columns,
     simulate,
 )
 
@@ -81,7 +81,7 @@ class SweepCell:
 def _cell_from_columns(protocol, eta_index, instance, seed, fraction,
                        columns) -> SweepCell:
     return SweepCell(protocol, eta_index, instance, seed, fraction,
-                     tuple(map(make_record, zip(*columns))))
+                     tuple(records_from_columns(columns)))
 
 
 @dataclass

@@ -33,23 +33,22 @@ from . import clique
 from .clique import INITIAL_BEST_SCORE, Graph
 from .engine import (
     FLOAT_FIELDS,
+    RECORD_TYPES,
     ConfigError,
     MinerSpec,
     SimConfig,
     SimRecord,
     Strategy,
-    make_record,
+    records_from_columns,
     solving_miners,
 )
 
 # The record schema is SimRecord's: its fields, in order, are the columns,
 # and each field's type parses its column back.
 RECORD_FIELDS = SimRecord._fields
-_RECORD_TYPES = tuple(typing.get_type_hints(SimRecord)[f]
-                      for f in RECORD_FIELDS)
 CSV_HEADER = ",".join(RECORD_FIELDS)
 _CSV_LINE = ",".join("%.17g" if k is float else "%s"
-                     for k in _RECORD_TYPES) + "\n"
+                     for k in RECORD_TYPES) + "\n"
 _JSON_ROW = json.JSONEncoder(separators=(",", ":")).encode
 # Record files are written and parsed this many records at a time, so
 # that only one chunk's rendered rows or parsed columns exist at once.
@@ -272,7 +271,7 @@ def _records(lines: list[str], jsonl: bool) -> list[SimRecord]:
         # Every field is there, so the length rules out any other key.
         if set(map(len, rows)) != {width}:
             raise ValueError(f"a row needs exactly the {width} record fields")
-        for field, kind, column in zip(RECORD_FIELDS, _RECORD_TYPES, columns):
+        for field, kind, column in zip(RECORD_FIELDS, RECORD_TYPES, columns):
             # A bool is not an int; a float field takes any JSON number.
             if set(map(type, column)) - {kind, int if kind is float else kind}:
                 raise TypeError(f"{field} must be a JSON " + {
@@ -283,7 +282,7 @@ def _records(lines: list[str], jsonl: bool) -> list[SimRecord]:
             raise ValueError(f"a row needs {width} fields")
         values = ",".join(lines).split(",")
         columns = [values[i::width] for i in range(width)]
-    return list(map(make_record, zip(*map(map, _RECORD_TYPES, columns))))
+    return records_from_columns(columns)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,11 @@ def test_cells_cross_processes_as_columns():
         assert back == cell
         assert all(type(r) is SimRecord for r in back.records)
         assert len(pickle.dumps(cell)) < len(pickle.dumps(cell.records))
+        # Pickle memoizes no float, yet each repeated value comes back as
+        # one object.
+        for field in ("kind", "d_b", "d_r"):
+            values = [getattr(r, field) for r in back.records]
+            assert len(set(map(id, values))) == len(set(values)), field
 
     pooled = (run_eta_sweep(SWEEP_BASE, SWEEP_ETAS, instances=1, workers=2),
               run_bubka_experiment(attacker_base(), (1,), num_seeds=2,

@@ -202,6 +202,19 @@ def test_simulated_records_round_trip(tmp_path):
         assert all(type(r) is SimRecord for r in copy)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_read_records_share_each_repeated_value(tmp_path, fmt):
+    records = simulate(SimConfig(policy="v2", seed=2, max_blocks=300)).records
+    path = tmp_path / f"records.{fmt}"
+    write_records(records, path, fmt=fmt)
+    back = read_records(path)
+    assert back == records
+    for field in ("kind", "d_b", "d_r"):
+        values = [getattr(r, field) for r in back]
+        assert len(set(values)) < len(values) / 3, field
+        assert len(set(map(id, values))) == len(set(values)), field
+
+
 def test_write_records_guards(tmp_path):
     with pytest.raises(ValueError):
         write_records([], tmp_path / "none.csv")
@@ -301,6 +314,14 @@ def test_jsonl_float_fields_take_any_json_number(tmp_path):
     record = read_records(path)[1]
     assert (record.d_b, record.d_r) == (1000.0, 2.0)
     assert type(record.d_b) is float and type(record.d_r) is float
+    # 0.0 == -0.0 == 0, yet each zero of one column keeps its own sign.
+    zeros = [-0.0, 0.0, 0, -0.0, 0.0]
+    lines = path.read_text().splitlines()
+    path.write_text("".join(json.dumps({**json.loads(line), "d_r": z}) + "\n"
+                            for line, z in zip(lines, zeros)))
+    d_r = [r.d_r for r in read_records(path)]
+    assert [math.copysign(1, v) for v in d_r] == [-1, 1, 1, -1, 1]
+    assert {type(v) for v in d_r} == {float}
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +396,171 @@ def test_first_bad_line_is_named_past_the_first_chunk(tmp_path, row, fmt,
     with pytest.raises(ReplayError) as exc:
         read_records(path)
     assert str(exc.value) == f"{path}: bad record {lines[first]!r} ({why})"
+
+
+_FIELD_TYPES = {"height": int, "sim_time": float, "kind": str,
+                "miner_id": int, "d_b": float, "d_r": float,
+                "best_score": int, "problem_epoch": int,
+                "cum_classical": int, "cum_solution": int}
+
+
+def _reference_object(pairs):
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ValueError(f"repeated key {key!r}")
+    return dict(pairs)
+
+
+def _reference_row(line, jsonl):
+    if jsonl:
+        row = json.loads(line, object_pairs_hook=_reference_object)
+        values = [row[field] for field in _FIELD_TYPES]
+        if len(row) != 10:
+            raise ValueError("a row needs exactly the 10 record fields")
+        for (field, kind), v in zip(_FIELD_TYPES.items(), values):
+            if type(v) is not kind and (kind, type(v)) != (float, int):
+                raise TypeError(f"{field} must be a JSON " + {
+                    int: "integer", float: "number", str: "string"}[kind])
+    else:
+        values = line.split(",")
+        if len(values) != 10:
+            raise ValueError("a row needs 10 fields")
+    return SimRecord(*(kind(v) for kind, v
+                       in zip(_FIELD_TYPES.values(), values)))
+
+
+def _reference_read(path):
+    """The record parse restated a line at a time, one int() or float()
+    per field, kept as the oracle for ``read_records``."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    if not lines:
+        raise ReplayError(f"{path}: empty record file")
+    jsonl = lines[0].startswith("{")
+    if not jsonl and lines[0] != CSV_HEADER:
+        raise ReplayError(f"{path}: unexpected header {lines[0]!r}")
+    records = []
+    for ln in lines[0 if jsonl else 1:]:
+        try:
+            records.append(_reference_row(ln, jsonl))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ReplayError(f"{path}: bad record {ln!r} "
+                              f"({type(exc).__name__}: {exc})") from None
+    return records
+
+
+_FLOAT_POOL = [0.0, -0.0, math.inf, math.nan, 5e-324, 1 / 3, 5.0, 1000.0]
+
+
+def _repeating_records(rng, n):
+    """n records whose float columns repeat values, zeros of both signs,
+    inf and nan among them (not a valid chain)."""
+    return [SimRecord(h, h + rng.random() if rng.random() < 0.9
+                      else rng.choice(_FLOAT_POOL),
+                      rng.choice(("classical", "solution", "x")),
+                      rng.randrange(20), rng.choice(_FLOAT_POOL),
+                      rng.choice(_FLOAT_POOL), rng.randrange(-3, 300),
+                      h // 500, rng.randrange(10 ** 20), h // 2)
+            for h in range(n)]
+
+
+_CSV_VALUES = ["x", "", "1.5", "-0", "0", "+0", "-0.0", "1e400", "nan",
+               " 7", "1_000", "0x10", "classical"]
+_JSON_VALUES = [-0.0, 0, 0.0, True, None, "1", 1.5, 10 ** 400, [1],
+                {"a": 1}, 7, "solution"]
+
+
+def _corrupt_line(rng, line, jsonl):
+    """One seeded edit of a data line, of its value, shape or syntax."""
+    roll = rng.random()
+    if roll < 0.1:
+        return line[:rng.randrange(len(line))]
+    if roll < 0.15:
+        return rng.choice(["", " ", "[1, 2]", "5", "null", '"row"', "{}"])
+    if not jsonl:
+        values = line.split(",")
+        if roll < 0.25:
+            del values[rng.randrange(len(values))]
+        elif roll < 0.3:
+            values.insert(rng.randrange(len(values)), "0")
+        else:
+            values[rng.randrange(10)] = rng.choice(_CSV_VALUES)
+        return ",".join(values)
+    row = json.loads(line)
+    field = rng.choice(list(_FIELD_TYPES))
+    if roll < 0.25:
+        del row[field]
+    elif roll < 0.3:
+        row["witness"] = [1, 2]
+    elif roll < 0.35:
+        return f'{{"{field}":0,' + line[1:]
+    else:
+        row[field] = rng.choice(_JSON_VALUES)
+    return json.dumps(row)
+
+
+def _seeded_record_file(rng, path, fmt):
+    """A clean, empty or corrupted records file of 1 to 2,600 rows; sizes
+    and edits favour the chunk edges."""
+    roll = rng.random()
+    if roll < 0.05:
+        path.write_text(rng.choice(["", "\n", " \n\n"]))
+        return
+    n = rng.choice([1, 2, 1023, 1024, 1025, 2048, 2600,
+                    rng.randint(1, 2600)])
+    write_records(_repeating_records(rng, n), path, fmt=fmt)
+    if roll < 0.2:
+        return
+    lines = path.read_text().splitlines()
+    edges = [i for i in (1, 1023, 1024, 1025, 1026) if i < len(lines)]
+    picks = {rng.choice([rng.randrange(len(lines)), *edges])
+             for _ in range(rng.randint(1, 3))}
+    # From the last line up, so that each edit meets the written line.
+    for i in sorted(picks, reverse=True):
+        roll = rng.random()
+        if roll < 0.1:
+            lines.insert(i, rng.choice(["", "  ", lines[i]]))
+        elif roll < 0.2 and i:
+            del lines[i]
+        else:
+            lines[i] = _corrupt_line(rng, lines[i], fmt == "jsonl")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _read_outcome(read, path):
+    """The message a read raises, or each record's type and each field's
+    type and repr, which tells the two zeros apart."""
+    try:
+        records = read(path)
+    except ReplayError as exc:
+        return str(exc)
+    return [(type(r), [(type(v), repr(v)) for v in r]) for r in records]
+
+
+_READ_OUTCOMES = ("empty record file", "unexpected header", "ValueError:",
+                  "TypeError:", "KeyError:", "JSONDecodeError:",
+                  "OverflowError:", "repeated key", "must be a JSON",
+                  "a row needs 10", "a row needs exactly")
+
+
+def test_read_records_matches_the_reference_line_by_line(tmp_path):
+    rng = random.Random(2029)
+    messages, clean = set(), 0
+    for k in range(120):
+        fmt = ("csv", "jsonl")[k % 2]
+        path = tmp_path / f"records{k}.{fmt}"
+        _seeded_record_file(rng, path, fmt)
+        want = _read_outcome(_reference_read, path)
+        assert _read_outcome(read_records, path) == want, path.read_text()
+        if isinstance(want, str):
+            messages.add(want)
+        else:
+            clean += 1
+    # The corpus reaches every way a read fails, and many reads succeed.
+    assert [m for m in _READ_OUTCOMES
+            if not any(m in message for message in messages)] == []
+    assert clean >= 20
 
 
 def test_record_files_move_a_chunk_at_a_time(tmp_path):
