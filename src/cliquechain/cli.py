@@ -21,6 +21,7 @@ import shlex
 import sys
 from datetime import datetime, timezone
 from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -54,12 +55,19 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _write_records(args, stem: str, records) -> str:
-    """Write records as ``<stem>.<format>`` under the output directory and
-    return that name."""
+def _records_path(args, stem: str) -> tuple[str, str]:
+    """The name ``<stem>.<format>`` and its path under the output
+    directory, whose folders are made."""
     name = f"{stem}.{args.format}"
     path = os.path.join(args.out_dir, name)
     os.makedirs(os.path.dirname(path), exist_ok=True)
+    return name, path
+
+
+def _write_records(args, stem: str, records) -> str:
+    """Write records as ``<stem>.<format>`` under the output directory and
+    return that name."""
+    name, path = _records_path(args, stem)
     write_records(records, path, fmt=args.format)
     return name
 
@@ -84,12 +92,15 @@ def _columns(records, *fields) -> dict:
 
 
 def _simulate(args, cfg: SimConfig) -> tuple[dict, str]:
-    result = simulate(cfg)
-    records = _write_records(args, "records", result.records)
+    records, path = _records_path(args, "records")
+    # The records go to the file as the run makes them; the writer
+    # returns the last one.
+    result = simulate(cfg, sink=lambda stream: write_records(
+        stream, path, fmt=args.format))
+    last = result.records
     write_graphs(result.graphs, os.path.join(args.out_dir, "graphs.edges"))
-    last = result.records[-1]
     return ({"records": records, "graphs": "graphs.edges"},
-            f"{len(result.records)} blocks "
+            f"{last.height + 1} blocks "
             f"({last.cum_classical} classical, {last.cum_solution} solution), "
             f"{len(result.replacement_heights)} problem replacements, "
             f"final d_b={last.d_b:.6g} d_r={last.d_r:.6g}\n"
@@ -211,13 +222,38 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify_chain(args) -> int:
-    records = read_records(args.records)
-    cfg = run_config(args.records)
-    graphs = read_graphs(args.graphs, problem_graphs(cfg))
-    verify_record_stream(records, graphs)
-    verify_miners(records, cfg)
-    print(f"ok: {len(records)} records over {len(graphs)} problem graphs")
+    """Check the records in one pass over their file.
+
+    Of several faults, the one named is the first in this ranking: the
+    records file's bytes and lines, the manifest, the graphs file, the
+    stream rules, the miner rules.  So a check that fails reads the rest
+    of the records before it raises, and a miner fault waits for the
+    stream check to pass.
+    """
+    chunks = read_records(args.records)
+    try:
+        cfg = run_config(args.records)
+        graphs = read_graphs(args.graphs, problem_graphs(cfg))
+    except ReplayError:
+        _drain(chunks)
+        raise
+    miner_faults: list[ReplayError] = []
+    records = chain.from_iterable(verify_miners(chunks, cfg, miner_faults))
+    try:
+        count = verify_record_stream(records, graphs)
+    except ReplayError:
+        _drain(records)
+        raise
+    if miner_faults:
+        raise miner_faults[0]
+    print(f"ok: {count} records over {len(graphs)} problem graphs")
     return 0
+
+
+def _drain(stream) -> None:
+    """Read ``stream`` to its end, so that a fault further on raises."""
+    for _ in stream:
+        pass
 
 
 def _cmd_selftest(args) -> int:

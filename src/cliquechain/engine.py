@@ -227,11 +227,15 @@ RECORD_TYPES = tuple(typing.get_type_hints(SimRecord)[f]
 
 def records_from_columns(columns) -> list[SimRecord]:
     """The records whose fields are ``columns``, one sequence per field,
-    each converted by its field's type once per distinct value: repeats
-    share one object, as ``simulate``'s difficulties do between retargets.
+    each converted by its field's type.  Heights and times never repeat
+    in a chain, so they are converted value by value; every other column
+    once per distinct value, so that repeats share one object, as
+    ``simulate``'s difficulties do between retargets.
     """
-    shared = []
-    for kind, column in zip(RECORD_TYPES, columns):
+    height, sim_time, *rest = columns
+    # Converted now, so that a bad value raises in column order.
+    shared = [list(map(int, height)), list(map(float, sim_time))]
+    for kind, column in zip(RECORD_TYPES[2:], rest):
         distinct = set(column)
         table = dict(zip(distinct, map(kind, distinct)))
         # 0.0 and -0.0 share a key, so a float column with a zero is
@@ -243,7 +247,9 @@ def records_from_columns(columns) -> list[SimRecord]:
 
 @dataclass
 class SimResult:
-    """Everything a run produced, for writers and experiments."""
+    """Everything a run produced, for writers and experiments.
+    ``records`` is what ``simulate``'s sink made of the record stream:
+    by default their list."""
 
     records: list[SimRecord]
     graphs: list[Graph]
@@ -280,9 +286,12 @@ def problem_graphs(cfg: SimConfig) -> typing.Iterator[Graph]:
 
 def _mining_draws(cfg: SimConfig):
     """Yield the mining substream one block's row at a time, one standard
-    exponential per miner; on PCG64 a (rows, m) draw is rows draws of m."""
+    exponential per miner; on PCG64 a (rows, m) draw is rows draws of m.
+    Rows are drawn at most 2**16 floats at a time (and at least one row),
+    so the buffer does not grow with the miner count."""
     rng = _stream_rng(cfg.seed, _MINING_STREAM)
-    shape = (min(1024, cfg.max_blocks), len(cfg.miners))
+    m = len(cfg.miners)
+    shape = (max(1, min(1024, cfg.max_blocks, 2 ** 16 // m)), m)
     while True:
         yield from rng.standard_exponential(shape).tolist()
 
@@ -426,12 +435,28 @@ def _reseed_solvers(roster: dict[int, MinerState], problem: ProblemInstance,
         st.releasing = False
 
 
-def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
-    """Run the full event loop and return records, graphs and replacements.
+def simulate(cfg: SimConfig, walks: dict | None = None,
+             sink=list) -> SimResult:
+    """Run the event loop and return records, graphs and replacements.
 
-    Runs given the same ``walks`` dict share their search walks (see
-    ``SolverCursor``); the results are those of separate runs.
+    ``sink`` is called once with an iterator over the run's records,
+    which yields each as its block is mined and must be read to its end;
+    the result's ``records`` is what ``sink`` returns, by default their
+    list.  Runs given the same ``walks`` dict share their search walks
+    (see ``SolverCursor``); the results are those of separate runs.
     """
+    graphs: list[Graph] = []
+    replacement_heights: list[int] = []
+    records = sink(_blocks(cfg, walks, graphs, replacement_heights))
+    return SimResult(records=records, graphs=graphs,
+                     replacement_heights=replacement_heights)
+
+
+def _blocks(cfg: SimConfig, walks: dict | None, graphs: list[Graph],
+            replacement_heights: list[int]) -> typing.Iterator[SimRecord]:
+    """Yield the run's records block by block, appending each problem
+    graph to ``graphs`` and each replacement's height to
+    ``replacement_heights``."""
     policy = DifficultyPolicy(cfg)
     state = DifficultyState(d_b=cfg.initial_db, d_r=cfg.initial_dr)
     mining_draws = _mining_draws(cfg)
@@ -443,9 +468,7 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
     solving = list(roster.values())
     _reseed_solvers(roster, problem, cfg.seed, walks)
 
-    records: list[SimRecord] = []
-    graphs = [problem.graph]
-    replacement_heights: list[int] = []
+    graphs.append(problem.graph)
     cum_solution = 0
     now = 0.0
     d_b = None
@@ -479,9 +502,9 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
         state = policy.on_block(state, block)
         state.updates = ()
         kind = "solution" if at_d_r else "classical"
-        records.append(SimRecord(height, now, kind, miner_id, state.d_b,
-                                 state.d_r, problem.best_score, problem.epoch,
-                                 height + 1 - cum_solution, cum_solution))
+        yield SimRecord(height, now, kind, miner_id, state.d_b, state.d_r,
+                        problem.best_score, problem.epoch,
+                        height + 1 - cum_solution, cum_solution)
 
         fresh = check_saturation_and_replace(problem, height, cfg,
                                              problem_stream, solving)
@@ -490,6 +513,3 @@ def simulate(cfg: SimConfig, walks: dict | None = None) -> SimResult:
             problem = fresh
             graphs.append(problem.graph)
             _reseed_solvers(roster, problem, cfg.seed, walks)
-
-    return SimResult(records=records, graphs=graphs,
-                     replacement_heights=replacement_heights)

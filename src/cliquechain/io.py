@@ -23,7 +23,7 @@ import re
 import typing
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 from math import inf
 from operator import itemgetter
 
@@ -53,6 +53,9 @@ _JSON_ROW = json.JSONEncoder(separators=(",", ":")).encode
 # Record files are written and parsed this many records at a time, so
 # that only one chunk's rendered rows or parsed columns exist at once.
 CHUNK = 1024
+# Record files are read in pieces of whole lines about this many bytes
+# long.
+BLOCK = 1 << 16
 
 # The int-valued config keys, in SimConfig field order.
 _INT_KEYS = tuple(name for name, kind
@@ -61,6 +64,10 @@ _INT_KEYS = tuple(name for name, kind
 # miner line leaves out.
 _MINER_NUMBERS = {"hashrate": float, "solver_steps_per_second": float,
                   "hoard_target": int, "count": int}
+# The most miners a config may list, counts summed.  Each miner costs
+# memory in every block's race, so a larger population is refused before
+# any of its specs is built.
+MAX_MINERS = 100_000
 
 
 class ReplayError(Exception):
@@ -146,10 +153,12 @@ def parse_config_text(text: str) -> SimConfig:
     if "seed" not in scalars:
         raise ConfigError("config must set a seed")
 
+    total = sum(count for _, count in miner_entries)
+    if total > MAX_MINERS:
+        raise ConfigError(f"{total} miners exceed the cap of {MAX_MINERS}")
     specs: list[MinerSpec] = []
     for attrs, count in miner_entries:
-        for _ in range(count):
-            specs.append(MinerSpec(**attrs))
+        specs += [MinerSpec(**attrs)] * count  # equal specs share one
     return SimConfig(miners=tuple(specs), **scalars)
 
 
@@ -202,20 +211,38 @@ def records_to_jsonl(records: list[SimRecord]) -> str:
                       for r in records]) + "\n"
 
 
-def write_records(records: list[SimRecord], path, fmt: str = "csv") -> None:
+def write_records(records: typing.Iterable[SimRecord], path,
+                  fmt: str = "csv") -> SimRecord:
     """Write ``records_to_csv(records)`` or ``records_to_jsonl(records)``,
-    rendered CHUNK records at a time."""
-    if not records:
-        raise ValueError("refusing to write an empty record list")
+    rendered CHUNK records at a time, and return the last record.
+
+    ``records`` may be a stream, such as ``simulate``'s.  The rows go to
+    ``<path>.part``, which replaces ``path`` once they are all written
+    and is removed if the stream raises, so a failed run leaves any
+    older file at ``path`` as it was.
+    """
     render = {"csv": records_to_csv, "jsonl": records_to_jsonl}.get(fmt)
     if render is None:
         raise ValueError(f"unknown record format {fmt!r}")
+    records = iter(records)
+    chunk = list(islice(records, CHUNK))
+    if not chunk:
+        raise ValueError("refusing to write an empty record list")
     # Each CSV chunk renders the header; only the first one writes it.
     skip = len(CSV_HEADER) + 1 if fmt == "csv" else 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(records), CHUNK):
-            text = render(records[start:start + CHUNK])
-            fh.write(text[skip:] if start else text)
+    part = f"{path}.part"
+    with open(part, "w", encoding="utf-8") as fh:
+        try:
+            fh.write(render(chunk))
+            while more := list(islice(records, CHUNK)):
+                chunk = more
+                fh.write(render(chunk)[skip:])
+        except BaseException:
+            fh.close()
+            os.remove(part)
+            raise
+    os.replace(part, path)
+    return chunk[-1]
 
 
 _BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
@@ -235,31 +262,75 @@ def _unique_keys(pairs: list[tuple]) -> dict:
 _JSON_OBJECT = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
 
 
-def read_records(path) -> list[SimRecord]:
-    """Read records back from either serialization (sniffed, not by
-    extension), parsing CHUNK lines at a time."""
-    lines = [ln for ln in _read_text(path, ReplayError).splitlines()
-             if ln.strip()]
-    if not lines:
-        raise ReplayError(f"{path}: empty record file")
-    jsonl = lines[0].startswith("{")
-    if not jsonl and lines[0] != CSV_HEADER:
-        raise ReplayError(f"{path}: unexpected header {lines[0]!r}")
-    records: list[SimRecord] = []
-    for start in range(0 if jsonl else 1, len(lines), CHUNK):
-        chunk = lines[start:start + CHUNK]
-        try:
-            records += _records(chunk, jsonl)
-        except _BAD_VALUE:
-            for ln in chunk:  # only a bad chunk pays for finding its bad line
+def _text_blocks(path) -> typing.Iterator[str]:
+    """Yield the text of a UTF-8 file in pieces of whole lines, about
+    BLOCK bytes each; a failed read or a byte that is not UTF-8 raises
+    ReplayError naming the file (and the byte's offset in it)."""
+    try:
+        with open(path, "rb") as fh:
+            offset = 0
+            # No UTF-8 character and no "\r\n" spans the newline byte that
+            # ends each line of bytes.
+            while lines := fh.readlines(BLOCK):
+                piece = b"".join(lines)
                 try:
-                    _records([ln], jsonl)
-                except _BAD_VALUE as exc:
-                    raise ReplayError(
-                        f"{path}: bad record {ln!r} "
-                        f"({type(exc).__name__}: {exc})") from None
-            raise
-    return records
+                    text = piece.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ReplayError(f"{path}: byte {offset + exc.start} "
+                                      "is not UTF-8") from None
+                yield text
+                offset += len(piece)
+    except OSError as exc:
+        raise ReplayError(f"{path}: {exc.strerror}") from None
+
+
+def read_records(path) -> typing.Iterator[list[SimRecord]]:
+    """Yield the records of a file in either serialization (sniffed, not
+    by extension) CHUNK at a time, reading it a block at a time.
+
+    Lines break where ``str.splitlines`` breaks them; blank lines are
+    skipped.  Faults raise ReplayError, ranked as if the file were read
+    whole before any line is parsed: a byte that is not UTF-8, then an
+    empty file, a bad header or the first bad record.  So once a line is
+    refused, the rest of the file is still decoded before it is named.
+    """
+    blocks = _text_blocks(path)
+    lines: list[str] = []  # the nonblank lines not yet parsed
+    jsonl = None
+    try:
+        for text in blocks:
+            lines += filter(str.strip, text.splitlines())
+            if jsonl is None and lines:
+                jsonl = lines[0].startswith("{")
+                if not jsonl and (head := lines.pop(0)) != CSV_HEADER:
+                    raise ReplayError(f"{path}: unexpected header {head!r}")
+            while len(lines) >= CHUNK:
+                yield _parse(path, lines[:CHUNK], jsonl)
+                del lines[:CHUNK]
+        if jsonl is None:
+            raise ReplayError(f"{path}: empty record file")
+        if lines:
+            yield _parse(path, lines, jsonl)
+    except ReplayError:
+        for _ in blocks:  # a bad byte further on ranks first
+            pass
+        raise
+
+
+def _parse(path, lines: list[str], jsonl: bool) -> list[SimRecord]:
+    """Parse nonempty body lines; a bad one raises ReplayError naming the
+    first."""
+    try:
+        return _records(lines, jsonl)
+    except _BAD_VALUE:
+        for ln in lines:  # only a bad chunk pays for finding its bad line
+            try:
+                _records([ln], jsonl)
+            except _BAD_VALUE as exc:
+                raise ReplayError(
+                    f"{path}: bad record {ln!r} "
+                    f"({type(exc).__name__}: {exc})") from None
+        raise
 
 
 def _records(lines: list[str], jsonl: bool) -> list[SimRecord]:
@@ -443,9 +514,10 @@ def _fault(height, why: str) -> ReplayError:
     return ReplayError(f"height {height}: {why}")
 
 
-def verify_record_stream(records: list[SimRecord],
-                         graphs: list[Graph]) -> None:
-    """Re-validate a recorded chain against its problem graphs.
+def verify_record_stream(records: typing.Iterable[SimRecord],
+                         graphs: list[Graph]) -> int:
+    """Re-validate a recorded chain against its problem graphs, and
+    return its number of records.
 
     Checks the structural invariants a chain must satisfy: consecutive
     heights, finite times increasing strictly from 0, finite positive
@@ -453,19 +525,18 @@ def verify_record_stream(records: list[SimRecord],
     most one a block (and at most one graph past the last), and strictly
     improving scores bounded by the epoch's graph size.  Raises ReplayError
     on the first violation.  (The record schema stores scores, not
-    solution vertices.)
+    solution vertices.)  ``records`` may be a list or a stream, read once.
 
     One running best score is enough: an epoch that passes its check is
     the previous one or the next, so an epoch once left never returns.
     A record that passes the height check is the i-th, so the classical
     count is i + 1 less the solution count.
     """
-    if not records:
-        raise ReplayError("no records to verify")
     n_graphs = len(graphs)
     best = INITIAL_BEST_SCORE
     prev_time = 0.0
     prev_epoch = cum_s = 0
+    i = -1
     for i, (height, sim_time, kind, _, d_b, d_r, score, epoch,
             cum_classical, cum_solution) in enumerate(records):
         if height != i:
@@ -498,20 +569,32 @@ def verify_record_stream(records: list[SimRecord],
             raise _fault(height, "cumulative counters inconsistent")
         prev_time = sim_time
         prev_epoch = epoch
+    if i < 0:
+        raise ReplayError("no records to verify")
     if n_graphs > prev_epoch + 2:
         raise ReplayError(f"{n_graphs} graphs for {prev_epoch + 1} epochs")
+    return i + 1
 
 
-def verify_miners(records: list[SimRecord], cfg: SimConfig) -> None:
-    """Check that each record names a miner of ``cfg``, and each solution
-    block one that may publish (``engine.solving_miners``); raises
-    ReplayError on the first record that does not."""
-    miners = set(range(len(cfg.miners)))
+def verify_miners(chunks: typing.Iterable[list[SimRecord]], cfg: SimConfig,
+                  faults: list[ReplayError]
+                  ) -> typing.Iterator[list[SimRecord]]:
+    """Yield ``chunks`` of records unchanged, appending to ``faults`` a
+    ReplayError for the first record that names no miner of ``cfg``, or
+    a solution block by a miner that may not publish one
+    (``engine.solving_miners``).  The caller raises it once the checks
+    that rank above it have passed."""
+    miners = range(len(cfg.miners))
     solvers = set(solving_miners(cfg))
-    for r in records:
-        if r.miner_id not in miners:
-            raise _fault(r.height,
-                         f"no miner {r.miner_id} in the run's config")
-        if r.kind == "solution" and r.miner_id not in solvers:
-            raise _fault(r.height,
-                         f"miner {r.miner_id} cannot mine a solution block")
+    for chunk in chunks:
+        for r in () if faults else chunk:
+            if r.miner_id not in miners:
+                faults.append(_fault(
+                    r.height, f"no miner {r.miner_id} in the run's config"))
+                break
+            if r.kind == "solution" and r.miner_id not in solvers:
+                faults.append(_fault(
+                    r.height,
+                    f"miner {r.miner_id} cannot mine a solution block"))
+                break
+        yield chunk

@@ -7,8 +7,11 @@ import json
 import os
 import pkgutil
 import shlex
+import shutil
 import sys
+import tracemalloc
 import warnings
+from itertools import chain, islice
 
 import pytest
 
@@ -16,12 +19,17 @@ import cliquechain
 from cliquechain import cli, clique, experiments
 from cliquechain.cli import main
 from cliquechain.clique import MAX_GRAPH_N, Graph
-from cliquechain.engine import ConfigError, problem_graphs
+from cliquechain.engine import ConfigError, SimRecord, problem_graphs
 from cliquechain.io import (
     ReplayError,
     parse_config,
+    parse_config_text,
     read_graphs,
     read_manifest,
+    read_records,
+    run_config,
+    verify_miners,
+    verify_record_stream,
     write_graphs,
 )
 
@@ -297,6 +305,183 @@ def test_verify_chain_refuses_a_bad_manifest(tmp_path, capsys, edit):
     assert "manifest.json: " in capsys.readouterr().err
 
 
+# ---------------------------------------------------------------------------
+# Which fault verify-chain names when a run has several
+# ---------------------------------------------------------------------------
+
+# 1,500 blocks put data row 1,400 in the records' second chunk.
+LONG_BITCOIN = ("policy = bitcoin\nseed = 1\nmax_blocks = 1500\n"
+                "saturation_window = 0\n")
+
+
+@pytest.fixture(scope="module")
+def long_runs(tmp_path_factory):
+    """The run directory of LONG_BITCOIN in each record format."""
+    base = tmp_path_factory.mktemp("long")
+    cfg = write_cfg(base, LONG_BITCOIN)
+    runs = {}
+    for fmt in ("csv", "jsonl"):
+        runs[fmt] = base / fmt
+        assert main(["simulate", cfg, "--out-dir", str(runs[fmt]),
+                     "--format", fmt]) == 0
+    return runs
+
+
+def _set(row, **fields):
+    """An edit that sets fields of data row ``row`` of the records."""
+    def edit(run, fmt):
+        path = run / f"records.{fmt}"
+        lines = path.read_text().splitlines()
+        if fmt == "jsonl":
+            lines[row] = json.dumps({**json.loads(lines[row]), **fields})
+        else:
+            values = lines[row + 1].split(",")
+            for name, value in fields.items():
+                values[SimRecord._fields.index(name)] = str(value)
+            lines[row + 1] = ",".join(values)
+        path.write_text("\n".join(lines) + "\n")
+    return edit
+
+
+def _bad_header(run, fmt):
+    path = run / f"records.{fmt}"
+    path.write_text("height,time\n" + path.read_text().split("\n", 1)[1])
+
+
+def _header_only(run, fmt):
+    path = run / f"records.{fmt}"
+    path.write_text(path.read_text().split("\n", 1)[0] + "\n")
+
+
+def _bad_byte_at_end(run, fmt):
+    with open(run / f"records.{fmt}", "ab") as fh:
+        fh.write(b"\xff\n")
+
+
+def _drop(name):
+    def edit(run, fmt):
+        (run / name.format(fmt=fmt)).unlink()
+    return edit
+
+
+def _bad_manifest(run, fmt):
+    (run / "manifest.json").write_text("[]")
+
+
+def _swapped_graph(run, fmt):
+    write_graphs([clique.gen_random_graph(60, 0.5, 12345)],
+                 run / "graphs.edges")
+
+
+def _three_graphs(run, fmt):
+    cfg = parse_config_text(LONG_BITCOIN)
+    write_graphs(islice(problem_graphs(cfg), 3), run / "graphs.edges")
+
+
+_LINE_EARLY = _set(5, d_b="x")
+_LINE_LATE = _set(1400, d_b="x")
+_STREAM_EARLY = _set(3, kind="mystery")
+_STREAM_LATE = _set(1400, kind="mystery")
+_MINER_EARLY = _set(2, miner_id=20)
+
+# (format, edits, the fault that wins).  The ranks, highest first: the
+# records file's bytes and lines, the manifest, the graphs file, the
+# stream rules, the miner rules.
+PRECEDENCE = {
+    "line-late-over-stream-early":
+        ("csv", [_LINE_LATE, _STREAM_EARLY], "could not convert"),
+    "line-late-over-miner-early":
+        ("csv", [_LINE_LATE, _MINER_EARLY], "could not convert"),
+    "byte-late-over-line-early":
+        ("csv", [_LINE_EARLY, _bad_byte_at_end], "is not UTF-8"),
+    "byte-late-over-header": ("csv", [_bad_header, _bad_byte_at_end],
+                              "is not UTF-8"),
+    "line-over-manifest":
+        ("csv", [_bad_manifest, _LINE_LATE], "could not convert"),
+    "header-over-missing-manifest":
+        ("csv", [_drop("manifest.json"), _bad_header], "unexpected header"),
+    "missing-records-over-missing-manifest":
+        ("csv", [_drop("manifest.json"), _drop("records.{fmt}")],
+         "records.csv: No such file"),
+    "manifest-over-graphs":
+        ("csv", [_swapped_graph, _bad_manifest], "not a run manifest"),
+    "manifest-over-empty-stream":
+        ("csv", [_header_only, _bad_manifest], "not a run manifest"),
+    "graphs-over-stream":
+        ("csv", [_swapped_graph, _STREAM_EARLY], "is not the run's graph"),
+    "graphs-over-miner":
+        ("csv", [_swapped_graph, _MINER_EARLY], "is not the run's graph"),
+    "stream-late-over-miner-early":
+        ("csv", [_MINER_EARLY, _STREAM_LATE], "height 1400: unknown kind"),
+    "stream-end-over-miner":
+        ("csv", [_three_graphs, _MINER_EARLY], "3 graphs for 1 epochs"),
+    "miner-alone": ("csv", [_MINER_EARLY], "height 2: no miner 20"),
+    "jsonl-line-over-stream-and-miner":
+        ("jsonl", [_MINER_EARLY, _STREAM_EARLY, _set(1, height=1.5)],
+         "TypeError: height must be a JSON integer"),
+    "jsonl-stream-late-over-miner-early":
+        ("jsonl", [_MINER_EARLY, _STREAM_LATE], "height 1400: unknown kind"),
+}
+
+
+def _whole_list_verdict(records, graphs) -> tuple[int, str]:
+    """verify-chain's exit code and stderr, composed as the checks ran
+    before records streamed: the whole list read, then the manifest, the
+    graphs, the stream rules and the miner rules, each in turn."""
+    try:
+        recs = list(chain.from_iterable(read_records(records)))
+        cfg = run_config(records)
+        loaded = read_graphs(graphs, problem_graphs(cfg))
+        verify_record_stream(recs, loaded)
+        faults = []
+        list(verify_miners([recs], cfg, faults))
+        if faults:
+            raise faults[0]
+    except ReplayError as exc:
+        return 3, f"validation error: {exc}\n"
+    return 0, ""
+
+
+@pytest.mark.parametrize("fmt, edits, wins", PRECEDENCE.values(),
+                         ids=PRECEDENCE.keys())
+def test_verify_chain_names_the_highest_ranked_fault(long_runs, tmp_path,
+                                                     capsys, fmt, edits,
+                                                     wins):
+    run = tmp_path / "run"
+    shutil.copytree(long_runs[fmt], run)
+    for edit in edits:
+        edit(run, fmt)
+    records, graphs = str(run / f"records.{fmt}"), str(run / "graphs.edges")
+    capsys.readouterr()
+    code = main(["verify-chain", records, graphs])
+    err = capsys.readouterr().err
+    assert (code, err) == _whole_list_verdict(records, graphs)
+    assert code == 3 and wins in err
+
+
+def test_record_memory_does_not_grow_with_the_run(tmp_path):
+    # Records stream to the file and back a chunk at a time.  Held whole,
+    # 100,000 blocks peaked about 20 MB (simulate) and 31 MB (verify-chain)
+    # above 10,000 blocks.
+    peaks = {}
+    for n in (10_000, 100_000):
+        cfg = write_cfg(tmp_path, f"policy = bitcoin\nseed = 1\n"
+                                  f"max_blocks = {n}\nsaturation_window = 0\n"
+                                  "miner = strategy=classical\n", f"{n}.cfg")
+        out = tmp_path / f"out{n}"
+        for argv in (["simulate", cfg, "--out-dir", str(out)],
+                     ["verify-chain", str(out / "records.csv"),
+                      str(out / "graphs.edges")]):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[argv[0], n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    for command in ("simulate", "verify-chain"):
+        assert peaks[command, 100_000] <= peaks[command, 10_000] + 2e6
+
+
 def test_manifest_records_the_parsed_command_line(tmp_path, monkeypatch):
     # In-process callers of main, the benchmark and these tests, run under
     # another program's sys.argv; main(None) reads sys.argv[1:].
@@ -440,7 +625,7 @@ def test_stray_value_error_is_not_reported_as_validation(tmp_path,
                                                          monkeypatch):
     # A ValueError from inside a run is a bug: main lets it propagate, so
     # the process exits 1 with a traceback instead of exit 3.
-    def broken(cfg):
+    def broken(cfg, **options):
         raise ValueError("bug")
 
     monkeypatch.setattr(cli, "simulate", broken)
@@ -505,8 +690,15 @@ def test_verify_chain_needs_a_graph_per_epoch_and_fixed_classical_scores(
     ("miner = strategy=solver hashrate=abc", "bad numeric miner attribute"),
     ("max_blocks = 0", "max_blocks must be >= 1"),
     ("saturation_window = -1", "saturation_window must be >= 0"),
+    # Refused before a single miner is built, so a billion costs nothing.
+    ("miner = strategy=classical count=1000000000",
+     "1000000000 miners exceed the cap of 100000"),
+    ("miner = strategy=classical count=60000\n"
+     "miner = strategy=solver count=40001",
+     "100001 miners exceed the cap of 100000"),
 ], ids=["token-without-equals", "repeated-attribute", "hashrate-abc",
-        "max-blocks-0", "saturation-window-minus-1"])
+        "max-blocks-0", "saturation-window-minus-1", "a-billion-miners",
+        "miner-counts-summed-past-the-cap"])
 def test_rejected_config_lines_exit_2(tmp_path, capsys, line, message):
     cfg = write_cfg(tmp_path, f"policy = v2\nseed = 1\n{line}\n")
     out = tmp_path / "o"

@@ -3,6 +3,7 @@ attacker bookkeeping, problem replacement, and whole-run invariants."""
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -215,17 +216,33 @@ def test_race_time_of_inf_never_wins():
     assert got == (1, False, 50.0 * (1e10 / 1000.0))
 
 
-@pytest.mark.parametrize("m", [1, 11, 20])
+@pytest.mark.parametrize("m", [1, 11, 20, 3000])
 @pytest.mark.parametrize("max_blocks", [2500, 700])
 def test_mining_rows_match_one_draw_per_block(m, max_blocks):
     # simulate draws up to 1,024 rows at once; 2,500 rows cross two chunk
     # boundaries, and a run shorter than 1,024 blocks draws smaller chunks.
+    # 3,000 miners draw 21 rows at a time, the most under 2**16 floats.
     cfg = SimConfig(policy="bitcoin", seed=5, max_blocks=max_blocks,
                     miners=(classical_spec(),) * m)
     rows = _mining_draws(cfg)
     per_block = _stream_rng(cfg.seed, _MINING_STREAM)
     for _ in range(2500):
         assert next(rows) == per_block.standard_exponential(m).tolist()
+
+
+def test_mining_draws_hold_a_bounded_buffer():
+    # Drawing 1,024 rows of 2,000 miners at once held about 80 MB; rows of
+    # at most 2**16 floats hold about 3 MB at the peak, records included.
+    cfg = SimConfig(policy="bitcoin", seed=1, max_blocks=1100,
+                    miners=(classical_spec(),) * 2000)
+    tracemalloc.start()
+    try:
+        records = simulate(cfg).records
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 1100
+    assert peak <= 8e6
 
 
 def test_attacker_mines_reduced_only_while_releasing():

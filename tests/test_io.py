@@ -7,10 +7,12 @@ import pickle
 import random
 import sys
 import tracemalloc
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
 
+from cliquechain import io
 from cliquechain.clique import INITIAL_BEST_SCORE
 from cliquechain.engine import (
     ConfigError,
@@ -23,11 +25,11 @@ from cliquechain.experiments import SweepCell
 from cliquechain.io import (
     CHUNK,
     CSV_HEADER,
+    MAX_MINERS,
     ReplayError,
     RunManifest,
     parse_config_text,
     read_manifest,
-    read_records,
     render_config,
     records_to_csv,
     records_to_jsonl,
@@ -37,6 +39,13 @@ from cliquechain.io import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def read_records(path) -> list[SimRecord]:
+    """Every record of the file at ``path``, built from the chunks that
+    ``io.read_records`` yields."""
+    return list(chain.from_iterable(io.read_records(path)))
+
 
 MINIMAL = "policy = bitcoin\nseed = 1\n"
 
@@ -120,6 +129,12 @@ def test_parse_rejects_invalid_values():
     with pytest.raises(ConfigError, match="only applies to solving miners"):
         parse_config_text(MINIMAL + "miner = strategy=classical "
                                     "solver_steps_per_second=50\n")
+
+
+def test_miner_cap_admits_exactly_the_cap():
+    cfg = parse_config_text(MINIMAL + "miner = strategy=classical count="
+                            f"{MAX_MINERS - 1}\nminer = strategy=classical\n")
+    assert len(cfg.miners) == MAX_MINERS
 
 
 def test_render_parse_round_trip():
@@ -220,6 +235,20 @@ def test_write_records_guards(tmp_path):
         write_records([], tmp_path / "none.csv")
     with pytest.raises(ValueError):
         write_records(sample_records(), tmp_path / "x.bin", fmt="bin")
+
+
+def test_a_stream_that_fails_leaves_the_older_file(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text("an older run\n")
+
+    def run():
+        yield from _many_records(CHUNK + 1)
+        raise ConfigError("height 1025: block time overflows")
+
+    with pytest.raises(ConfigError):
+        write_records(run(), path)
+    assert path.read_text() == "an older run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["records.csv"]
 
 
 def test_read_records_rejects_garbage(tmp_path):
@@ -563,10 +592,73 @@ def test_read_records_matches_the_reference_line_by_line(tmp_path):
     assert clean >= 20
 
 
+def _whole_file_outcome(path):
+    """What a read of ``path`` decoded whole gives: the first non-UTF-8
+    byte's message, else ``_reference_read``'s outcome."""
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"{path}: byte {exc.start} is not UTF-8"
+    return _read_outcome(_reference_read, path)
+
+
+def _edge_files(fmt):
+    """Record files whose line breaks and characters land on read-block
+    edges as the block size varies; each is (name, bytes)."""
+    records = _many_records(6)
+    text = _RENDERERS[fmt](records)
+    lines = text.splitlines()
+    # A kind is any string, so one with multibyte characters, written
+    # raw in either format, still parses.
+    kind = {"csv": ",classical,", "jsonl": '"classical"'}[fmt]
+    head, _, tail = text.rpartition(kind)
+    odd = head + kind.replace("classical", "cl\u00e1ssical\u2603") + tail
+    bad_first = lines[:]
+    bad_first[1] = "x" + bad_first[1]
+    return [
+        ("plain", text.encode()),
+        ("crlf", "\r\n".join(lines).encode() + b"\r\n"),
+        ("multibyte", odd.encode()),
+        # Blank lines of multibyte spaces are skipped like any blank line.
+        ("wide-blank", "\n\u3000\u00a0\n".join(lines).encode()),
+        # str.splitlines also breaks at these; a read must too.
+        ("ff-fs-ls", "\x0c".join(lines[:3]).encode() + b"\x1c"
+         + "\u2028".join(lines[3:]).encode() + "\x85\n".encode()),
+        ("no-newline", "\r".join(lines).encode()),
+        ("bad-byte-late", text.encode()[:-5] + b"\xff" + text.encode()[-5:]),
+        ("cut-char-at-end", text.encode() + "\u2603".encode()[:2]),
+        # A bad byte ranks above a bad record before it.
+        ("bad-line-then-byte", "\n".join(bad_first).encode() + b"\n\xfe\n"),
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_read_blocks_split_lines_as_the_whole_file_does(tmp_path, monkeypatch,
+                                                        fmt):
+    files = _edge_files(fmt)
+    for name, data in files:
+        path = tmp_path / f"{name}.{fmt}"
+        path.write_bytes(data)
+        want = _whole_file_outcome(path)
+        # Small chunks parse lines before the rest of the file is read.
+        for block, chunk in product(
+                [*range(1, 40), len(data) - 1, len(data), 1 << 16],
+                [1, 2, CHUNK]):
+            monkeypatch.setattr(io, "BLOCK", block)
+            monkeypatch.setattr(io, "CHUNK", chunk)
+            assert _read_outcome(read_records, path) == want, (name, block,
+                                                               chunk)
+    outcomes = {name: _whole_file_outcome(tmp_path / f"{name}.{fmt}")
+                for name, _ in files}
+    assert [n for n, o in outcomes.items() if isinstance(o, str)] == [
+        "bad-byte-late", "cut-char-at-end", "bad-line-then-byte"]
+
+
 def test_record_files_move_a_chunk_at_a_time(tmp_path):
     # The peak Python allocation beside the records. On Python 3.11, this
     # 1.8 MB file read whole peaked 15.1 MB above the returned list, and
-    # written whole 4.8 MB; a chunk at a time, 3.4 MB and 0.4 MB.
+    # written whole 4.8 MB; a chunk at a time, 3.4 MB and 0.4 MB; read a
+    # block at a time as well, 1.1 MB and 0.3 MB.
     records = _many_records(20_000)
     path = tmp_path / "records.csv"
     tracemalloc.start()
