@@ -30,8 +30,8 @@ HANDCRAFTED_SEED = -1
 # The most vertices a config may name, and so a graph in a graphs file;
 # the memory a graph needs grows with n squared.  gen_random_graph holds
 # n(n-1)/2 float64 draws and their bits at once (75 MB at 4,096 vertices),
-# a search an n-by-n bool matrix, and a graphs file's writer or reader one
-# "u v" string per pair (``io._pair_labels``, about 80 bytes each: 0.7 GB).
+# a search an n-by-n bool matrix, and a graphs file's writer or reader a
+# table of "u v\n" labels, 10 bytes a pair (``io._pair_labels``: 84 MB).
 MAX_GRAPH_N = 4096
 
 

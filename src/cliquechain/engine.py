@@ -225,17 +225,23 @@ RECORD_TYPES = tuple(typing.get_type_hints(SimRecord)[f]
                      for f in SimRecord._fields)
 
 
+_UNSHARED_FIELDS = ("height", "sim_time", "cum_classical")
+
+
 def records_from_columns(columns) -> list[SimRecord]:
     """The records whose fields are ``columns``, one sequence per field,
     each converted by its field's type.  Heights and times never repeat
-    in a chain, so they are converted value by value; every other column
-    once per distinct value, so that repeats share one object, as
-    ``simulate``'s difficulties do between retargets.
+    in a chain, and a classical count only over a run of solution blocks,
+    so these ``_UNSHARED_FIELDS`` are converted value by value; every
+    other column once per distinct value, so that repeats share one
+    object, as ``simulate``'s difficulties do between retargets.
     """
-    height, sim_time, *rest = columns
-    # Converted now, so that a bad value raises in column order.
-    shared = [list(map(int, height)), list(map(float, sim_time))]
-    for kind, column in zip(RECORD_TYPES[2:], rest):
+    shared = []
+    for name, kind, column in zip(SimRecord._fields, RECORD_TYPES, columns):
+        if name in _UNSHARED_FIELDS:
+            # Converted now, so that a bad value raises in column order.
+            shared.append(list(map(kind, column)))
+            continue
         distinct = set(column)
         table = dict(zip(distinct, map(kind, distinct)))
         # 0.0 and -0.0 share a key, so a float column with a zero is
@@ -340,7 +346,10 @@ def sample_block_winner(roster: dict[int, MinerState],
     to the lowest miner id; a time of inf never wins.
     """
     times = list(map(mul, draws, scales))
-    reduced = [i for i, st in roster.items() if st.mines_reduced()]
+    # Only a miner holding a find mines at d_r: testing the hoard first
+    # skips most calls, and bitcoin's empty roster skips the scan.
+    reduced = [i for i, st in roster.items()
+               if st.hoard and st.mines_reduced()] if roster else ()
     for i in reduced:
         times[i] = draws[i] * (d_r / hashrates[i])
     idx = times.index(min(times))
@@ -482,8 +491,10 @@ def _blocks(cfg: SimConfig, walks: dict | None, graphs: list[Graph],
             roster, hashrates, scales, state.d_r, draws)
         # Long droughts can push d_r so low that a waiting time drops under
         # the clock's float resolution; advance by at least one ulp so block
-        # times stay strictly increasing.
-        now = max(now + dt, math.nextafter(now, math.inf))
+        # times stay strictly increasing.  As dt >= 0 and is never NaN, any
+        # sum above now is at least its next float.
+        t = now + dt
+        now = t if t > now else math.nextafter(now, math.inf)
         if now == math.inf:
             raise ConfigError(f"height {height}: block time overflows")
         if solving:
@@ -502,9 +513,9 @@ def _blocks(cfg: SimConfig, walks: dict | None, graphs: list[Graph],
         state = policy.on_block(state, block)
         state.updates = ()
         kind = "solution" if at_d_r else "classical"
-        yield SimRecord(height, now, kind, miner_id, state.d_b, state.d_r,
-                        problem.best_score, problem.epoch,
-                        height + 1 - cum_solution, cum_solution)
+        yield make_record((height, now, kind, miner_id, state.d_b, state.d_r,
+                           problem.best_score, problem.epoch,
+                           height + 1 - cum_solution, cum_solution))
 
         fresh = check_saturation_and_replace(problem, height, cfg,
                                              problem_stream, solving)

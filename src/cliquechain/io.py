@@ -368,19 +368,33 @@ def graph_to_edge_list(graph: Graph) -> str:
     """
     head = (f"{graph.n} {graph.num_edges} {graph.seed} "
             f"{format(graph.edge_prob, '.17g')}")
-    return "\n".join([head, *_edge_lines(graph)]) + "\n"
+    return head + "\n" + _edge_text(graph)
 
 
-def _edge_lines(graph: Graph) -> list[str]:
+def _edge_text(graph: Graph) -> str:
+    """The "u v\n" line of each of ``graph``'s edges, in (u, v) order."""
     bits = clique._unpack(graph.n, graph.edges)
-    return _pair_labels(graph.n)[bits].tolist()
+    labels = _pair_labels(graph.n)[bits]
+    return labels.tobytes().translate(None, b"\0").decode("ascii")
 
 
 @lru_cache(maxsize=1)  # a run's graphs all share one n
 def _pair_labels(n: int) -> np.ndarray:
-    """The "u v" label of each pair u < v, in ``clique._upper(n)`` order."""
-    pairs = zip(*np.nonzero(clique._upper(n)))
-    return np.array([f"{u} {v}" for u, v in pairs], dtype=object)
+    """The "u v\n" label of each pair u < v, in ``clique._upper(n)`` order,
+    as fixed-width bytes padded with NULs."""
+    width = len(str(n - 1)) + 1  # the widest "v\n", and the widest "u "
+    tails = np.array([b"%d\n" % v for v in range(n)], dtype=f"S{width}")
+    tails = tails.view(np.uint8).reshape(n, width)
+    labels = np.zeros(n * (n - 1) // 2, dtype=f"S{2 * width}")
+    rows = labels.view(np.uint8).reshape(-1, 2 * width)
+    start = 0
+    for u in range(n - 1):  # u's labels: "u ", then each later "v\n"
+        head = b"%d " % u
+        block = rows[start:start + n - 1 - u]
+        block[:, :len(head)] = np.frombuffer(head, np.uint8)
+        block[:, len(head):len(head) + width] = tails[u + 1:]
+        start += n - 1 - u
+    return labels
 
 
 def write_graphs(graphs, path) -> None:
@@ -422,10 +436,12 @@ def read_graphs(path, expected: typing.Iterator[Graph]) -> list[Graph]:
             if (n, seed, edge_prob) != (want.n, want.seed, want.edge_prob):
                 raise ValueError(f"section {k} is not the run's graph {k}")
             graphs.append(want)
-            rendered = "\n".join(_edge_lines(want))
+            rendered = _edge_text(want)
             end = pos + len(rendered)
-            if (m == want.num_edges and text.startswith(rendered, pos)
-                    and text[end:end + 1] in ("\n", "")):
+            # The file may lack its final newline.
+            if m == want.num_edges and (
+                    text.startswith(rendered, pos) or len(text) == end - 1
+                    and text.endswith(rendered[:-1])):
                 pos = end
                 continue
             body = []

@@ -4,6 +4,7 @@ brute-force oracle and hand-built graphs."""
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -601,6 +602,14 @@ def test_edge_list_matches_bitwise_rendering():
         assert graph_to_edge_list(g) == bitwise_edge_list(g)
 
 
+@pytest.mark.parametrize("n", [1, 2, 10, 11, 100, 101, 1001])
+def test_edge_list_matches_the_reference_where_label_widths_change(n):
+    # Around each power of ten, u's and v's labels change width.
+    for g in (Graph.from_edges(n, []), complete_graph(n),
+              gen_random_graph(n, 0.5, n)):
+        assert graph_to_edge_list(g) == bitwise_edge_list(g)
+
+
 def test_edge_list_round_trip(tmp_path):
     graphs = [gen_random_graph(20, 0.5, 11), gen_random_graph(15, 0.3, 12)]
     path = tmp_path / "graphs.edges"
@@ -649,13 +658,26 @@ def test_edge_list_rejects_a_wrong_edge_count(tmp_path, text):
 
 
 def test_edge_list_caches_hold_one_size(tmp_path):
-    # A run's graphs share one n, and one label table is 0.7 GB at
+    # A run's graphs share one n, and one label table is 84 MB at
     # MAX_GRAPH_N, so the caches keep only the last size.
     path = tmp_path / "graphs.edges"
     graphs = [gen_random_graph(20, 0.5, 1), gen_random_graph(9, 0.5, 2)]
     write_graphs(graphs, path)
     assert [g.n for g in read_graphs(path, iter(graphs))] == [20, 9]
     assert io._pair_labels.cache_info().currsize == 1
+
+
+def test_pair_labels_are_built_in_bounded_memory():
+    # 130,816 labels of 8 bytes (1.05 MB); one Python string per pair held
+    # 8.3 MB and peaked at 11.6 MB.
+    io._pair_labels.cache_clear()
+    tracemalloc.start()
+    try:
+        io._pair_labels(512)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 2e6 and peak <= 4e6
 
 
 def test_handcrafted_graphs_round_trip(tmp_path):
@@ -737,6 +759,26 @@ def test_canonical_sections_are_taken_without_parsing(tmp_path, monkeypatch):
     graphs = [gen_random_graph(30, 0.5, 5), gen_random_graph(12, 0.3, 6)]
     path = tmp_path / "graphs.edges"
     write_graphs(graphs, path)
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("a canonical section was parsed")
+
+    monkeypatch.setattr(Graph, "from_edges", no_parse)
+    assert read_graphs(path, iter(graphs)) == graphs
+
+
+@pytest.mark.parametrize("graphs", [
+    LAID_OUT, LAID_OUT + [gen_random_graph(1, 0.5, 8)],
+], ids=["last-with-edges", "last-without-edges"])
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_zero_edge_sections_are_taken_without_parsing(tmp_path, monkeypatch,
+                                                      graphs, final_newline):
+    # LAID_OUT's middle section has no edges, so the next header follows
+    # its header line directly.
+    path = tmp_path / "graphs.edges"
+    write_graphs(graphs, path)
+    if not final_newline:
+        path.write_text(path.read_text()[:-1])
 
     def no_parse(*args, **kwargs):
         raise AssertionError("a canonical section was parsed")

@@ -23,10 +23,12 @@ from cliquechain.difficulty import D_R_FLOOR
 from cliquechain.engine import (
     _MINING_STREAM,
     MAX_STEP_BUDGET,
+    RECORD_TYPES,
     ConfigError,
     MinerSpec,
     MinerState,
     SimConfig,
+    SimRecord,
     Strategy,
     _mining_draws,
     _stream_rng,
@@ -214,6 +216,51 @@ def test_race_time_of_inf_never_wins():
         got = sample_block_winner(*race_inputs(miners, 1e10), 5.0,
                                   [1e-9, 50.0])
     assert got == (1, False, 50.0 * (1e10 / 1000.0))
+
+
+def test_race_with_empty_hoards_runs_at_d_b():
+    # A roster whose hoards are all empty races at d_b, an attacker still
+    # marked as releasing included.
+    miners = [MinerState(spec=classical_spec()),
+              MinerState(spec=solver_spec(hashrate=500.0)),
+              MinerState(spec=bubka_spec(target=2)),
+              MinerState(spec=bubka_spec(target=1), releasing=True)]
+    inputs = race_inputs(miners, 1000.0)
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        row = draws(rng, miners)
+        times = [d * scale for d, scale in zip(row, inputs[2])]
+        idx = times.index(min(times))
+        assert sample_block_winner(*inputs, 5.0, row) == (idx, False,
+                                                          times[idx])
+
+
+def test_releasing_attacker_races_at_d_r():
+    attacker = MinerState(spec=bubka_spec(target=2), hoard=[sol(3)])
+    miners = [MinerState(spec=classical_spec()), attacker]
+    inputs = race_inputs(miners, 1000.0)
+    # Holding a find below its target, the attacker races at d_b.
+    assert sample_block_winner(*inputs, 5.0, [0.01, 1.0]) == (0, False, 0.01)
+    attacker.releasing = True
+    assert sample_block_winner(*inputs, 5.0, [0.01, 1.0]) == (
+        1, True, 1.0 * (5.0 / 1000.0))
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(policy="bitcoin", seed=1, max_blocks=300),
+    SimConfig(policy="v1", seed=2, max_blocks=300),
+    SimConfig(policy="v2", seed=3, max_blocks=300),
+    SimConfig(policy="v2", seed=99, max_blocks=300,
+              miners=(classical_spec(),) * 10 + (bubka_spec(2, speed=5),)),
+], ids=["bitcoin", "v1", "v2", "bubka"])
+def test_simulated_records_hold_the_field_types(cfg):
+    records = simulate(cfg).records
+    assert {r.kind for r in records} == (
+        {"classical"} if cfg.policy == "bitcoin"
+        else {"classical", "solution"})
+    for r in records:
+        assert type(r) is SimRecord
+        assert tuple(map(type, r)) == RECORD_TYPES
 
 
 @pytest.mark.parametrize("m", [1, 11, 20, 3000])
