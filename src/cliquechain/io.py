@@ -53,8 +53,8 @@ _JSON_ROW = json.JSONEncoder(separators=(",", ":")).encode
 # Record files are written and parsed this many records at a time, so
 # that only one chunk's rendered rows or parsed columns exist at once.
 CHUNK = 1024
-# Record files are read in pieces of whole lines about this many bytes
-# long.
+# Record and graphs files are read in pieces of whole lines about this
+# many bytes long.
 BLOCK = 1 << 16
 
 # The int-valued config keys, in SimConfig field order.
@@ -126,7 +126,10 @@ def _parse_miner_entry(raw: str, lineno: int) -> tuple[dict, int]:
 def parse_config_text(text: str) -> SimConfig:
     """Parse flat config text into a SimConfig."""
     scalars: dict = {}
-    miner_entries: list[tuple[dict, int]] = []
+    # Each distinct miner value, parsed once, and every miner line's value:
+    # a rendered config lists its miners one per line.
+    entries: dict[str, tuple[dict, int]] = {}
+    miner_values: list[str] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -138,7 +141,9 @@ def parse_config_text(text: str) -> SimConfig:
         key = key.strip()
         value = value.strip()
         if key == "miner":
-            miner_entries.append(_parse_miner_entry(value, lineno))
+            if value not in entries:
+                entries[value] = _parse_miner_entry(value, lineno)
+            miner_values.append(value)
             continue
         if key not in ("policy",) + _INT_KEYS + FLOAT_FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
@@ -153,12 +158,16 @@ def parse_config_text(text: str) -> SimConfig:
     if "seed" not in scalars:
         raise ConfigError("config must set a seed")
 
-    total = sum(count for _, count in miner_entries)
+    total = sum(entries[value][1] for value in miner_values)
     if total > MAX_MINERS:
         raise ConfigError(f"{total} miners exceed the cap of {MAX_MINERS}")
+    # Built in the order of first lines, so the first bad spec raises; the
+    # miners of one value share its spec.
+    miners_of = {value: [MinerSpec(**attrs)] * count
+                 for value, (attrs, count) in entries.items()}
     specs: list[MinerSpec] = []
-    for attrs, count in miner_entries:
-        specs += [MinerSpec(**attrs)] * count  # equal specs share one
+    for value in miner_values:
+        specs += miners_of[value]
     return SimConfig(miners=tuple(specs), **scalars)
 
 
@@ -264,15 +273,26 @@ _JSON_OBJECT = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
 
 def _text_blocks(path) -> typing.Iterator[str]:
     """Yield the text of a UTF-8 file in pieces of whole lines, about
-    BLOCK bytes each; a failed read or a byte that is not UTF-8 raises
-    ReplayError naming the file (and the byte's offset in it)."""
+    BLOCK bytes each: every piece but the last ends with a "\\n".  A failed
+    read or a byte that is not UTF-8 raises ReplayError naming the file
+    (and the byte's offset in it)."""
     try:
         with open(path, "rb") as fh:
             offset = 0
-            # No UTF-8 character and no "\r\n" spans the newline byte that
-            # ends each line of bytes.
-            while lines := fh.readlines(BLOCK):
-                piece = b"".join(lines)
+            # The bytes read since the last "\n": pieces of one line, which
+            # are joined once however many reads it spans.
+            tail: list[bytes] = []
+            while True:
+                data = fh.read(BLOCK)
+                cut = data.rfind(b"\n") + 1
+                if data and not cut:
+                    tail.append(data)
+                    continue
+                # No UTF-8 character and no "\r\n" spans a "\n" byte.
+                piece = b"".join([*tail, memoryview(data)[:cut]])
+                if not piece:
+                    return
+                tail = [data[cut:]]
                 try:
                     text = piece.decode("utf-8")
                 except UnicodeDecodeError as exc:
@@ -420,15 +440,53 @@ def read_graphs(path, expected: typing.Iterator[Graph]) -> list[Graph]:
     as numbers) and count the distinct edges it lists, and those edges
     must be graph k's.  A section whose text after its header line is
     exactly graph k's rendering is taken unparsed.  Every problem with the
-    file raises ReplayError naming it.
+    file raises ReplayError naming it, ranked as if the file were read
+    whole first: a byte that is not UTF-8 anywhere in it, then the first
+    bad section.
+
+    The file is read a block at a time, so at most the current section's
+    unread text and one block are held.  Lines end at "\\n", "\\r\\n" or
+    "\\r", as a text-mode read ends them.
     """
-    text = _read_text(path, ReplayError)
-    graphs, pos = [], 0
+    # A block ends after a "\n", so no "\r\n" spans two blocks.
+    blocks = (t.replace("\r\n", "\n").replace("\r", "\n") if "\r" in t
+              else t for t in _text_blocks(path))
+    text, pos = "", 0  # text[pos:] is the file's unread text: whole lines
+
+    def next_line() -> str | None:
+        """The next nonblank line, stripped; None at the end of the file."""
+        nonlocal text, pos
+        while not (line := _NEXT_LINE.search(text, pos)):
+            if not (text := next(blocks, "")):
+                return None
+            pos = 0
+        pos = line.end() + 1
+        return line[0]
+
+    def take(rendered: str) -> bool:
+        """Read past ``rendered`` if the unread text starts with it, or is
+        all of it but its final newline; else leave that text unread."""
+        nonlocal text, pos
+        done = 0  # how much of rendered the blocks read past have matched
+        while rendered.startswith(
+                piece := text[pos:pos + len(rendered) - done], done):
+            done, pos = done + len(piece), pos + len(piece)
+            if done == len(rendered):
+                return True
+            if not (more := next(blocks, "")):
+                if done == len(rendered) - 1:  # no final newline
+                    return True
+                break
+            text, pos = more, 0
+        text, pos = rendered[:done] + text[pos:], 0
+        return False
+
+    graphs = []
     try:
-        while line := _NEXT_LINE.search(text, pos):
-            head, pos = line[0].split(), line.end() + 1
+        while line := next_line():
+            head = line.split()
             if len(head) != 4:
-                raise ValueError(f"bad edge-list header: {line[0]!r}")
+                raise ValueError(f"bad edge-list header: {line!r}")
             n, m, seed = int(head[0]), int(head[1]), int(head[2])
             edge_prob, k = float(head[3]), len(graphs)
             want = next(expected)
@@ -436,18 +494,11 @@ def read_graphs(path, expected: typing.Iterator[Graph]) -> list[Graph]:
             if (n, seed, edge_prob) != (want.n, want.seed, want.edge_prob):
                 raise ValueError(f"section {k} is not the run's graph {k}")
             graphs.append(want)
-            rendered = _edge_text(want)
-            end = pos + len(rendered)
-            # The file may lack its final newline.
-            if m == want.num_edges and (
-                    text.startswith(rendered, pos) or len(text) == end - 1
-                    and text.endswith(rendered[:-1])):
-                pos = end
+            if m == want.num_edges and take(_edge_text(want)):
                 continue
             body = []
-            while len(body) < m and (line := _NEXT_LINE.search(text, pos)):
-                body.append(line[0])
-                pos = line.end() + 1
+            while len(body) < m and (line := next_line()):
+                body.append(line)
             if len(body) < m:
                 raise ValueError(f"section {k} lists {len(body)} of its "
                                  f"{m} edges")
@@ -460,6 +511,8 @@ def read_graphs(path, expected: typing.Iterator[Graph]) -> list[Graph]:
                 raise ValueError(f"edge list for seed {seed} does not "
                                  "match regeneration")
     except ValueError as exc:
+        for _ in blocks:  # a bad byte further on ranks first
+            pass
         raise ReplayError(f"{path}: {exc}") from None
     return graphs
 

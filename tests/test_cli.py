@@ -16,7 +16,7 @@ from itertools import chain, islice
 import pytest
 
 import cliquechain
-from cliquechain import cli, clique, experiments
+from cliquechain import cli, clique, experiments, io
 from cliquechain.cli import main
 from cliquechain.clique import MAX_GRAPH_N, Graph
 from cliquechain.engine import ConfigError, SimRecord, problem_graphs
@@ -373,6 +373,12 @@ def _swapped_graph(run, fmt):
                  run / "graphs.edges")
 
 
+def _graphs_bad_byte_late(run, fmt):
+    """A byte that is not UTF-8 past the graphs file's first read block."""
+    with open(run / "graphs.edges", "ab") as fh:
+        fh.write(b"\n" * io.BLOCK + b"\xff\n")
+
+
 def _three_graphs(run, fmt):
     cfg = parse_config_text(LONG_BITCOIN)
     write_graphs(islice(problem_graphs(cfg), 3), run / "graphs.edges")
@@ -407,6 +413,10 @@ PRECEDENCE = {
         ("csv", [_swapped_graph, _bad_manifest], "not a run manifest"),
     "manifest-over-empty-stream":
         ("csv", [_header_only, _bad_manifest], "not a run manifest"),
+    "graphs-byte-late-over-swapped-section":
+        ("csv", [_swapped_graph, _graphs_bad_byte_late], "is not UTF-8"),
+    "graphs-byte-late-over-stream":
+        ("csv", [_STREAM_EARLY, _graphs_bad_byte_late], "is not UTF-8"),
     "graphs-over-stream":
         ("csv", [_swapped_graph, _STREAM_EARLY], "is not the run's graph"),
     "graphs-over-miner":

@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import sys
+import time
 import tracemalloc
 from itertools import chain, product
 from pathlib import Path
@@ -135,6 +136,33 @@ def test_miner_cap_admits_exactly_the_cap():
     cfg = parse_config_text(MINIMAL + "miner = strategy=classical count="
                             f"{MAX_MINERS - 1}\nminer = strategy=classical\n")
     assert len(cfg.miners) == MAX_MINERS
+
+
+def test_repeated_miner_lines_share_one_spec():
+    # A rendered config lists its miners one per line; each distinct line
+    # is parsed, and its spec built, once.
+    stock = parse_config_text("policy = v2\nseed = 1\n")
+    cfg = parse_config_text(render_config(stock))
+    assert cfg == stock
+    classical, solvers = cfg.miners[:10], cfg.miners[10:]
+    assert all(m is classical[0] for m in classical)
+    assert all(m is solvers[0] for m in solvers)
+    assert classical[0] is not solvers[0]
+    line = "miner = strategy=classical hashrate=5\n"
+    a, b, c = parse_config_text(MINIMAL + line + "miner = strategy=classical "
+                                "hashrate=5 count=1\n" + line).miners
+    assert a is c and a == b and a is not b
+
+
+@pytest.mark.parametrize("line, message", [
+    ("miner = strategy=classical hashrate=x",
+     "line 4: bad numeric miner attribute"),
+    ("miner = strategy=alchemist", "line 4: unknown strategy 'alchemist'"),
+])
+def test_a_repeated_bad_miner_line_names_its_first_line(line, message):
+    text = MINIMAL + "miner = strategy=classical\n" + f"{line}\n" * 3
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        parse_config_text(text)
 
 
 def test_render_parse_round_trip():
@@ -652,6 +680,19 @@ def test_read_blocks_split_lines_as_the_whole_file_does(tmp_path, monkeypatch,
                 for name, _ in files}
     assert [n for n, o in outcomes.items() if isinstance(o, str)] == [
         "bad-byte-late", "cut-char-at-end", "bad-line-then-byte"]
+
+
+def test_a_line_of_many_blocks_is_read_in_linear_time(tmp_path,
+                                                     monkeypatch):
+    # A 1 MB line with no newline spans 62,500 blocks of 16 bytes; its
+    # pieces are joined once, not once a block.
+    path = tmp_path / "records.csv"
+    path.write_text(CSV_HEADER + "\n" + "0," * 500_000)
+    monkeypatch.setattr(io, "BLOCK", 16)
+    start = time.perf_counter()
+    with pytest.raises(ReplayError, match="bad record '0,0,"):
+        read_records(path)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_record_files_move_a_chunk_at_a_time(tmp_path):
