@@ -231,29 +231,21 @@ def _cmd_verify_chain(args) -> int:
     stream check to pass.
     """
     chunks = read_records(args.records)
+    miner_faults: list[ReplayError] = []
     try:
         cfg = run_config(args.records)
         graphs = read_graphs(args.graphs, problem_graphs(cfg))
+        count = verify_record_stream(
+            chain.from_iterable(verify_miners(chunks, cfg, miner_faults)),
+            graphs)
     except ReplayError:
-        _drain(chunks)
-        raise
-    miner_faults: list[ReplayError] = []
-    records = chain.from_iterable(verify_miners(chunks, cfg, miner_faults))
-    try:
-        count = verify_record_stream(records, graphs)
-    except ReplayError:
-        _drain(records)
+        for _ in chunks:  # a fault further on in the records ranks first
+            pass
         raise
     if miner_faults:
         raise miner_faults[0]
     print(f"ok: {count} records over {len(graphs)} problem graphs")
     return 0
-
-
-def _drain(stream) -> None:
-    """Read ``stream`` to its end, so that a fault further on raises."""
-    for _ in stream:
-        pass
 
 
 def _cmd_selftest(args) -> int:

@@ -53,8 +53,7 @@ _JSON_ROW = json.JSONEncoder(separators=(",", ":")).encode
 # Record files are written and parsed this many records at a time, so
 # that only one chunk's rendered rows or parsed columns exist at once.
 CHUNK = 1024
-# Record and graphs files are read in pieces of whole lines about this
-# many bytes long.
+# Every file is read in pieces of whole lines about this many bytes long.
 BLOCK = 1 << 16
 
 # The int-valued config keys, in SimConfig field order.
@@ -171,19 +170,12 @@ def parse_config_text(text: str) -> SimConfig:
     return SimConfig(miners=tuple(specs), **scalars)
 
 
-def _read_text(path, error: type[Exception]) -> str:
-    """Read ``path`` as UTF-8; any failure raises ``error`` naming it."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise error(f"{path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: byte {exc.start} is not UTF-8") from None
-
-
 def parse_config(path) -> SimConfig:
-    return parse_config_text(_read_text(path, ConfigError))
+    try:
+        text = "".join(_text_blocks(path))
+    except ReplayError as exc:
+        raise ConfigError(str(exc)) from None
+    return parse_config_text(text)
 
 
 def render_config(cfg: SimConfig) -> str:
@@ -551,7 +543,7 @@ def write_manifest(manifest: RunManifest, path) -> None:
 def read_manifest(path) -> RunManifest:
     """Read a manifest back; a file that is not one raises ReplayError."""
     try:
-        manifest = RunManifest(**json.loads(_read_text(path, ReplayError)))
+        manifest = RunManifest(**json.loads("".join(_text_blocks(path))))
     except (TypeError, ValueError) as exc:
         raise ReplayError(f"{path}: not a run manifest ({exc})") from None
     if not all(isinstance(getattr(manifest, f), t)

@@ -7,30 +7,23 @@ import json
 import os
 import pkgutil
 import shlex
-import shutil
 import sys
 import tracemalloc
 import warnings
-from itertools import chain, islice
 
 import pytest
 
 import cliquechain
-from cliquechain import cli, clique, experiments, io
+import tampered
+from cliquechain import cli, clique, experiments
 from cliquechain.cli import main
 from cliquechain.clique import MAX_GRAPH_N, Graph
-from cliquechain.engine import ConfigError, SimRecord, problem_graphs
+from cliquechain.engine import ConfigError, problem_graphs
 from cliquechain.io import (
     ReplayError,
     parse_config,
-    parse_config_text,
     read_graphs,
     read_manifest,
-    read_records,
-    run_config,
-    verify_miners,
-    verify_record_stream,
-    write_graphs,
 )
 
 V2_SMALL = "policy = v2\nseed = 3\nmax_blocks = 120\n"
@@ -97,22 +90,6 @@ def test_jsonl_format_verifies_too(tmp_path):
                  os.path.join(out, "graphs.edges")]) == 0
 
 
-def test_verify_chain_catches_tampering(tmp_path):
-    cfg = write_cfg(tmp_path, V2_SMALL)
-    out = str(tmp_path / "out")
-    assert main(["simulate", cfg, "--out-dir", out]) == 0
-    records = os.path.join(out, "records.csv")
-    lines = open(records).read().splitlines()
-    row = lines[40].split(",")
-    row[6] = "1"                               # flatten a best_score
-    row[2] = "solution"
-    lines[40] = ",".join(row)
-    with open(records, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    assert main(["verify-chain", records,
-                 os.path.join(out, "graphs.edges")]) == 3
-
-
 @pytest.mark.parametrize("new_epoch", [
     lambda e: max(e, 1),                    # every epoch-0 record as epoch 1
     lambda e: e + 1 if e >= 3 else e,       # epoch 2 jumps to 4
@@ -170,10 +147,6 @@ def test_verify_chain_rejects_non_finite_floats(tmp_path, capsys, fmt,
     assert "height 1: " in capsys.readouterr().err
 
 
-GROWTH_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
-                          "growth.cfg")
-
-
 # A one-block bitcoin run's record made into a solution block that the
 # stream checks accept.
 AS_SOLUTION = {"kind": "solution", "best_score": "2", "cum_classical": "0",
@@ -198,7 +171,7 @@ AS_SOLUTION = {"kind": "solution", "best_score": "2", "cum_classical": "0",
         "bitcoin-solution", "bitcoin-solver-solution"])
 def test_verify_chain_checks_each_records_miner(tmp_path, capsys, config,
                                                 pick, edit, message):
-    text = (open(GROWTH_CFG).read() if config == "growth" else
+    text = (tampered.GROWTH_CFG.read_text() if config == "growth" else
             "policy = bitcoin\nseed = 1\nmax_blocks = 1\n" + config)
     out = tmp_path / "out"
     assert main(["simulate", write_cfg(tmp_path, text),
@@ -255,38 +228,6 @@ def test_verify_chain_bounds_the_graph_header(tmp_path, capsys, monkeypatch,
                 in capsys.readouterr().err)
 
 
-def test_verify_chain_binds_the_graphs_to_the_run(tmp_path, capsys):
-    # Replacements at heights 49, 99, ..., 349 give 8 graphs.  Graph 2
-    # swapped for another seed's draw is still a consistent G(n, p)
-    # section, so only the manifest's config can tell it is not the run's.
-    cfg = write_cfg(tmp_path, "policy = bitcoin\nseed = 3\n"
-                              "max_blocks = 380\n")
-    out = tmp_path / "out"
-    assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
-    graphs = read_graphs(out / "graphs.edges",
-                         problem_graphs(parse_config(cfg)))
-    graphs[2] = clique.gen_random_graph(graphs[2].n, graphs[2].edge_prob,
-                                        graphs[2].seed + 1)
-    swapped = str(tmp_path / "swapped.edges")
-    write_graphs(graphs, swapped)
-    capsys.readouterr()
-    assert main(["verify-chain", str(out / "records.csv"), swapped]) == 3
-    assert ("swapped.edges: section 2 is not the run's graph 2"
-            in capsys.readouterr().err)
-    # Records bind to a run only through a manifest beside them that
-    # lists them.
-    alone = tmp_path / "records.csv"
-    alone.write_bytes((out / "records.csv").read_bytes())
-    graphs = str(out / "graphs.edges")
-    assert main(["verify-chain", str(alone), graphs]) == 3
-    assert "manifest.json: No such file" in capsys.readouterr().err
-    unlisted = out / "copy.csv"
-    unlisted.write_bytes((out / "records.csv").read_bytes())
-    assert main(["verify-chain", str(unlisted), graphs]) == 3
-    assert ("manifest.json: does not list copy.csv"
-            in capsys.readouterr().err)
-
-
 @pytest.mark.parametrize("edit", [
     lambda text: text[:len(text) // 2],
     lambda text: "[]",
@@ -305,168 +246,30 @@ def test_verify_chain_refuses_a_bad_manifest(tmp_path, capsys, edit):
     assert "manifest.json: " in capsys.readouterr().err
 
 
-# ---------------------------------------------------------------------------
-# Which fault verify-chain names when a run has several
-# ---------------------------------------------------------------------------
-
-# 1,500 blocks put data row 1,400 in the records' second chunk.
-LONG_BITCOIN = ("policy = bitcoin\nseed = 1\nmax_blocks = 1500\n"
-                "saturation_window = 0\n")
-
-
-@pytest.fixture(scope="module")
-def long_runs(tmp_path_factory):
-    """The run directory of LONG_BITCOIN in each record format."""
-    base = tmp_path_factory.mktemp("long")
-    cfg = write_cfg(base, LONG_BITCOIN)
-    runs = {}
-    for fmt in ("csv", "jsonl"):
-        runs[fmt] = base / fmt
-        assert main(["simulate", cfg, "--out-dir", str(runs[fmt]),
-                     "--format", fmt]) == 0
-    return runs
+# Every row of the table in tests/tampered.py, run in-process.
+@pytest.fixture(scope="session")
+def base_runs(tmp_path_factory):
+    """The base runs of the tampered-run table, simulated once."""
+    where = tmp_path_factory.mktemp("bases")
+    tampered.make_bases(tampered.in_process, where)
+    return where
 
 
-def _set(row, **fields):
-    """An edit that sets fields of data row ``row`` of the records."""
-    def edit(run, fmt):
-        path = run / f"records.{fmt}"
-        lines = path.read_text().splitlines()
-        if fmt == "jsonl":
-            lines[row] = json.dumps({**json.loads(lines[row]), **fields})
-        else:
-            values = lines[row + 1].split(",")
-            for name, value in fields.items():
-                values[SimRecord._fields.index(name)] = str(value)
-            lines[row + 1] = ",".join(values)
-        path.write_text("\n".join(lines) + "\n")
-    return edit
+def _rows(verify: bool):
+    rows = [r for r in tampered.ROWS
+            if (r.argv[0] == "verify-chain") == verify]
+    return pytest.mark.parametrize("row", rows, ids=[r.name for r in rows])
 
 
-def _bad_header(run, fmt):
-    path = run / f"records.{fmt}"
-    path.write_text("height,time\n" + path.read_text().split("\n", 1)[1])
+@_rows(verify=True)
+def test_verify_chain_names_the_highest_ranked_fault(base_runs, tmp_path,
+                                                     row):
+    tampered.check(row, tampered.in_process, base_runs, tmp_path)
 
 
-def _header_only(run, fmt):
-    path = run / f"records.{fmt}"
-    path.write_text(path.read_text().split("\n", 1)[0] + "\n")
-
-
-def _bad_byte_at_end(run, fmt):
-    with open(run / f"records.{fmt}", "ab") as fh:
-        fh.write(b"\xff\n")
-
-
-def _drop(name):
-    def edit(run, fmt):
-        (run / name.format(fmt=fmt)).unlink()
-    return edit
-
-
-def _bad_manifest(run, fmt):
-    (run / "manifest.json").write_text("[]")
-
-
-def _swapped_graph(run, fmt):
-    write_graphs([clique.gen_random_graph(60, 0.5, 12345)],
-                 run / "graphs.edges")
-
-
-def _graphs_bad_byte_late(run, fmt):
-    """A byte that is not UTF-8 past the graphs file's first read block."""
-    with open(run / "graphs.edges", "ab") as fh:
-        fh.write(b"\n" * io.BLOCK + b"\xff\n")
-
-
-def _three_graphs(run, fmt):
-    cfg = parse_config_text(LONG_BITCOIN)
-    write_graphs(islice(problem_graphs(cfg), 3), run / "graphs.edges")
-
-
-_LINE_EARLY = _set(5, d_b="x")
-_LINE_LATE = _set(1400, d_b="x")
-_STREAM_EARLY = _set(3, kind="mystery")
-_STREAM_LATE = _set(1400, kind="mystery")
-_MINER_EARLY = _set(2, miner_id=20)
-
-# (format, edits, the fault that wins).  The ranks, highest first: the
-# records file's bytes and lines, the manifest, the graphs file, the
-# stream rules, the miner rules.
-PRECEDENCE = {
-    "line-late-over-stream-early":
-        ("csv", [_LINE_LATE, _STREAM_EARLY], "could not convert"),
-    "line-late-over-miner-early":
-        ("csv", [_LINE_LATE, _MINER_EARLY], "could not convert"),
-    "byte-late-over-line-early":
-        ("csv", [_LINE_EARLY, _bad_byte_at_end], "is not UTF-8"),
-    "byte-late-over-header": ("csv", [_bad_header, _bad_byte_at_end],
-                              "is not UTF-8"),
-    "line-over-manifest":
-        ("csv", [_bad_manifest, _LINE_LATE], "could not convert"),
-    "header-over-missing-manifest":
-        ("csv", [_drop("manifest.json"), _bad_header], "unexpected header"),
-    "missing-records-over-missing-manifest":
-        ("csv", [_drop("manifest.json"), _drop("records.{fmt}")],
-         "records.csv: No such file"),
-    "manifest-over-graphs":
-        ("csv", [_swapped_graph, _bad_manifest], "not a run manifest"),
-    "manifest-over-empty-stream":
-        ("csv", [_header_only, _bad_manifest], "not a run manifest"),
-    "graphs-byte-late-over-swapped-section":
-        ("csv", [_swapped_graph, _graphs_bad_byte_late], "is not UTF-8"),
-    "graphs-byte-late-over-stream":
-        ("csv", [_STREAM_EARLY, _graphs_bad_byte_late], "is not UTF-8"),
-    "graphs-over-stream":
-        ("csv", [_swapped_graph, _STREAM_EARLY], "is not the run's graph"),
-    "graphs-over-miner":
-        ("csv", [_swapped_graph, _MINER_EARLY], "is not the run's graph"),
-    "stream-late-over-miner-early":
-        ("csv", [_MINER_EARLY, _STREAM_LATE], "height 1400: unknown kind"),
-    "stream-end-over-miner":
-        ("csv", [_three_graphs, _MINER_EARLY], "3 graphs for 1 epochs"),
-    "miner-alone": ("csv", [_MINER_EARLY], "height 2: no miner 20"),
-    "jsonl-line-over-stream-and-miner":
-        ("jsonl", [_MINER_EARLY, _STREAM_EARLY, _set(1, height=1.5)],
-         "TypeError: height must be a JSON integer"),
-    "jsonl-stream-late-over-miner-early":
-        ("jsonl", [_MINER_EARLY, _STREAM_LATE], "height 1400: unknown kind"),
-}
-
-
-def _whole_list_verdict(records, graphs) -> tuple[int, str]:
-    """verify-chain's exit code and stderr, composed as the checks ran
-    before records streamed: the whole list read, then the manifest, the
-    graphs, the stream rules and the miner rules, each in turn."""
-    try:
-        recs = list(chain.from_iterable(read_records(records)))
-        cfg = run_config(records)
-        loaded = read_graphs(graphs, problem_graphs(cfg))
-        verify_record_stream(recs, loaded)
-        faults = []
-        list(verify_miners([recs], cfg, faults))
-        if faults:
-            raise faults[0]
-    except ReplayError as exc:
-        return 3, f"validation error: {exc}\n"
-    return 0, ""
-
-
-@pytest.mark.parametrize("fmt, edits, wins", PRECEDENCE.values(),
-                         ids=PRECEDENCE.keys())
-def test_verify_chain_names_the_highest_ranked_fault(long_runs, tmp_path,
-                                                     capsys, fmt, edits,
-                                                     wins):
-    run = tmp_path / "run"
-    shutil.copytree(long_runs[fmt], run)
-    for edit in edits:
-        edit(run, fmt)
-    records, graphs = str(run / f"records.{fmt}"), str(run / "graphs.edges")
-    capsys.readouterr()
-    code = main(["verify-chain", records, graphs])
-    err = capsys.readouterr().err
-    assert (code, err) == _whole_list_verdict(records, graphs)
-    assert code == 3 and wins in err
+@_rows(verify=False)
+def test_refused_config_exits_2(base_runs, tmp_path, row):
+    tampered.check(row, tampered.in_process, base_runs, tmp_path)
 
 
 def test_record_memory_does_not_grow_with_the_run(tmp_path):
@@ -666,33 +469,6 @@ def test_missing_graphs_file_exits_3(tmp_path, capsys):
     assert "absent.edges" in capsys.readouterr().err
 
 
-def test_verify_chain_needs_a_graph_per_epoch_and_fixed_classical_scores(
-        tmp_path, capsys):
-    # Replacements at heights 49, 99, ..., 349: epoch 7, the last, has
-    # records, so cutting its section off leaves them without a graph.
-    cfg = write_cfg(tmp_path, "policy = bitcoin\nseed = 3\n"
-                              "max_blocks = 380\n")
-    out = tmp_path / "out"
-    assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
-    records, graphs = str(out / "records.csv"), str(out / "graphs.edges")
-    cut = str(tmp_path / "cut.edges")
-    write_graphs(read_graphs(graphs, problem_graphs(parse_config(cfg)))[:-1],
-                 cut)
-    capsys.readouterr()
-    assert main(["verify-chain", records, cut]) == 3
-    assert "height 350: no graph for epoch 7" in capsys.readouterr().err
-
-    lines = open(records).read().splitlines()
-    row = lines[11].split(",")
-    row[lines[0].split(",").index("best_score")] = "2"
-    lines[11] = ",".join(row)
-    with open(records, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    assert main(["verify-chain", records, graphs]) == 3
-    assert ("height 10: classical block moved best score"
-            in capsys.readouterr().err)
-
-
 @pytest.mark.parametrize("line,message", [
     ("miner = strategy=solver hashrate", "'hashrate' needs key=value"),
     ("miner = strategy=solver hashrate=1 hashrate=2",
@@ -748,14 +524,6 @@ def test_out_dir_that_cannot_be_made_exits_2_before_the_run(
     assert f"cannot make --out-dir {out}" in err
 
 
-def test_non_utf8_config_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_bytes(b"policy = v2\nseed = 1\n# \xff\xfe\n")
-    out = str(tmp_path / "o")
-    assert main(["simulate", str(cfg), "--out-dir", out]) == 2
-    assert "bad.cfg: byte 23 is not UTF-8" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("name", ["records.csv", "graphs.edges"])
 def test_non_utf8_run_file_exits_3(tmp_path, capsys, name):
     cfg = write_cfg(tmp_path, V2_SMALL)
@@ -781,24 +549,6 @@ def test_truncated_graph_file_exits_3(tmp_path, capsys):
     assert main(["verify-chain", os.path.join(out, "records.csv"),
                  graphs]) == 3
     assert "graphs.edges" in capsys.readouterr().err
-
-
-def test_repeated_edge_line_exits_3(tmp_path, capsys):
-    # The header counts the repeat, so the edge list still regenerates.
-    cfg = write_cfg(tmp_path, V2_SMALL)
-    out = str(tmp_path / "out")
-    assert main(["simulate", cfg, "--out-dir", out]) == 0
-    graphs = os.path.join(out, "graphs.edges")
-    lines = open(graphs).read().splitlines()
-    header = lines[0].split()
-    header[1] = str(int(header[1]) + 1)
-    lines[0:2] = [" ".join(header), lines[1], lines[1]]
-    with open(graphs, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert main(["verify-chain", os.path.join(out, "records.csv"),
-                 graphs]) == 3
-    assert "distinct" in capsys.readouterr().err
 
 
 def test_jsonl_record_without_kind_exits_3(tmp_path, capsys):
